@@ -24,7 +24,7 @@ for n in range(9, 16):
         print(line)
 
 print()
-summary = scan(20, [3, 5], jobs=2)
+summary = scan(20, [3, 5])
 print("Scan up to n = %d for p in %s:" % (summary.max_n, list(summary.primes)))
 for (p, dc), count in sorted(summary.block_counts.items()):
     print("  p=%d %-11s %3d blocks" % (p, dc, count))

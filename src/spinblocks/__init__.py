@@ -22,6 +22,7 @@ from .spinchar import (
     GroupTag,
     SpinCharacter,
     alt,
+    alt_degree,
     characters_of_label,
     degree_valuation,
     sigma,
@@ -59,7 +60,6 @@ from .witness import (
     BlockReport,
     ScanSummary,
     WitnessCertificate,
-    alt_degree,
     build_witness,
     check_conjecture,
     scan,

@@ -31,7 +31,7 @@ def defect_class(p: int, w: int) -> str:
     return ABELIAN if w < p else NON_ABELIAN
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinBlock:
     p: int
     core: BarPartition
@@ -43,21 +43,17 @@ class SpinBlock:
     defect_class: str
 
 
-def _label_valuations(labels, group, p):
-    vals = {}
-    for lam in labels:
-        chars = characters_of_label(lam, group)
-        vals[lam] = valuation(chars[0].degree, p)
-    return vals
+def _heights_of(characters, p: int) -> dict:
+    vals = {chi.label: valuation(chi.degree, p) for chi in characters}
+    low = min(vals.values())
+    return {lam: v - low for lam, v in vals.items()}
 
 
 def heights(block: SpinBlock) -> dict:
     """Per-label heights: valuation of the degree minus the block minimum."""
     if not block.labels:
         raise ValueError("empty block")
-    vals = _label_valuations(block.labels, block.group, block.p)
-    low = min(vals.values())
-    return {lam: v - low for lam, v in vals.items()}
+    return _heights_of(block.characters, block.p)
 
 
 def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
@@ -77,9 +73,8 @@ def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
     out = []
     for (core, w), labels in sorted(by_core.items(), key=lambda kv: kv[0][0].parts, reverse=True):
         chars = tuple(chi for lam in labels for chi in characters_of_label(lam, group))
-        block = SpinBlock(p, core, w, group, tuple(labels), chars, {}, defect_class(p, w))
-        block.heights = heights(block)
-        out.append(block)
+        out.append(SpinBlock(p, core, w, group, tuple(labels), chars,
+                             _heights_of(chars, p), defect_class(p, w)))
     return out
 
 

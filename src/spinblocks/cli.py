@@ -11,22 +11,21 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from . import barpart, blocks, constructions, witness
 from .barpart import (
     BarPartition,
+    _check_odd_prime,
     bar_core_and_weight,
     bars,
     enumerate_bar_partitions,
     format_partition,
     is_bar_core,
-    is_odd_prime,
     parse_partition,
-    valuation,
     weight_tower,
 )
 
@@ -95,11 +94,6 @@ def emit(args, command, inputs, payload, status):
         sys.stdout.write(text)
 
 
-def _require_odd_prime(p):
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime, got %r" % (p,))
-
-
 def _bar_entry(bar):
     entry = {"kind": _BAR_KIND_NAMES[bar.kind], "length": bar.length}
     if bar.kind == barpart.TYPE1:
@@ -125,7 +119,7 @@ def cmd_bars(args):
         "h_mixed": table.h_mixed,
     }
     if args.p is not None:
-        _require_odd_prime(args.p)
+        _check_odd_prime(args.p)
         ws, v = weight_tower(lam, args.p)
         payload["p"] = args.p
         payload["weights"] = list(ws)
@@ -135,7 +129,7 @@ def cmd_bars(args):
 
 
 def cmd_core(args):
-    _require_odd_prime(args.p)
+    _check_odd_prime(args.p)
     lam = parse_partition(args.partition)
     core, w = bar_core_and_weight(lam, args.p)
     payload = {"partition": lam, "p": args.p, "core": core, "weight": w}
@@ -144,15 +138,15 @@ def cmd_core(args):
 
 
 def cmd_blocks(args):
-    _require_odd_prime(args.p)
+    _check_odd_prime(args.p)
     if args.n < 1:
         raise ValueError("n must be positive, got %d" % args.n)
     out = []
     for block in blocks.spin_blocks(args.n, args.p, args.group):
         flag, degrees = blocks.equal_degree_test(block)
         labels = []
-        for lam in block.labels:
-            chars = [chi for chi in block.characters if chi.label == lam]
+        for lam, group in groupby(block.characters, key=attrgetter("label")):
+            chars = list(group)
             labels.append({
                 "label": lam,
                 "sigma": chars[0].sigma,
@@ -180,15 +174,8 @@ def _cores_up_to(max_core, p):
     return out
 
 
-def _pmap(fn, items, jobs):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def cmd_verify(args):
-    _require_odd_prime(args.p)
+    _check_odd_prime(args.p)
     failures = []
     checked = 0
     if args.kind == "ratios":
@@ -197,11 +184,8 @@ def cmd_verify(args):
             for gamma in _cores_up_to(args.max_core, args.p)
             for w in range(1, args.max_w + 1)
         ]
-        reports = _pmap(
-            lambda gw: constructions.verify_ratio_identities(gw[0], args.p, gw[1]),
-            grid, args.jobs,
-        )
-        for report in reports:
+        for gamma, w in grid:
+            report = constructions.verify_ratio_identities(gamma, args.p, w)
             for check in report.checks:
                 checked += 1
                 if not check.ok:
@@ -220,11 +204,8 @@ def cmd_verify(args):
             if gamma.m
             for w in range(1, args.max_w + 1)
         ]
-        results = _pmap(
-            lambda gw: constructions.compare_constructions(gw[0], args.p, gw[1]),
-            grid, args.jobs,
-        )
-        for res in results:
+        for gamma, w in grid:
+            res = constructions.compare_constructions(gamma, args.p, w)
             checked += 1
             if not res.verified:
                 failures.append({
@@ -249,23 +230,16 @@ def cmd_verify(args):
             })
             if not res.ok:
                 failures.append(values[-1])
-        payload = {"kind": args.kind, "p": args.p, "checked": checked,
-                   "values": values, "failures": failures}
-        status = "pass" if not failures else "fail"
-        emit(args, "verify", _verify_inputs(args), payload, status)
-        return 0 if not failures else 1
-    payload = {"kind": args.kind, "p": args.p, "max_core": args.max_core,
-               "max_w": args.max_w, "checked": checked, "failures": failures}
-    status = "pass" if not failures else "fail"
-    emit(args, "verify", _verify_inputs(args), payload, status)
-    return 0 if not failures else 1
-
-
-def _verify_inputs(args):
     inputs = {"kind": args.kind, "p": args.p, "max_w": args.max_w}
-    if args.kind != "prop36":
+    payload = {"kind": args.kind, "p": args.p, "checked": checked, "failures": failures}
+    if args.kind == "prop36":
+        payload["values"] = values
+    else:
         inputs["max_core"] = args.max_core
-    return inputs
+        payload.update(max_core=args.max_core, max_w=args.max_w)
+    status = "pass" if not failures else "fail"
+    emit(args, "verify", inputs, payload, status)
+    return 0 if not failures else 1
 
 
 def _cert_payload(cert):
@@ -286,7 +260,7 @@ def _cert_payload(cert):
 
 
 def cmd_witness(args):
-    _require_odd_prime(args.p)
+    _check_odd_prime(args.p)
     targets = []
     if args.n is not None:
         if args.core is not None or args.w is not None:
@@ -323,7 +297,7 @@ def cmd_check(args):
     if args.max_n < 4:
         raise ValueError("max-n must be >= 4, got %d" % args.max_n)
     primes = _parse_primes(args.primes)
-    summary = witness.scan(args.max_n, primes, jobs=args.jobs)
+    summary = witness.scan(args.max_n, primes)
     counts = [
         {"p": p, "defect_class": dc, "blocks": cnt}
         for (p, dc), cnt in sorted(summary.block_counts.items())
@@ -336,7 +310,10 @@ def cmd_check(args):
         "equal_degree_non_abelian": summary.equal_degree_non_abelian,
         "notes": list(summary.notes),
     }
-    ok = summary.equal_degree_non_abelian == 0
+    non_abelian = sum(
+        cnt for (_p, dc), cnt in summary.block_counts.items() if dc == blocks.NON_ABELIAN
+    )
+    ok = summary.equal_degree_non_abelian == 0 and summary.witnesses_verified >= non_abelian
     emit(args, "check", {"max_n": args.max_n, "primes": args.primes}, payload,
          "pass" if ok else "fail")
     return 0 if ok else 1
@@ -348,22 +325,13 @@ def _parse_primes(text):
     except ValueError:
         raise ValueError("cannot parse prime list %r" % (text,)) from None
     for p in primes:
-        _require_odd_prime(p)
+        _check_odd_prime(p)
     return primes
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("SPINBLOCKS_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    sub.add_argument("--jobs", type=int, default=_default_jobs(),
-                     help="parallel sweep workers (default from SPINBLOCKS_JOBS)")
 
 
 def build_parser():

@@ -76,6 +76,19 @@ def spin_degree_sym(lam: BarPartition) -> int:
     return deg
 
 
+def alt_degree(lam: BarPartition) -> int:
+    """Degree of a spin character of the "A" double cover labelled by lam.
+
+    Half the "S" degree if sigma = +1, the full "S" degree if sigma = -1.
+    """
+    d = spin_degree_sym(lam)
+    if sigma(lam) == 1:
+        if d % 2:
+            raise RuntimeError("odd degree %d with sigma = +1 for %s" % (d, lam))
+        return d // 2
+    return d
+
+
 def characters_of_label(lam: BarPartition, group) -> list[SpinCharacter]:
     """The spin characters a label contributes to the given group.
 
@@ -85,19 +98,11 @@ def characters_of_label(lam: BarPartition, group) -> list[SpinCharacter]:
     """
     group = as_group(group, lam.n)
     s = sigma(lam)
-    d = spin_degree_sym(lam)
     if group.kind == "S":
-        if s == 1:
-            return [SpinCharacter(lam, group, 0, d, s)]
-        return [SpinCharacter(lam, group, 0, d, s), SpinCharacter(lam, group, 1, d, s)]
-    if s == 1:
-        if d % 2:
-            raise RuntimeError("odd degree %d with sigma = +1 for %s" % (d, lam))
-        return [
-            SpinCharacter(lam, group, 0, d // 2, s),
-            SpinCharacter(lam, group, 1, d // 2, s),
-        ]
-    return [SpinCharacter(lam, group, 0, d, s)]
+        d, count = spin_degree_sym(lam), 1 if s == 1 else 2
+    else:
+        d, count = alt_degree(lam), 2 if s == 1 else 1
+    return [SpinCharacter(lam, group, k, d, s) for k in range(count)]
 
 
 def degree_valuation(chi: SpinCharacter, p: int) -> int:

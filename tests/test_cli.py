@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from spinblocks import witness
 from spinblocks.cli import main
 
 
@@ -101,12 +103,6 @@ class TestVerify:
         assert values[2]["h_single"] == 720
         assert values[2]["h_split"] == 180
 
-    def test_jobs_flag(self, capsys):
-        rc, rec = run_json(capsys, "verify", "ratios", "--p", "3",
-                           "--max-core", "5", "--max-w", "2", "--jobs", "2")
-        assert rc == 0
-        assert rec["status"] == "pass"
-
 
 class TestWitness:
     def test_by_n(self, capsys):
@@ -150,6 +146,25 @@ class TestCheck:
         assert rec["status"] == "pass"
         assert rec["payload"]["equal_degree_non_abelian"] == 0
         assert rec["payload"]["witnesses_verified"] > 0
+
+    @pytest.mark.parametrize("fault", ["unverified", "equal-degree"])
+    def test_failed_block_is_reported(self, capsys, monkeypatch, fault):
+        if fault == "unverified":
+            build = witness.build_witness
+            monkeypatch.setattr(witness, "build_witness", lambda core, p, w: replace(
+                build(core, p, w), checks={"same_block": False}, notes=("forced failure",)))
+        else:
+            monkeypatch.setattr(witness, "equal_degree_test", lambda block: (True, []))
+        rc, rec = run_json(capsys, "check", "--max-n", "10", "--primes", "3")
+        assert rc == 1
+        assert rec["status"] == "fail"
+        notes = rec["payload"]["notes"]
+        assert any("p=3 n=9 core - w=3" in note for note in notes)
+        if fault == "unverified":
+            assert rec["payload"]["witnesses_verified"] == 0
+            assert all("forced failure" in note for note in notes)
+        else:
+            assert rec["payload"]["equal_degree_non_abelian"] == 2
 
     def test_rejects_tiny(self, capsys):
         rc, _out, err = run(capsys, "check", "--max-n", "3", "--primes", "3")

@@ -117,6 +117,3 @@ class TestScan:
         summary = scan(9, [5])
         assert summary.witnesses_verified == 0
         assert any("p=5" in note for note in summary.notes)
-
-    def test_parallel_matches_serial(self):
-        assert scan(12, [3], jobs=2) == scan(12, [3], jobs=1)
