@@ -7,6 +7,7 @@ from .barpart import (
     BarPartition,
     BarTable,
     bar_core_and_weight,
+    bar_cores_up_to,
     bars,
     enumerate_bar_partitions,
     format_partition,
@@ -37,6 +38,7 @@ from .blocks import (
     equal_degree_test,
     height_zero_by_criterion,
     heights,
+    spin_block,
     spin_blocks,
 )
 from .constructions import (

@@ -278,24 +278,99 @@ def _gen_distinct(n: int, maxpart: int):
             yield (a,) + rest
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n):
-    return tuple(BarPartition(parts) for parts in _gen_distinct(n, n))
+def _gen_partitions(n: int, maxpart: int):
+    if n == 0:
+        yield ()
+        return
+    for a in range(min(n, maxpart), 0, -1):
+        for rest in _gen_partitions(n - a, a):
+            yield (a,) + rest
 
 
 def enumerate_bar_partitions(n: int) -> list[BarPartition]:
     """All partitions of n into distinct parts, in decreasing lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative, got %d" % n)
-    return list(_enumerate_cached(n))
+    return [BarPartition(parts) for parts in _gen_distinct(n, n)]
+
+
+def _runner_charges(lam: BarPartition, p: int) -> list[int]:
+    """c_j - c_{p-j} for j = 1..(p-1)/2, where c_j counts the parts = j mod p."""
+    counts = [0] * p
+    for a in lam.parts:
+        counts[a % p] += 1
+    return [counts[j] - counts[p - j] for j in range(1, (p + 1) // 2)]
+
+
+def _runner_pair_parts(mu: tuple[int, ...], charge: int, j: int, p: int) -> list[int]:
+    """Parts on runners j and p-j whose Maya diagram is mu at the given charge.
+
+    The beads of mu sit at mu_i - i + charge (i >= 1).  A bead at x >= 0 is
+    the part j + x*p; a gap at x < 0 is the part (p-j) + (-x-1)*p.
+    """
+    depth = len(mu) + abs(charge) + 1
+    beads = {(mu[i] if i < len(mu) else 0) - i - 1 + charge for i in range(depth)}
+    top = max(beads)
+    parts = [j + x * p for x in range(top + 1) if x in beads]
+    parts.extend(p - j + (-x - 1) * p for x in range(charge - depth, 0) if x not in beads)
+    return parts
+
+
+def _quotients(w: int, runners: int):
+    """(mu0, mu1, ..., mu_runners): mu0 strict, the rest ordinary, of total size w."""
+    if runners == 0:
+        for mu0 in _gen_distinct(w, w):
+            yield (mu0,)
+        return
+    for k in range(w + 1):
+        for mu in _gen_partitions(k, k):
+            for rest in _quotients(w - k, runners - 1):
+                yield rest + (mu,)
 
 
 def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[BarPartition]:
-    """All bar partitions of |gamma| + p*w whose p-bar-core is gamma."""
+    """All bar partitions of |gamma| + p*w whose p-bar-core is gamma.
+
+    The labels are generated from their p-bar quotients (Morris-Yaseen):
+    runner 0 carries a strict partition mu0 (parts p*k, k in mu0) and each
+    runner pair (j, p-j) an ordinary partition on a Maya diagram whose
+    charge is the core's.  Output is in decreasing lexicographic order.
+    """
     _check_odd_prime(p)
     if w < 0:
         raise ValueError("w must be nonnegative, got %d" % w)
     if not is_bar_core(gamma, p):
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
-    n = gamma.n + p * w
-    return [lam for lam in enumerate_bar_partitions(n) if bar_core_and_weight(lam, p)[0] == gamma]
+    charges = _runner_charges(gamma, p)
+    out = []
+    for quotient in _quotients(w, len(charges)):
+        parts = [p * k for k in quotient[0]]
+        for j, (mu, charge) in enumerate(zip(quotient[1:], charges), start=1):
+            parts.extend(_runner_pair_parts(mu, charge, j, p))
+        out.append(BarPartition(tuple(sorted(parts, reverse=True))))
+    out.sort(reverse=True)
+    return out
+
+
+def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
+    """All p-bar-cores of size <= max_size, by size, then decreasing lexicographic.
+
+    A p-bar-core has nothing on runner 0 and, on each runner pair (j, p-j),
+    the empty partition at some signed bead count c.
+    """
+    _check_odd_prime(p)
+    cores = [()] if max_size >= 0 else []
+    for j in range(1, (p + 1) // 2):
+        grown = []
+        for parts in cores:
+            grown.append(parts)
+            for step in (1, -1):
+                charge = step
+                run = _runner_pair_parts((), charge, j, p)
+                while sum(parts) + sum(run) <= max_size:
+                    grown.append(parts + tuple(run))
+                    charge += step
+                    run = _runner_pair_parts((), charge, j, p)
+        cores = grown
+    out = sorted((BarPartition(tuple(sorted(parts, reverse=True))) for parts in cores), reverse=True)
+    return sorted(out, key=lambda lam: lam.n)

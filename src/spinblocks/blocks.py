@@ -15,6 +15,7 @@ from .barpart import (
     _check_odd_prime,
     bar_core_and_weight,
     enumerate_bar_partitions,
+    labels_with_core_and_weight,
     valuation,
     weight_tower,
 )
@@ -56,6 +57,12 @@ def heights(block: SpinBlock) -> dict:
     return _heights_of(block.characters, block.p)
 
 
+def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:
+    chars = tuple(chi for lam in labels for chi in characters_of_label(lam, group))
+    return SpinBlock(p, core, w, group, tuple(labels), chars,
+                     _heights_of(chars, p), defect_class(p, w))
+
+
 def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
     """The spin blocks of the tagged double cover, ordered by core.
 
@@ -70,12 +77,18 @@ def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
     for lam in enumerate_bar_partitions(n):
         core, w = bar_core_and_weight(lam, p)
         by_core.setdefault((core, w), []).append(lam)
-    out = []
-    for (core, w), labels in sorted(by_core.items(), key=lambda kv: kv[0][0].parts, reverse=True):
-        chars = tuple(chi for lam in labels for chi in characters_of_label(lam, group))
-        out.append(SpinBlock(p, core, w, group, tuple(labels), chars,
-                             _heights_of(chars, p), defect_class(p, w)))
-    return out
+    return [_build_block(p, core, w, group, labels)
+            for (core, w), labels in sorted(by_core.items(), key=lambda kv: kv[0][0].parts,
+                                            reverse=True)]
+
+
+def spin_block(core: BarPartition, p: int, w: int, group) -> SpinBlock:
+    """The one spin block of core and weight w, its labels generated from p-bar quotients."""
+    labels = labels_with_core_and_weight(core, p, w)
+    n = core.n + p * w
+    if n < 1:
+        raise ValueError("n must be positive, got %d" % n)
+    return _build_block(p, core, w, as_group(group, n), labels)
 
 
 def height_zero_by_criterion(block: SpinBlock) -> set[BarPartition]:

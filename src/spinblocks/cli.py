@@ -21,10 +21,9 @@ from .barpart import (
     BarPartition,
     _check_odd_prime,
     bar_core_and_weight,
+    bar_cores_up_to,
     bars,
-    enumerate_bar_partitions,
     format_partition,
-    is_bar_core,
     parse_partition,
     weight_tower,
 )
@@ -167,13 +166,6 @@ def cmd_blocks(args):
     return 0
 
 
-def _cores_up_to(max_core, p):
-    out = []
-    for size in range(max_core + 1):
-        out.extend(lam for lam in enumerate_bar_partitions(size) if is_bar_core(lam, p))
-    return out
-
-
 def cmd_verify(args):
     _check_odd_prime(args.p)
     failures = []
@@ -181,7 +173,7 @@ def cmd_verify(args):
     if args.kind == "ratios":
         grid = [
             (gamma, w)
-            for gamma in _cores_up_to(args.max_core, args.p)
+            for gamma in bar_cores_up_to(args.max_core, args.p)
             for w in range(1, args.max_w + 1)
         ]
         for gamma, w in grid:
@@ -200,7 +192,7 @@ def cmd_verify(args):
     elif args.kind == "thm35":
         grid = [
             (gamma, w)
-            for gamma in _cores_up_to(args.max_core, args.p)
+            for gamma in bar_cores_up_to(args.max_core, args.p)
             if gamma.m
             for w in range(1, args.max_w + 1)
         ]

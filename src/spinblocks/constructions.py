@@ -18,11 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .barpart import (
+    EMPTY,
+    TYPE1,
+    TYPE2,
+    TYPE3,
+    Bar,
     BarPartition,
     _check_odd_prime,
-    bar_core_and_weight,
     bars,
-    is_bar_core,
+    remove_bar,
 )
 
 
@@ -76,9 +80,28 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
     return CoreDecomposition(p, gamma, tuple(classes), tuple(d), e)
 
 
-def _check_core_and_weight(lam, gamma, p, w, expected_m):
-    core, got_w = bar_core_and_weight(lam, p)
-    if core != gamma or got_w != w or lam.m != expected_m:
+def _shrink_path(top: int, p: int, steps: int) -> list[Bar]:
+    """Bars shrinking the part top to top - p, then to top - 2p, ... (steps bars)."""
+    return [Bar(TYPE1, p, x=top - p * (k + 1), y=top - p * k) for k in range(steps)]
+
+
+def _certify_path(lam, path, gamma, p, w, expected_m):
+    """Check that removing the p-bars of path from lam, in order, leaves gamma.
+
+    gamma is a p-bar-core, so the path certifies core gamma and weight w;
+    the count of bar lengths divisible by p is asserted to agree.
+    """
+    cur = lam
+    try:
+        for bar in path:
+            if bar.length != p:
+                raise ValueError("bar of length %d, not %d" % (bar.length, p))
+            cur = remove_bar(cur, bar)
+    except ValueError as exc:
+        raise RuntimeError("construction for %s, p=%d, w=%d produced %s: %s"
+                           % (gamma, p, w, lam, exc)) from None
+    divisible = sum(1 for b in bars(lam).bars if b.length % p == 0)
+    if cur != gamma or len(path) != w or divisible != w or lam.m != expected_m:
         raise RuntimeError("construction for %s, p=%d, w=%d produced %s" % (gamma, p, w, lam))
     return lam
 
@@ -89,7 +112,8 @@ def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
         raise ValueError("w must be >= 1, got %d" % w)
     decompose_core(gamma, p)
     lam = BarPartition(tuple(sorted(gamma.parts + (p * w,), reverse=True)))
-    return _check_core_and_weight(lam, gamma, p, w, gamma.m + 1)
+    path = _shrink_path(p * w, p, w - 1) + [Bar(TYPE2, p, y=p)]
+    return _certify_path(lam, path, gamma, p, w, gamma.m + 1)
 
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
@@ -102,7 +126,7 @@ def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
     ei = dec.e[i]
     parts = tuple(ei + p * w if a == ei else a for a in gamma.parts)
     lam = BarPartition(tuple(sorted(parts, reverse=True)))
-    return _check_core_and_weight(lam, gamma, p, w, gamma.m)
+    return _certify_path(lam, _shrink_path(ei + p * w, p, w), gamma, p, w, gamma.m)
 
 
 def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
@@ -112,11 +136,9 @@ def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
         raise ValueError("w must be >= 2, got %d" % w)
     first = BarPartition((p * w,))
     second = BarPartition((p * w - 1, 1))
-    from .barpart import EMPTY
-    for lam in (first, second):
-        core, got_w = bar_core_and_weight(lam, p)
-        if core != EMPTY or got_w != w:
-            raise RuntimeError("principal pair construction failed for p=%d, w=%d" % (p, w))
+    _certify_path(first, _shrink_path(p * w, p, w - 1) + [Bar(TYPE2, p, y=p)], EMPTY, p, w, 1)
+    _certify_path(second, _shrink_path(p * w - 1, p, w - 1) + [Bar(TYPE3, p, i=1, j=2)],
+                  EMPTY, p, w, 2)
     return first, second
 
 

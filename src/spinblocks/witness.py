@@ -12,16 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .barpart import (
-    EMPTY,
     BarPartition,
     _check_odd_prime,
     bar_core_and_weight,
     bars,
     is_bar_core,
-    labels_with_core_and_weight,
     valuation,
 )
-from .blocks import NON_ABELIAN, SpinBlock, equal_degree_test, spin_blocks
+from .blocks import NON_ABELIAN, SpinBlock, equal_degree_test, spin_block, spin_blocks
 from .constructions import add_part_pw, decompose_core, grow_class, principal_pair
 from .spinchar import alt_degree
 
@@ -117,10 +115,13 @@ def _pprime_residue(lam: BarPartition, p: int) -> int:
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its labels alone.
 
-    A failed check is recorded with the offending values in the notes;
-    nothing is ever silently passed.
+    Height zero is read from the block (core, w) of the alternating double
+    cover, whose labels are generated from their p-bar quotients.  A failed
+    check is recorded with the offending values in the notes; nothing is
+    ever silently passed.
     """
     p, gamma, w = cert.p, cert.core, cert.w
+    block = spin_block(gamma, p, w, "A")
     checks = {}
     notes = []
 
@@ -138,15 +139,10 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
             % (cert.label_a, core_a, w_a, cert.label_b, core_b, w_b)
         )
 
-    # Height-zero status comes from full enumeration of the block.
-    block_labels = labels_with_core_and_weight(gamma, p, w)
-    vals = {lam: valuation(alt_degree(lam), p) for lam in block_labels}
-    low = min(vals.values())
-    in_block = cert.label_a in vals and cert.label_b in vals
-    checks["both_height_zero"] = (
-        in_block and vals[cert.label_a] == low and vals[cert.label_b] == low
-    )
+    checks["both_height_zero"] = all(
+        block.heights.get(lam) == 0 for lam in (cert.label_a, cert.label_b))
     if not checks["both_height_zero"]:
+        low = min(valuation(chi.degree, p) for chi in block.characters)
         notes.append("height-zero check failed (block minimum valuation %d)" % low)
 
     da, db = alt_degree(cert.label_a), alt_degree(cert.label_b)

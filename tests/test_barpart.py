@@ -13,6 +13,7 @@ from spinblocks.barpart import (
     Bar,
     BarPartition,
     bar_core_and_weight,
+    bar_cores_up_to,
     bars,
     enumerate_bar_partitions,
     format_partition,
@@ -235,6 +236,40 @@ class TestLabelsWithCoreAndWeight:
     def test_rejects_non_core(self):
         with pytest.raises(ValueError):
             labels_with_core_and_weight(bp(3), 3, 1)
+
+    def test_generated_charge_runners(self):
+        # 7-bar-core (9, 2) has charges +1 on pair (2, 5) and -1 on pair (1, 6)
+        got = labels_with_core_and_weight(bp(9, 2), 7, 2)
+        n = 11 + 14
+        assert got == [lam for lam in enumerate_bar_partitions(n)
+                       if bar_core_and_weight(lam, 7) == (bp(9, 2), 2)]
+
+    @given(st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_filter_up_to_forty(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        core = data.draw(st.sampled_from(bar_cores_up_to(40 - p, p)))
+        w = data.draw(st.integers(1, (40 - core.n) // p))
+        n = core.n + p * w
+        brute = [lam for lam in enumerate_bar_partitions(n)
+                 if bar_core_and_weight(lam, p) == (core, w)]
+        assert labels_with_core_and_weight(core, p, w) == brute
+
+
+class TestBarCoresUpTo:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_matches_filter(self, p):
+        brute = [lam for n in range(26) for lam in enumerate_bar_partitions(n)
+                 if is_bar_core(lam, p)]
+        assert bar_cores_up_to(25, p) == brute
+
+    def test_small(self):
+        assert bar_cores_up_to(7, 3) == [EMPTY, bp(1), bp(2), bp(4, 1), bp(5, 2)]
+        assert bar_cores_up_to(-1, 3) == []
+
+    def test_rejects_non_prime(self):
+        with pytest.raises(ValueError):
+            bar_cores_up_to(5, 9)
 
 
 def test_valuation():

@@ -1,6 +1,11 @@
 import pytest
 
-from spinblocks.barpart import EMPTY, enumerate_bar_partitions, make_bar_partition
+from spinblocks.barpart import (
+    EMPTY,
+    enumerate_bar_partitions,
+    labels_with_core_and_weight,
+    make_bar_partition,
+)
 from spinblocks.blocks import (
     ABELIAN,
     DEFECT_ZERO,
@@ -8,6 +13,7 @@ from spinblocks.blocks import (
     equal_degree_test,
     height_zero_by_criterion,
     heights,
+    spin_block,
     spin_blocks,
 )
 
@@ -52,6 +58,27 @@ class TestSpinBlocks:
             spin_blocks(0, 3, "A")
         with pytest.raises(ValueError):
             spin_blocks(5, 2, "A")
+
+
+class TestSpinBlock:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_generated_labels_match_spin_blocks(self, p):
+        for n in range(1, 31):
+            for block in spin_blocks(n, p, "S"):
+                assert tuple(labels_with_core_and_weight(block.core, p, block.w)) == block.labels
+
+    @pytest.mark.parametrize("group", ["S", "A"])
+    def test_equals_block_of_spin_blocks(self, group):
+        for block in spin_blocks(16, 3, group):
+            assert spin_block(block.core, 3, block.w, group) == block
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            spin_block(EMPTY, 3, 0, "A")
+        with pytest.raises(ValueError):
+            spin_block(bp(3), 3, 1, "A")  # not a core
+        with pytest.raises(ValueError):
+            spin_block(bp(1), 4, 1, "A")
 
 
 class TestHeights:

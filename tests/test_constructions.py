@@ -6,6 +6,7 @@ from spinblocks.barpart import (
     EMPTY,
     TYPE1,
     TYPE2,
+    Bar,
     bar_core_and_weight,
     bars,
     enumerate_bar_partitions,
@@ -14,6 +15,8 @@ from spinblocks.barpart import (
 )
 from spinblocks.constructions import (
     TWO_CLASSES,
+    _certify_path,
+    _shrink_path,
     UNIQUE_CLASS,
     add_part_pw,
     add_part_ratio,
@@ -119,6 +122,26 @@ class TestConstructions:
                 kinds = [b.kind for b in bars(lam).bars if b.length % p == 0]
                 assert kinds.count(TYPE2) == 1
                 assert set(kinds) <= {TYPE1, TYPE2}
+
+
+class TestRemovalPath:
+    def test_own_path_certifies(self):
+        lam = grow_class(bp(4, 1), 3, 1, 2)
+        assert _certify_path(lam, _shrink_path(10, 3, 2), bp(4, 1), 3, 2, 2) == lam
+
+    @pytest.mark.parametrize("path", [
+        [Bar(TYPE1, 3, x=7, y=10)],                            # stops short of the core
+        [Bar(TYPE1, 3, x=5, y=8), Bar(TYPE1, 3, x=2, y=5)],    # 8 is not a part
+        [Bar(TYPE1, 6, x=4, y=10)],                            # not a 3-bar
+        [Bar(TYPE1, 3, x=7, y=10), Bar(TYPE2, 3, y=3)],        # 3 is not a part
+    ])
+    def test_wrong_path_raises(self, path):
+        with pytest.raises(RuntimeError):
+            _certify_path(bp(10, 1), path, bp(4, 1), 3, 2, 2)
+
+    def test_wrong_weight_raises(self):
+        with pytest.raises(RuntimeError):
+            _certify_path(bp(10, 1), _shrink_path(10, 3, 2), bp(4, 1), 3, 3, 2)
 
 
 class TestRatioValues:

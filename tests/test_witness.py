@@ -87,6 +87,24 @@ class TestVerifyWitness:
         assert not bad.verified
 
 
+class TestBlockMembership:
+    def test_flags_label_outside_block(self):
+        cert = build_witness(EMPTY, 3, 4)
+        bad = verify_witness(replace(cert, label_a=bp(7, 4, 1)))  # the core 7,4,1
+        assert bad.checks["same_block"] is False
+        assert bad.checks["both_height_zero"] is False
+        assert not bad.verified
+        assert any("height-zero check failed" in note for note in bad.notes)
+
+    @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
+    def test_flags_block_of_wrong_core_or_weight(self, core, w):
+        cert = build_witness(EMPTY, 3, 4)
+        bad = verify_witness(replace(cert, core=core, w=w))
+        assert bad.checks["same_block"] is False
+        assert bad.checks["both_height_zero"] is False
+        assert not bad.verified
+
+
 class TestCheckConjecture:
     def test_nine(self):
         reports = check_conjecture(9, 3)
