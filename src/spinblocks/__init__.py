@@ -37,7 +37,6 @@ from .blocks import (
     SpinBlock,
     equal_degree_test,
     height_zero_by_criterion,
-    heights,
     spin_block,
     spin_blocks,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 TYPE1 = 1  # (x, y): part y shrinks to the non-part value x, length y - x
 TYPE2 = 2  # (y,): part y is deleted, length y
@@ -175,57 +174,33 @@ def _check_odd_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
 
 
-def _acting_part(lam: BarPartition, bar: Bar) -> int:
-    return lam.parts[bar.i - 1] if bar.kind == TYPE3 else bar.y
-
-
-def _removal_order(lam: BarPartition, removable: list[Bar]) -> list[Bar]:
-    # Largest acted-on part first, mixed bars before unmixed at ties.
-    return sorted(
-        removable,
-        key=lambda b: (-_acting_part(lam, b), 0 if b.kind == TYPE3 else 1, b.kind, b.x, b.i, b.j),
-    )
-
-
 def bar_core_and_weight(
     lam: BarPartition, p: int, rng: random.Random | None = None
 ) -> tuple[BarPartition, int]:
     """Remove bars of length exactly p until no bar length is divisible by p.
 
-    Returns (core, w) where w is the number of removals.  The result is
-    order-independent; the default removal rule is deterministic, while an
-    optional rng picks removable bars at random (for order-independence
-    tests).  Consistency with the count of bar lengths divisible by p and
-    with |lam| = |core| + p*w is asserted.
+    Returns (core, w) where w is the number of removals.  The result does
+    not depend on which p-bar is removed at each step, so the first one
+    that bars() lists is taken; an optional rng picks one at random from
+    the same list instead (for order-independence tests).  Consistency with
+    the count of bar lengths divisible by p and with |lam| = |core| + p*w
+    is asserted.
     """
-    if rng is None:
-        return _core_and_weight_cached(lam, p)
-    return _core_and_weight(lam, p, rng)
-
-
-@lru_cache(maxsize=200000)
-def _core_and_weight_cached(lam, p):
-    return _core_and_weight(lam, p, None)
-
-
-def _core_and_weight(lam, p, rng):
     _check_odd_prime(p)
-    target_w = sum(1 for b in bars(lam).bars if b.length % p == 0)
+    table = bars(lam)
+    target_w = sum(1 for b in table.bars if b.length % p == 0)
     cur = lam
     w = 0
-    while True:
-        table = bars(cur)
-        if not any(b.length % p == 0 for b in table.bars):
-            break
-        removable = _removal_order(cur, [b for b in table.bars if b.length == p])
+    while any(b.length % p == 0 for b in table.bars):
+        removable = [b for b in table.bars if b.length == p]
         if not removable:
             raise RuntimeError(
                 "no removable bar of length %d in %s although some bar length"
                 " is divisible by %d" % (p, cur, p)
             )
-        bar = rng.choice(removable) if rng is not None else removable[0]
-        cur = remove_bar(cur, bar)
+        cur = remove_bar(cur, rng.choice(removable) if rng is not None else removable[0])
         w += 1
+        table = bars(cur)
     if w != target_w:
         raise RuntimeError(
             "removed %d bars from %s but %d bar lengths are divisible by %d"

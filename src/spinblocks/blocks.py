@@ -40,27 +40,16 @@ class SpinBlock:
     group: GroupTag
     labels: tuple[BarPartition, ...]
     characters: tuple[SpinCharacter, ...]
-    heights: dict
+    heights: dict  # label -> valuation of its degree minus the block minimum
     defect_class: str
-
-
-def _heights_of(characters, p: int) -> dict:
-    vals = {chi.label: valuation(chi.degree, p) for chi in characters}
-    low = min(vals.values())
-    return {lam: v - low for lam, v in vals.items()}
-
-
-def heights(block: SpinBlock) -> dict:
-    """Per-label heights: valuation of the degree minus the block minimum."""
-    if not block.labels:
-        raise ValueError("empty block")
-    return _heights_of(block.characters, block.p)
 
 
 def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:
     chars = tuple(chi for lam in labels for chi in characters_of_label(lam, group))
+    vals = {chi.label: valuation(chi.degree, p) for chi in chars}
+    low = min(vals.values())
     return SpinBlock(p, core, w, group, tuple(labels), chars,
-                     _heights_of(chars, p), defect_class(p, w))
+                     {lam: v - low for lam, v in vals.items()}, defect_class(p, w))
 
 
 def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
@@ -95,7 +84,7 @@ def height_zero_by_criterion(block: SpinBlock) -> set[BarPartition]:
     """Labels maximizing the total count of bar lengths divisible by p**k, k >= 2.
 
     This is the weight-tower reading of the height-zero condition; tests
-    cross-check it against heights().
+    cross-check it against the labels of height 0 in SpinBlock.heights.
     """
     best = {}
     for lam in block.labels:

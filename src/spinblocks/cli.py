@@ -229,6 +229,10 @@ def cmd_verify(args):
     else:
         inputs["max_core"] = args.max_core
         payload.update(max_core=args.max_core, max_w=args.max_w)
+    if not checked:
+        bounds = ("max-w %d" % args.max_w if args.kind == "prop36"
+                  else "max-core %d and max-w %d" % (args.max_core, args.max_w))
+        raise ValueError("verify %s has nothing to check with %s" % (args.kind, bounds))
     status = "pass" if not failures else "fail"
     emit(args, "verify", inputs, payload, status)
     return 0 if not failures else 1
@@ -251,15 +255,25 @@ def _cert_payload(cert):
     }
 
 
+def _witness_targets(n, p):
+    """(core, w) of each block of n with w >= p, or the empty core with w >= 2,
+    by decreasing core."""
+    if n < 1:
+        raise ValueError("n must be positive, got %d" % n)
+    targets = []
+    for core in sorted(bar_cores_up_to(n, p), reverse=True):
+        w, rest = divmod(n - core.n, p)
+        if rest == 0 and (w >= p or (core.m == 0 and w >= 2)):
+            targets.append((core, w))
+    return targets
+
+
 def cmd_witness(args):
     _check_odd_prime(args.p)
-    targets = []
     if args.n is not None:
         if args.core is not None or args.w is not None:
             raise ValueError("give either --n or --core/--w, not both")
-        for block in blocks.spin_blocks(args.n, args.p, "A"):
-            if block.w >= args.p or (block.core.m == 0 and block.w >= 2):
-                targets.append((block.core, block.w))
+        targets = _witness_targets(args.n, args.p)
         if not targets:
             raise ValueError(
                 "no spin block of n=%d has w >= %d (or empty core with w >= 2)"
@@ -274,7 +288,7 @@ def cmd_witness(args):
                 "block (core %s, w=%d) has abelian defect; only the empty core"
                 " with w >= 2 is accepted below w = p" % (core, args.w)
             )
-        targets.append((core, args.w))
+        targets = [(core, args.w)]
     certs = [witness.build_witness(core, args.p, w) for core, w in targets]
     all_ok = all(c.verified for c in certs)
     any_non_abelian = any(w >= args.p for _, w in targets)

@@ -20,7 +20,7 @@ from .barpart import (
     valuation,
 )
 from .blocks import NON_ABELIAN, SpinBlock, equal_degree_test, spin_block, spin_blocks
-from .constructions import add_part_pw, decompose_core, grow_class, principal_pair
+from .constructions import TWO_CLASSES, compare_constructions, principal_pair
 from .spinchar import alt_degree
 
 CASE_EMPTY_CORE = "empty-core"
@@ -70,24 +70,18 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
     else:
         if w < p:
             raise ValueError("nonempty core needs non-abelian defect (w >= p), got w=%d" % w)
-        dec = decompose_core(gamma, p)
-        order = sorted(dec.nonempty, key=lambda j: dec.e[j], reverse=True)
-        if len(order) >= 2:
-            label_a = grow_class(gamma, p, order[0], w)
-            label_b = grow_class(gamma, p, order[1], w)
+        pair = compare_constructions(gamma, p, w)
+        label_a, label_b = pair.larger, pair.smaller
+        if pair.case == TWO_CLASSES:
             case = CASE_TWO_CLASSES
+        elif (label_a.n - label_a.m) % 2 == 0:
+            case = CASE_UNIQUE_EVEN
+        elif p > 3:
+            case = CASE_UNIQUE_ODD
+        elif gamma.m >= 2:  # the one occupied class i reaches e_i >= i + p
+            case = CASE_UNIQUE_ODD_P3_LARGE
         else:
-            (i,) = order
-            label_a = grow_class(gamma, p, i, w)
-            label_b = add_part_pw(gamma, p, w)
-            if (label_a.n - label_a.m) % 2 == 0:
-                case = CASE_UNIQUE_EVEN
-            elif p > 3:
-                case = CASE_UNIQUE_ODD
-            elif dec.e[i] >= i + p:
-                case = CASE_UNIQUE_ODD_P3_LARGE
-            else:
-                case = CASE_UNIQUE_ODD_P3_SMALL
+            case = CASE_UNIQUE_ODD_P3_SMALL
     cert = WitnessCertificate(
         p=p,
         core=gamma,
@@ -115,8 +109,9 @@ def _pprime_residue(lam: BarPartition, p: int) -> int:
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its labels alone.
 
-    Height zero is read from the block (core, w) of the alternating double
-    cover, whose labels are generated from their p-bar quotients.  A failed
+    Height zero and both degrees are read from the block (core, w) of the
+    alternating double cover, whose labels are generated from their p-bar
+    quotients; a label outside that block has no degree there.  A failed
     check is recorded with the offending values in the notes; nothing is
     ever silently passed.
     """
@@ -145,12 +140,13 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
         low = min(valuation(chi.degree, p) for chi in block.characters)
         notes.append("height-zero check failed (block minimum valuation %d)" % low)
 
-    da, db = alt_degree(cert.label_a), alt_degree(cert.label_b)
+    degrees = {chi.label: chi.degree for chi in block.characters}
+    da, db = degrees.get(cert.label_a), degrees.get(cert.label_b)
     checks["degrees_distinct"] = (
         da != db and cert.degree_a == da and cert.degree_b == db
     )
     if not checks["degrees_distinct"]:
-        notes.append("degree check failed: recomputed %d and %d, stored %d and %d"
+        notes.append("degree check failed: block degrees %s and %s, stored %d and %d"
                      % (da, db, cert.degree_a, cert.degree_b))
 
     if cert.case == CASE_EMPTY_CORE:

@@ -12,7 +12,6 @@ from spinblocks.blocks import (
     NON_ABELIAN,
     equal_degree_test,
     height_zero_by_criterion,
-    heights,
     spin_block,
     spin_blocks,
 )
@@ -89,7 +88,6 @@ class TestHeights:
             bp(6, 2, 1): 1, bp(5, 3, 1): 1, bp(4, 3, 2): 1,
         }
         assert block.heights == expected
-        assert heights(block) == expected
 
     def test_defect_zero(self):
         blocks = spin_blocks(5, 3, "S")

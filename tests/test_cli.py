@@ -1,10 +1,14 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinblocks import witness
-from spinblocks.cli import main
+from spinblocks.blocks import spin_blocks
+from spinblocks.cli import INT64_MAX, _witness_targets, jsonable, main, render
 
 
 def run(capsys, *argv):
@@ -103,6 +107,17 @@ class TestVerify:
         assert values[2]["h_single"] == 720
         assert values[2]["h_split"] == 180
 
+    @pytest.mark.parametrize("argv", [
+        ("ratios", "--p", "3", "--max-w", "0"),
+        ("thm35", "--p", "3", "--max-core", "0"),
+        ("prop36", "--p", "3", "--max-w", "1"),
+    ])
+    def test_empty_bounds_rejected(self, capsys, argv):
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2
+        assert out == ""
+        assert "nothing to check" in err
+
 
 class TestWitness:
     def test_by_n(self, capsys):
@@ -132,6 +147,14 @@ class TestWitness:
         rc, _out, err = run(capsys, "witness", "--n", "7", "--p", "3")
         assert rc == 2
         assert "no spin block" in err
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_targets_are_the_qualifying_blocks(self, p):
+        for n in range(1, 31):
+            # blocks of "S" and "A" share cores and weights; "A" has no n = 1
+            expected = [(b.core, b.w) for b in spin_blocks(n, p, "S")
+                        if b.w >= p or (b.core.m == 0 and b.w >= 2)]
+            assert _witness_targets(n, p) == expected
 
     def test_conflicting_selectors(self, capsys):
         rc, _out, err = run(capsys, "witness", "--n", "9", "--core", "-",
@@ -209,3 +232,30 @@ class TestOutput:
     def test_missing_subcommand(self, capsys):
         rc, _out, _err = run(capsys, )
         assert rc == 2
+
+
+def roundtrip(value):
+    return json.loads(render(jsonable({"v": value}), "json"))["v"]
+
+
+class TestJsonRoundTrip:
+    @given(st.integers(-INT64_MAX - 1, INT64_MAX + 1))
+    @example(INT64_MAX)
+    @example(-INT64_MAX)
+    @example(INT64_MAX + 1)
+    @example(-INT64_MAX - 1)
+    def test_ints(self, x):
+        back = roundtrip(x)
+        if abs(x) <= INT64_MAX:
+            assert type(back) is int and back == x
+        else:
+            assert back == str(x) and int(back) == x
+
+    @given(st.fractions())
+    def test_fractions(self, q):
+        back = roundtrip(q)
+        if q.denominator == 1:
+            assert back == str(q.numerator)
+        else:
+            assert back == "%d/%d" % (q.numerator, q.denominator)
+        assert Fraction(back) == q

@@ -93,8 +93,10 @@ class TestBlockMembership:
         bad = verify_witness(replace(cert, label_a=bp(7, 4, 1)))  # the core 7,4,1
         assert bad.checks["same_block"] is False
         assert bad.checks["both_height_zero"] is False
+        assert bad.checks["degrees_distinct"] is False
         assert not bad.verified
         assert any("height-zero check failed" in note for note in bad.notes)
+        assert any("degree check failed" in note for note in bad.notes)
 
     @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
     def test_flags_block_of_wrong_core_or_weight(self, core, w):
