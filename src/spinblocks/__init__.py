@@ -35,8 +35,10 @@ from .blocks import (
     DEFECT_ZERO,
     NON_ABELIAN,
     SpinBlock,
+    block_targets,
     equal_degree_test,
     height_zero_by_criterion,
+    height_zero_valuation,
     spin_block,
     spin_blocks,
 )

@@ -3,7 +3,9 @@
 Height is taken operationally as the p-adic valuation of a degree minus the
 minimum valuation over the block, so no group orders are ever needed.  The
 defect class is read off the weight alone: zero (w = 0), abelian (w < p),
-non-abelian (w >= p).
+non-abelian (w >= p).  A block of weight w has a Sylow p-subgroup of the
+symmetric group on pw letters as defect group (Humphreys 1986), so its
+minimum valuation is also known in closed form: height_zero_valuation.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from .barpart import (
     BarPartition,
     _check_odd_prime,
     bar_core_and_weight,
+    bar_cores_up_to,
     enumerate_bar_partitions,
     labels_with_core_and_weight,
     valuation,
-    weight_tower,
 )
 from .spinchar import GroupTag, SpinCharacter, as_group, characters_of_label
 
@@ -44,7 +46,38 @@ class SpinBlock:
     defect_class: str
 
 
+def height_zero_valuation(n: int, p: int, w: int) -> int:
+    """v_p(n!) - v_p((pw)!): the degree valuation of the height-zero
+    characters of a spin block of n with weight w, read off its defect group."""
+
+    def fact_val(k):  # Legendre: v_p(k!) = sum of k // p**i
+        total = 0
+        while k:
+            k //= p
+            total += k
+        return total
+
+    return fact_val(n) - fact_val(p * w)
+
+
+def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
+    """(core, w) of every spin block of n, by decreasing core, without its labels.
+
+    Every p-bar-core of size n - p*w, w >= 0, is the core of exactly one block.
+    """
+    if n < 1:
+        raise ValueError("n must be positive, got %d" % n)
+    targets = []
+    for core in sorted(bar_cores_up_to(n, p), reverse=True):
+        w, rest = divmod(n - core.n, p)
+        if rest == 0:
+            targets.append((core, w))
+    return targets
+
+
 def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:
+    if group.kind == "A" and group.n < 2:
+        raise ValueError("the alternating double cover needs n >= 2, got %d" % group.n)
     chars = tuple(chi for lam in labels for chi in characters_of_label(lam, group))
     vals = {chi.label: valuation(chi.degree, p) for chi in chars}
     low = min(vals.values())
@@ -81,17 +114,13 @@ def spin_block(core: BarPartition, p: int, w: int, group) -> SpinBlock:
 
 
 def height_zero_by_criterion(block: SpinBlock) -> set[BarPartition]:
-    """Labels maximizing the total count of bar lengths divisible by p**k, k >= 2.
+    """Labels whose degree valuation is height_zero_valuation of the block.
 
-    This is the weight-tower reading of the height-zero condition; tests
+    This is the defect-group reading of the height-zero condition; tests
     cross-check it against the labels of height 0 in SpinBlock.heights.
     """
-    best = {}
-    for lam in block.labels:
-        ws, _ = weight_tower(lam, block.p)
-        best[lam] = sum(ws[1:])
-    top = max(best.values())
-    return {lam for lam, s in best.items() if s == top}
+    target = height_zero_valuation(block.core.n + block.p * block.w, block.p, block.w)
+    return {chi.label for chi in block.characters if valuation(chi.degree, block.p) == target}
 
 
 def equal_degree_test(block: SpinBlock) -> tuple[bool, list[int]]:

@@ -258,14 +258,8 @@ def _cert_payload(cert):
 def _witness_targets(n, p):
     """(core, w) of each block of n with w >= p, or the empty core with w >= 2,
     by decreasing core."""
-    if n < 1:
-        raise ValueError("n must be positive, got %d" % n)
-    targets = []
-    for core in sorted(bar_cores_up_to(n, p), reverse=True):
-        w, rest = divmod(n - core.n, p)
-        if rest == 0 and (w >= p or (core.m == 0 and w >= 2)):
-            targets.append((core, w))
-    return targets
+    return [(core, w) for core, w in blocks.block_targets(n, p)
+            if w >= p or (core.m == 0 and w >= 2)]
 
 
 def cmd_witness(args):

@@ -4,7 +4,12 @@ For every spin block of the alternating double cover with non-abelian
 defect (weight w >= p), a pair of labels is constructed by case analysis on
 the residue classes of the core, and every claimed property (same block,
 height zero, distinct degrees, the mod-p congruence of the p'-part of the
-bar product) is verified from scratch rather than trusted.
+bar product) is verified from scratch rather than trusted.  A certificate
+needs only its two labels: height zero is the defect-group minimum of the
+degree valuation (blocks.height_zero_valuation), so neither building nor
+verifying it builds the block.  scan certifies every block from its
+(core, w) alone; check_conjecture stays block-based as the descriptive
+report and the oracle for scan.
 """
 
 from __future__ import annotations
@@ -19,7 +24,15 @@ from .barpart import (
     is_bar_core,
     valuation,
 )
-from .blocks import NON_ABELIAN, SpinBlock, equal_degree_test, spin_block, spin_blocks
+from .blocks import (
+    NON_ABELIAN,
+    block_targets,
+    defect_class,
+    equal_degree_test,
+    height_zero_valuation,
+    spin_block,
+    spin_blocks,
+)
 from .constructions import TWO_CLASSES, compare_constructions, principal_pair
 from .spinchar import alt_degree
 
@@ -109,14 +122,14 @@ def _pprime_residue(lam: BarPartition, p: int) -> int:
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its labels alone.
 
-    Height zero and both degrees are read from the block (core, w) of the
-    alternating double cover, whose labels are generated from their p-bar
-    quotients; a label outside that block has no degree there.  A failed
-    check is recorded with the offending values in the notes; nothing is
-    ever silently passed.
+    Both labels' cores and weights come from bar removal and both degrees
+    from alt_degree, recomputed and compared with the stored ones.  A label
+    has height zero when it lies in the block (core, w) and its degree
+    valuation is the defect-group minimum v_p(n!) - v_p((pw)!); the block
+    itself is never built.  A failed check is recorded with the offending
+    values in the notes; nothing is ever silently passed.
     """
     p, gamma, w = cert.p, cert.core, cert.w
-    block = spin_block(gamma, p, w, "A")
     checks = {}
     notes = []
 
@@ -134,19 +147,22 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
             % (cert.label_a, core_a, w_a, cert.label_b, core_b, w_b)
         )
 
-    checks["both_height_zero"] = all(
-        block.heights.get(lam) == 0 for lam in (cert.label_a, cert.label_b))
+    # the alternating double cover needs n >= 2: a smaller label has no degree
+    da, db = (alt_degree(lam) if lam.n >= 2 else None for lam in (cert.label_a, cert.label_b))
+    va, vb = (None if d is None else valuation(d, p) for d in (da, db))
+    low = height_zero_valuation(gamma.n + p * w, p, w)
+    checks["both_height_zero"] = (
+        (core_a, w_a) == (core_b, w_b) == (gamma, w) and va == vb == low
+    )
     if not checks["both_height_zero"]:
-        low = min(valuation(chi.degree, p) for chi in block.characters)
-        notes.append("height-zero check failed (block minimum valuation %d)" % low)
+        notes.append("height-zero check failed: degree valuations %s and %s,"
+                     " defect-group minimum %d" % (va, vb, low))
 
-    degrees = {chi.label: chi.degree for chi in block.characters}
-    da, db = degrees.get(cert.label_a), degrees.get(cert.label_b)
     checks["degrees_distinct"] = (
         da != db and cert.degree_a == da and cert.degree_b == db
     )
     if not checks["degrees_distinct"]:
-        notes.append("degree check failed: block degrees %s and %s, stored %d and %d"
+        notes.append("degree check failed: recomputed %s and %s, stored %d and %d"
                      % (da, db, cert.degree_a, cert.degree_b))
 
     if cert.case == CASE_EMPTY_CORE:
@@ -215,10 +231,12 @@ class ScanSummary:
 
 
 def scan(max_n: int, primes) -> ScanSummary:
-    """Run check_conjecture over 4..max_n for each prime and aggregate.
+    """Certify every non-abelian block of 4..max_n for each prime and aggregate.
 
-    Each non-abelian block that lacks a verified witness or passes the
-    equal-degree test is named in the notes.
+    Blocks are listed by (core, w) in check_conjecture's order and only
+    their witnesses are built.  A verified witness already shows two
+    height-zero degrees that differ; only a block whose witness fails is
+    built, for the equal-degree test.  Each such block is named in the notes.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4, got %d" % max_n)
@@ -232,22 +250,23 @@ def scan(max_n: int, primes) -> ScanSummary:
     for p in primes:
         non_abelian_seen = False
         for n in range(4, max_n + 1):
-            for rep in check_conjecture(n, p):
-                counts[(p, rep.defect_class)] = counts.get((p, rep.defect_class), 0) + 1
-                if rep.defect_class != NON_ABELIAN:
+            for core, w in block_targets(n, p):
+                dc = defect_class(p, w)
+                counts[(p, dc)] = counts.get((p, dc), 0) + 1
+                if dc != NON_ABELIAN:
                     continue
                 non_abelian_seen = True
-                cert = rep.certificate
-                witnesses += cert.verified
-                anomalies += rep.equal_degree
-                if rep.equal_degree or not cert.verified:
-                    notes.append(
-                        "non-abelian block p=%d n=%d core %s w=%d: witness %s, equal"
-                        " degrees %s; certificate notes: %s"
-                        % (p, n, rep.core, rep.w,
-                           "verified" if cert.verified else "not verified",
-                           "yes" if rep.equal_degree else "no", "; ".join(cert.notes))
-                    )
+                cert = build_witness(core, p, w)
+                if cert.verified:
+                    witnesses += 1
+                    continue
+                equal, _ = equal_degree_test(spin_block(core, p, w, "A"))
+                anomalies += equal
+                notes.append(
+                    "non-abelian block p=%d n=%d core %s w=%d: witness not verified, equal"
+                    " degrees %s; certificate notes: %s"
+                    % (p, n, core, w, "yes" if equal else "no", "; ".join(cert.notes))
+                )
         if not non_abelian_seen:
             notes.append("no non-abelian blocks for p=%d with n <= %d" % (p, max_n))
     return ScanSummary(max_n, primes, counts, witnesses, anomalies, tuple(notes))

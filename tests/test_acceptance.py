@@ -19,7 +19,7 @@ from spinblocks.barpart import (
     make_bar_partition,
     valuation,
 )
-from spinblocks.blocks import spin_blocks
+from spinblocks.blocks import NON_ABELIAN, spin_blocks
 from spinblocks.constructions import (
     add_part_pw,
     compare_constructions,
@@ -29,7 +29,7 @@ from spinblocks.constructions import (
     verify_ratio_identities,
 )
 from spinblocks.spinchar import alt, characters_of_label, sym
-from spinblocks.witness import _pprime_residue, alt_degree, build_witness
+from spinblocks.witness import _pprime_residue, alt_degree, build_witness, scan
 
 
 def bp(*parts):
@@ -42,9 +42,11 @@ def report(name, ok, detail):
 
 
 def cores_up_to(size, p):
+    # a part divisible by p is itself a bar of that length: skip its bar table
     out = []
     for n in range(size + 1):
-        out.extend(lam for lam in enumerate_bar_partitions(n) if is_bar_core(lam, p))
+        out.extend(lam for lam in enumerate_bar_partitions(n)
+                   if all(a % p for a in lam.parts) and is_bar_core(lam, p))
     return out
 
 
@@ -112,6 +114,21 @@ def test_witness_certificates_full_sweep():
                     ok = ok and cert.verified
     report("every non-abelian block carries a verified witness pair", ok,
            "%d blocks for p=3 (n<=30) and p=5 (n<=40)" % count)
+
+
+def test_certified_sweep_to_sixty():
+    max_n = 60
+    summary = scan(max_n, [3, 5])
+    expected = 0
+    for p in (3, 5):
+        # a core gamma heads one non-abelian block for each w >= p with |gamma| + p*w <= max_n
+        expected += sum((max_n - gamma.n) // p - p + 1 for gamma in cores_up_to(max_n - p * p, p))
+    non_abelian = sum(cnt for (_p, dc), cnt in summary.block_counts.items() if dc == NON_ABELIAN)
+    ok = summary.witnesses_verified == non_abelian == expected
+    ok = ok and summary.equal_degree_non_abelian == 0 and summary.notes == ()
+    report("every non-abelian block to n = 60 is certified without building it", ok,
+           "%d verified witnesses for p in {3,5}, %d blocks from the core filter"
+           % (summary.witnesses_verified, expected))
 
 
 def test_character_count_invariants():

@@ -12,6 +12,7 @@ from spinblocks.blocks import (
     NON_ABELIAN,
     equal_degree_test,
     height_zero_by_criterion,
+    height_zero_valuation,
     spin_block,
     spin_blocks,
 )
@@ -57,6 +58,14 @@ class TestSpinBlocks:
             spin_blocks(0, 3, "A")
         with pytest.raises(ValueError):
             spin_blocks(5, 2, "A")
+
+    def test_alternating_needs_two_letters(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            spin_blocks(1, 3, "A")
+        with pytest.raises(ValueError, match="n >= 2"):
+            spin_block(bp(1), 3, 0, "A")
+        (block,) = spin_blocks(1, 3, "S")
+        assert block.labels == (bp(1),)
 
 
 class TestSpinBlock:
@@ -119,6 +128,12 @@ class TestHeightZeroCriterion:
     def test_four(self):
         (block,) = spin_blocks(4, 3, "A")
         assert height_zero_by_criterion(block) == {bp(4), bp(3, 1)}
+
+    def test_closed_form_values(self):
+        assert height_zero_valuation(9, 3, 3) == 0     # v_3(9!) - v_3(9!)
+        assert height_zero_valuation(12, 3, 1) == 4    # v_3(12!) = 5, v_3(3!) = 1
+        assert height_zero_valuation(5, 3, 0) == 1     # defect zero: v_3(5!)
+        assert height_zero_valuation(50, 5, 10) == 0   # v_5(50!) = v_5(50!) = 12
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_agrees_with_heights(self, p):

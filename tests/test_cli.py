@@ -77,6 +77,14 @@ class TestBlocks:
         assert by_label["9"]["height"] == 0
         assert by_label["6,2,1"]["height"] == 1
 
+    def test_alternating_needs_two_letters(self, capsys):
+        rc, out, err = run(capsys, "blocks", "--n", "1", "--p", "3")
+        assert rc == 2
+        assert out == ""
+        assert "n >= 2" in err
+        rc, _rec = run_json(capsys, "blocks", "--n", "1", "--p", "3", "--group", "S")
+        assert rc == 0
+
     def test_group_choice(self, capsys):
         rc, rec = run_json(capsys, "blocks", "--n", "9", "--p", "3", "--group", "S")
         assert rc == 0
@@ -172,11 +180,12 @@ class TestCheck:
 
     @pytest.mark.parametrize("fault", ["unverified", "equal-degree"])
     def test_failed_block_is_reported(self, capsys, monkeypatch, fault):
-        if fault == "unverified":
-            build = witness.build_witness
-            monkeypatch.setattr(witness, "build_witness", lambda core, p, w: replace(
-                build(core, p, w), checks={"same_block": False}, notes=("forced failure",)))
-        else:
+        # a verified witness already proves the degrees unequal, so check
+        # runs the equal-degree test only on a block whose witness failed
+        build = witness.build_witness
+        monkeypatch.setattr(witness, "build_witness", lambda core, p, w: replace(
+            build(core, p, w), checks={"same_block": False}, notes=("forced failure",)))
+        if fault == "equal-degree":
             monkeypatch.setattr(witness, "equal_degree_test", lambda block: (True, []))
         rc, rec = run_json(capsys, "check", "--max-n", "10", "--primes", "3")
         assert rc == 1
@@ -188,6 +197,20 @@ class TestCheck:
             assert all("forced failure" in note for note in notes)
         else:
             assert rec["payload"]["equal_degree_non_abelian"] == 2
+
+    def test_builds_no_block(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check built a block")
+
+        monkeypatch.setattr(witness, "spin_blocks", refuse)
+        monkeypatch.setattr(witness, "spin_block", refuse)
+        rc, rec = run_json(capsys, "check", "--max-n", "30", "--primes", "3,5")
+        assert rc == 0
+        assert rec["status"] == "pass"
+        non_abelian = sum(row["blocks"] for row in rec["payload"]["block_counts"]
+                          if row["defect_class"] == "non-abelian")
+        assert rec["payload"]["witnesses_verified"] == non_abelian > 0
+        assert rec["payload"]["notes"] == []
 
     def test_rejects_tiny(self, capsys):
         rc, _out, err = run(capsys, "check", "--max-n", "3", "--primes", "3")

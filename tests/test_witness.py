@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import pytest
 
-from spinblocks.barpart import EMPTY, bars, make_bar_partition
-from spinblocks.blocks import NON_ABELIAN
+from spinblocks import witness
+from spinblocks.barpart import EMPTY, bars, make_bar_partition, valuation
+from spinblocks.blocks import NON_ABELIAN, block_targets, height_zero_valuation, spin_blocks
 from spinblocks.witness import (
     CASE_EMPTY_CORE,
     CASE_TWO_CLASSES,
     CASE_UNIQUE_ODD_P3_SMALL,
+    ScanSummary,
     alt_degree,
     build_witness,
     check_conjecture,
@@ -80,6 +82,17 @@ class TestVerifyWitness:
         assert not bad.verified
         assert any("block membership" in note for note in bad.notes)
 
+    def test_detects_positive_height(self):
+        # (6, 2, 1) lies in the block of (9) and (8, 1) but has height 1
+        cert = build_witness(EMPTY, 3, 3)
+        bad = verify_witness(replace(cert, label_a=bp(6, 2, 1), degree_a=alt_degree(bp(6, 2, 1))))
+        assert bad.checks["same_block"] is True
+        assert bad.checks["degrees_distinct"] is True
+        assert bad.checks["both_height_zero"] is False
+        assert not bad.verified
+        assert any("height-zero check failed: degree valuations 1 and 0, defect-group minimum 0"
+                   in note for note in bad.notes)
+
     def test_detects_degree_tampering(self):
         cert = build_witness(bp(1), 3, 3)
         bad = verify_witness(replace(cert, degree_a=cert.degree_a + 1))
@@ -97,6 +110,16 @@ class TestBlockMembership:
         assert not bad.verified
         assert any("height-zero check failed" in note for note in bad.notes)
         assert any("degree check failed" in note for note in bad.notes)
+
+    @pytest.mark.parametrize("label", [EMPTY, bp(1)])
+    def test_flags_label_without_degree(self, label):
+        # no degree in the alternating double cover below two letters
+        cert = build_witness(EMPTY, 3, 4)
+        bad = verify_witness(replace(cert, label_a=label))
+        assert bad.checks["same_block"] is False
+        assert bad.checks["both_height_zero"] is False
+        assert bad.checks["degrees_distinct"] is False
+        assert any("recomputed None and 160" in note for note in bad.notes)
 
     @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
     def test_flags_block_of_wrong_core_or_weight(self, core, w):
@@ -137,3 +160,43 @@ class TestScan:
         summary = scan(9, [5])
         assert summary.witnesses_verified == 0
         assert any("p=5" in note for note in summary.notes)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_block_based_check(self, monkeypatch, p):
+        # scan lists (core, w) and builds no block; check_conjecture builds
+        # every block of n, which makes it the oracle for scan
+        built = []
+
+        def recording(n, q, group):
+            blocks = spin_blocks(n, q, group)
+            built.append((n, blocks))
+            return blocks
+
+        monkeypatch.setattr(witness, "spin_blocks", recording)
+        max_n = 30
+        counts, verified, equal, notes = {}, 0, 0, []
+        for n in range(4, max_n + 1):
+            for rep in check_conjecture(n, p):
+                counts[(p, rep.defect_class)] = counts.get((p, rep.defect_class), 0) + 1
+                if rep.defect_class != NON_ABELIAN:
+                    continue
+                cert = rep.certificate
+                verified += cert.verified
+                equal += rep.equal_degree
+                if rep.equal_degree or not cert.verified:
+                    notes.append(
+                        "non-abelian block p=%d n=%d core %s w=%d: witness %s, equal"
+                        " degrees %s; certificate notes: %s"
+                        % (p, n, rep.core, rep.w,
+                           "verified" if cert.verified else "not verified",
+                           "yes" if rep.equal_degree else "no", "; ".join(cert.notes)))
+        if not counts.get((p, NON_ABELIAN)):
+            notes.append("no non-abelian blocks for p=%d with n <= %d" % (p, max_n))
+        expected = ScanSummary(max_n, (p,), counts, verified, equal, tuple(notes))
+        assert scan(max_n, [p]) == expected
+
+        for n, blocks in built:
+            assert block_targets(n, p) == [(b.core, b.w) for b in blocks]
+            for b in blocks:
+                low = min(valuation(chi.degree, p) for chi in b.characters)
+                assert low == height_zero_valuation(n, p, b.w)
