@@ -8,7 +8,9 @@ from .barpart import (
     BarTable,
     bar_core_and_weight,
     bar_cores_up_to,
+    bar_products,
     bars,
+    count_bar_lengths_divisible,
     enumerate_bar_partitions,
     format_partition,
     is_bar_core,
@@ -25,7 +27,6 @@ from .spinchar import (
     alt,
     alt_degree,
     characters_of_label,
-    degree_valuation,
     sigma,
     spin_degree_sym,
     sym,

@@ -7,6 +7,7 @@ decreasing positive parts, and "-" for the empty partition.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -106,6 +107,8 @@ def bars(lam: BarPartition) -> BarTable:
 
     Part a_i yields unmixed bars of lengths {1..a_i} minus the differences
     a_i - a_j with smaller parts, plus mixed bars of lengths a_i + a_j.
+    The products and divisible counts alone come from bar_products and
+    count_bar_lengths_divisible, which the tests check against this table.
     """
     partset = set(lam.parts)
     out = []
@@ -125,6 +128,35 @@ def bars(lam: BarPartition) -> BarTable:
             out.append(Bar(TYPE3, a + b, i=idx + 1, j=jdx + 1))
             h_m *= a + b
     return BarTable(tuple(out), h_u * h_m, h_u, h_m)
+
+
+def bar_products(lam: BarPartition) -> tuple[int, int]:
+    """(h_unmixed, h_mixed) of lam from its parts, without building bars.
+
+    Schur's product formula: the unmixed product is prod a_i! divided by
+    prod_{i<j} (a_i - a_j), the mixed product is prod_{i<j} (a_i + a_j).
+    """
+    num = den = h_m = 1
+    for idx, a in enumerate(lam.parts):
+        num *= math.factorial(a)
+        for b in lam.parts[idx + 1:]:
+            den *= a - b
+            h_m *= a + b
+    return num // den, h_m
+
+
+def count_bar_lengths_divisible(lam: BarPartition, q: int) -> int:
+    """Number of bars of lam whose length is divisible by q, without building bars.
+
+    Part a has a // q unmixed lengths in {1..a} divisible by q, less the
+    differences a - b with smaller parts b; each pair a + b adds a mixed one.
+    """
+    count = 0
+    for idx, a in enumerate(lam.parts):
+        count += a // q
+        for b in lam.parts[idx + 1:]:
+            count += ((a + b) % q == 0) - ((a - b) % q == 0)
+    return count
 
 
 def remove_bar(lam: BarPartition, bar: Bar) -> BarPartition:
@@ -214,7 +246,7 @@ def bar_core_and_weight(
 def is_bar_core(lam: BarPartition, p: int) -> bool:
     """True iff no bar length of lam is divisible by p."""
     _check_odd_prime(p)
-    return all(b.length % p != 0 for b in bars(lam).bars)
+    return count_bar_lengths_divisible(lam, p) == 0
 
 
 def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
@@ -223,11 +255,10 @@ def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
     v equals the p-adic valuation of the product of all bar lengths.
     """
     _check_odd_prime(p)
-    lengths = [b.length for b in bars(lam).bars]
     ws = []
     q = p
-    while any(length % q == 0 for length in lengths):
-        ws.append(sum(1 for length in lengths if length % q == 0))
+    while count := count_bar_lengths_divisible(lam, q):
+        ws.append(count)
         q *= p
     return tuple(ws), sum(ws)
 

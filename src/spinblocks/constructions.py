@@ -9,11 +9,17 @@ prescribed weight w are built:
 For each family the ratio of bar-length products between consecutive
 weights has an exact closed form, split into its unmixed and mixed factors.
 Every closed form here is checked (in tests and via verify_ratio_identities)
-against the direct quotient obtained by enumerating bars on both sides.
+against the direct quotient of the two labels' bar products, taken from
+their parts by Schur's formula (barpart.bar_products).
+
+Each public construction and ratio function decomposes its core and calls a
+private function of the CoreDecomposition; verify_ratio_identities and
+compare_constructions decompose once and call those directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +31,8 @@ from .barpart import (
     Bar,
     BarPartition,
     _check_odd_prime,
-    bars,
+    bar_products,
+    count_bar_lengths_divisible,
     remove_bar,
 )
 
@@ -100,17 +107,35 @@ def _certify_path(lam, path, gamma, p, w, expected_m):
     except ValueError as exc:
         raise RuntimeError("construction for %s, p=%d, w=%d produced %s: %s"
                            % (gamma, p, w, lam, exc)) from None
-    divisible = sum(1 for b in bars(lam).bars if b.length % p == 0)
+    divisible = count_bar_lengths_divisible(lam, p)
     if cur != gamma or len(path) != w or divisible != w or lam.m != expected_m:
         raise RuntimeError("construction for %s, p=%d, w=%d produced %s" % (gamma, p, w, lam))
     return lam
 
 
-def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
-    """Adjoin the part p*w to the core gamma (core gamma, weight w)."""
+def _check_w(w):
     if w < 1:
         raise ValueError("w must be >= 1, got %d" % w)
-    decompose_core(gamma, p)
+
+
+def _check_class(dec, i):
+    if not 1 <= i <= dec.p - 1 or not dec.classes[i]:
+        raise ValueError("class %d of %s is empty" % (i, dec.gamma))
+
+
+def _check_nonempty(gamma):
+    if gamma.m == 0:
+        raise ValueError("add_part ratio formulas need a nonempty core")
+
+
+def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
+    """Adjoin the part p*w to the core gamma (core gamma, weight w)."""
+    _check_w(w)
+    return _add_part_pw(decompose_core(gamma, p), w)
+
+
+def _add_part_pw(dec, w):
+    gamma, p = dec.gamma, dec.p
     lam = BarPartition(tuple(sorted(gamma.parts + (p * w,), reverse=True)))
     path = _shrink_path(p * w, p, w - 1) + [Bar(TYPE2, p, y=p)]
     return _certify_path(lam, path, gamma, p, w, gamma.m + 1)
@@ -118,12 +143,14 @@ def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
     """Replace the top part e_i of class i by e_i + p*w (core gamma, weight w)."""
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
+    _check_w(w)
     dec = decompose_core(gamma, p)
-    if not 1 <= i <= p - 1 or not dec.classes[i]:
-        raise ValueError("class %d of %s is empty" % (i, gamma))
-    ei = dec.e[i]
+    _check_class(dec, i)
+    return _grow_class(dec, i, w)
+
+
+def _grow_class(dec, i, w):
+    gamma, p, ei = dec.gamma, dec.p, dec.e[i]
     parts = tuple(ei + p * w if a == ei else a for a in gamma.parts)
     lam = BarPartition(tuple(sorted(parts, reverse=True)))
     return _certify_path(lam, _shrink_path(ei + p * w, p, w), gamma, p, w, gamma.m)
@@ -152,11 +179,13 @@ def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:
     singleton, i.e. e_i = i).
     """
     dec = decompose_core(gamma, p)
-    if not 1 <= i <= p - 1 or not dec.classes[i]:
-        raise ValueError("class %d of %s is empty" % (i, gamma))
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
-    ei = dec.e[i]
+    _check_class(dec, i)
+    _check_w(w)
+    return _grow_class_ratio_parts(dec, i, w)
+
+
+def _grow_class_ratio_parts(dec, i, w):
+    p, ei = dec.p, dec.e[i]
     unmixed = Fraction(p * w)
     for j in range(p):
         if j != i:
@@ -178,11 +207,13 @@ def grow_class_ratio(gamma, p, i, w) -> Fraction:
     class.
     """
     dec = decompose_core(gamma, p)
-    if not 1 <= i <= p - 1 or not dec.classes[i]:
-        raise ValueError("class %d of %s is empty" % (i, gamma))
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
-    ei = dec.e[i]
+    _check_class(dec, i)
+    _check_w(w)
+    return _grow_class_ratio(dec, i, w)
+
+
+def _grow_class_ratio(dec, i, w):
+    p, ei = dec.p, dec.e[i]
     total = Fraction(p * w) * (p * (w - 1) + 2 * ei)
     for j in dec.nonempty:
         if j != i:
@@ -200,10 +231,13 @@ def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
     structurally different formula, hence the explicit branch.
     """
     dec = decompose_core(gamma, p)
-    if gamma.m == 0:
-        raise ValueError("add_part ratio formulas need a nonempty core")
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
+    _check_nonempty(gamma)
+    _check_w(w)
+    return _add_part_ratio_parts(dec, w)
+
+
+def _add_part_ratio_parts(dec, w):
+    gamma, p = dec.gamma, dec.p
     if w > 1:
         unmixed = Fraction(p * w)
         for j in range(1, p):
@@ -226,10 +260,13 @@ def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
 def add_part_ratio(gamma, p, w) -> Fraction:
     """Total ratio of the add_part_pw step as a single product."""
     dec = decompose_core(gamma, p)
-    if gamma.m == 0:
-        raise ValueError("add_part ratio formulas need a nonempty core")
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
+    _check_nonempty(gamma)
+    _check_w(w)
+    return _add_part_ratio(dec, w)
+
+
+def _add_part_ratio(dec, w):
+    gamma, p = dec.gamma, dec.p
     if w > 1:
         total = Fraction(p * w)
         for j in range(1, p):
@@ -272,41 +309,37 @@ class RatioReport:
 
 
 def _direct_ratios(lam, prev):
-    ta, tb = bars(lam), bars(prev)
-    return (
-        Fraction(ta.h_unmixed, tb.h_unmixed),
-        Fraction(ta.h_mixed, tb.h_mixed),
-        Fraction(ta.h_total, tb.h_total),
-    )
+    (ua, ma), (ub, mb) = bar_products(lam), bar_products(prev)
+    return Fraction(ua, ub), Fraction(ma, mb), Fraction(ua * ma, ub * mb)
 
 
 def verify_ratio_identities(gamma: BarPartition, p: int, w: int) -> RatioReport:
     """Compare every applicable closed form at weight w with direct quotients.
 
-    Direct quotients come from full bar enumeration of the constructed
-    labels at weights w and w-1; equality is exact, never approximate.
+    Direct quotients divide the bar products (Schur's formula on the parts)
+    of the constructed labels at weights w and w-1; equality is exact,
+    never approximate.
     """
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
+    _check_w(w)
     dec = decompose_core(gamma, p)
     checks = []
     notes = []
     for i in dec.nonempty:
-        lam = grow_class(gamma, p, i, w)
-        prev = gamma if w == 1 else grow_class(gamma, p, i, w - 1)
+        lam = _grow_class(dec, i, w)
+        prev = gamma if w == 1 else _grow_class(dec, i, w - 1)
         du, dm, dt = _direct_ratios(lam, prev)
-        cu, cm = grow_class_ratio_parts(gamma, p, i, w)
+        cu, cm = _grow_class_ratio_parts(dec, i, w)
         checks.append(RatioCheck("grow-class-unmixed", i, w, cu, du))
         checks.append(RatioCheck("grow-class-mixed", i, w, cm, dm))
-        checks.append(RatioCheck("grow-class-total", i, w, grow_class_ratio(gamma, p, i, w), dt))
+        checks.append(RatioCheck("grow-class-total", i, w, _grow_class_ratio(dec, i, w), dt))
     if gamma.m:
-        lam = add_part_pw(gamma, p, w)
-        prev = gamma if w == 1 else add_part_pw(gamma, p, w - 1)
+        lam = _add_part_pw(dec, w)
+        prev = gamma if w == 1 else _add_part_pw(dec, w - 1)
         du, dm, dt = _direct_ratios(lam, prev)
-        cu, cm = add_part_ratio_parts(gamma, p, w)
+        cu, cm = _add_part_ratio_parts(dec, w)
         checks.append(RatioCheck("add-part-unmixed", None, w, cu, du))
         checks.append(RatioCheck("add-part-mixed", None, w, cm, dm))
-        checks.append(RatioCheck("add-part-total", None, w, add_part_ratio(gamma, p, w), dt))
+        checks.append(RatioCheck("add-part-total", None, w, _add_part_ratio(dec, w), dt))
     else:
         notes.append("empty core: add-part closed forms not applicable")
         if not dec.nonempty:
@@ -346,21 +379,21 @@ def compare_constructions(gamma: BarPartition, p: int, w: int) -> ComparisonResu
     """
     if gamma.m == 0:
         raise ValueError("comparison needs a nonempty core")
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
+    _check_w(w)
     dec = decompose_core(gamma, p)
     order = sorted(dec.nonempty, key=lambda j: dec.e[j], reverse=True)
     if len({dec.e[j] for j in dec.nonempty}) != len(dec.nonempty):
         raise RuntimeError("top class values are not pairwise distinct for %s" % gamma)
     if len(order) >= 2:
         i1, i2 = order[0], order[1]
-        la, lb = grow_class(gamma, p, i1, w), grow_class(gamma, p, i2, w)
+        la, lb = _grow_class(dec, i1, w), _grow_class(dec, i2, w)
         case = TWO_CLASSES
     else:
         (i,) = order
-        la, lb = grow_class(gamma, p, i, w), add_part_pw(gamma, p, w)
+        la, lb = _grow_class(dec, i, w), _add_part_pw(dec, w)
         case = UNIQUE_CLASS
-    return ComparisonResult(case, gamma, p, w, la, lb, bars(la).h_total, bars(lb).h_total)
+    h_a, h_b = math.prod(bar_products(la)), math.prod(bar_products(lb))
+    return ComparisonResult(case, gamma, p, w, la, lb, h_a, h_b)
 
 
 @dataclass(frozen=True)
@@ -380,4 +413,4 @@ class GapResult:
 def principal_gap_check(p: int, w: int) -> GapResult:
     """Check the factor-2 gap between the empty-core pair's bar products."""
     first, second = principal_pair(p, w)
-    return GapResult(p, w, bars(first).h_total, bars(second).h_total)
+    return GapResult(p, w, math.prod(bar_products(first)), math.prod(bar_products(second)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .barpart import BarPartition, bars, valuation
+from .barpart import BarPartition, bar_products
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,13 @@ def spin_degree_sym(lam: BarPartition) -> int:
     """Degree of a spin character of the "S" double cover labelled by lam.
 
     Equals 2**floor((n-m)/2) * n! divided by the product of all bar
-    lengths; the division is asserted exact.
+    lengths, taken from the parts by Schur's formula (bar_products); the
+    division is asserted exact.
     """
     if lam.n < 1:
         raise ValueError("degree needs a nonempty partition")
-    table = bars(lam)
     num = (1 << ((lam.n - lam.m) // 2)) * math.factorial(lam.n)
-    deg, rem = divmod(num, table.h_total)
+    deg, rem = divmod(num, math.prod(bar_products(lam)))
     if rem:
         raise RuntimeError("degree formula did not divide exactly for %s" % lam)
     return deg
@@ -103,8 +103,3 @@ def characters_of_label(lam: BarPartition, group) -> list[SpinCharacter]:
     else:
         d, count = alt_degree(lam), 2 if s == 1 else 1
     return [SpinCharacter(lam, group, k, d, s) for k in range(count)]
-
-
-def degree_valuation(chi: SpinCharacter, p: int) -> int:
-    """Largest k with p**k dividing the character degree."""
-    return valuation(chi.degree, p)

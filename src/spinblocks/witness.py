@@ -14,12 +14,14 @@ report and the oracle for scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .barpart import (
     BarPartition,
     _check_odd_prime,
     bar_core_and_weight,
+    bar_products,
     bars,
     is_bar_core,
     valuation,
@@ -169,7 +171,7 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
         checks["congruence_ok"] = None
         notes.append("congruence check not applicable for the empty core")
     else:
-        target = bars(gamma).h_total % p
+        target = math.prod(bar_products(gamma)) % p
         ok = all(
             _pprime_residue(lam, p) in (target, (-target) % p)
             for lam in (cert.label_a, cert.label_b)

@@ -14,7 +14,9 @@ from spinblocks.barpart import (
     BarPartition,
     bar_core_and_weight,
     bar_cores_up_to,
+    bar_products,
     bars,
+    count_bar_lengths_divisible,
     enumerate_bar_partitions,
     format_partition,
     is_bar_core,
@@ -132,6 +134,52 @@ class TestBars:
         for length in table.lengths():
             prod *= length
         assert prod == table.h_total
+
+
+DIVISORS = (2, 3, 5, 7, 9, 11, 25)
+
+
+def assert_products_and_counts_match_bars(lam):
+    table = bars(lam)
+    assert bar_products(lam) == (table.h_unmixed, table.h_mixed)
+    for q in DIVISORS:
+        expected = sum(1 for b in table.bars if b.length % q == 0)
+        assert count_bar_lengths_divisible(lam, q) == expected
+
+
+class TestBarProductsFromParts:
+    """Schur's formula and the divisible count against the full bar table."""
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_every_partition_up_to_thirty(self, n):
+        for lam in enumerate_bar_partitions(n):
+            assert_products_and_counts_match_bars(lam)
+
+    @given(st.lists(st.integers(1, 80), max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_up_to_eighty(self, candidates):
+        parts = set()
+        for a in candidates:
+            if a not in parts and sum(parts) + a <= 80:
+                parts.add(a)
+        assert_products_and_counts_match_bars(make_bar_partition(parts))
+
+    def test_empty(self):
+        assert bar_products(EMPTY) == (1, 1)
+        for q in DIVISORS:
+            assert count_bar_lengths_divisible(EMPTY, q) == 0
+
+    @pytest.mark.parametrize("a", [1, 2, 7, 25, 60])
+    def test_single_part(self, a):
+        assert bar_products(bp(a)) == (math.factorial(a), 1)
+        for q in DIVISORS:
+            assert count_bar_lengths_divisible(bp(a), q) == a // q
+
+    def test_hand_values(self):
+        # (5, 1): unmixed lengths 1, 2, 3, 5 and 1; mixed length 6
+        assert bar_products(bp(5, 1)) == (30, 6)
+        assert count_bar_lengths_divisible(bp(5, 1), 3) == 2
+        assert count_bar_lengths_divisible(bp(5, 1), 2) == 2
 
 
 class TestRemoveBar:

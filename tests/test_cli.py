@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinblocks import witness
+from spinblocks import barpart, witness
 from spinblocks.blocks import spin_blocks
 from spinblocks.cli import INT64_MAX, _witness_targets, jsonable, main, render
 
@@ -125,6 +125,24 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert "nothing to check" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("ratios", "--p", "5", "--max-core", "12", "--max-w", "4"),
+        ("thm35", "--p", "5", "--max-core", "12", "--max-w", "4"),
+        ("prop36", "--p", "5", "--max-w", "10"),
+    ])
+    def test_builds_no_bar_table(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("verify built a bar table")
+
+        monkeypatch.setattr(barpart, "BarTable", refuse)
+        with pytest.raises(AssertionError):
+            barpart.bars(barpart.BarPartition((3,)))
+        rc, rec = run_json(capsys, "verify", *argv)
+        assert rc == 0
+        assert rec["status"] == "pass"
+        assert rec["payload"]["checked"] > 0
+        assert rec["payload"]["failures"] == []
 
 
 class TestWitness:

@@ -21,6 +21,9 @@ GOLDEN = [
     ("core 30,17,2 --p 5", 0, "5c61b8192dd68d3bf71e9c087205159c8229d7ba0f4f61da425db5951e328c74"),
     ("bars 30,17,2", 0, "409938f343d4bd7153f882d112fbee1708c3a98d5138622520c5c3c0e36cfeba"),
     ("core 8,1 --p 3 --format csv", 0, "78d0145074f46b96eac1e292f0195c1b01f97ebba7be2231a2468c37d2f6a4f8"),
+    ("verify ratios --p 7 --max-core 12 --max-w 6", 0, "3bbdb39b2b16d566a6b55bc6e1e9490888c3a4cdc01d2ef9ae819c7e2fff83d0"),
+    ("verify thm35 --p 7 --max-core 12 --max-w 6", 0, "d1321ba6a12becaafb3e4ac327d363b80a0a8ae1d9bfb8b52b46a9f53239a464"),
+    ("verify prop36 --p 7 --max-w 20", 0, "db472a371638f58f257ddc28e1fed36af869156067e61906d672a7c06113a7d1"),
 ]
 
 

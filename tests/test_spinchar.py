@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from spinblocks import barpart
 from spinblocks.barpart import (
     EMPTY,
+    bars,
     enumerate_bar_partitions,
     make_bar_partition,
     valuation,
@@ -12,7 +14,6 @@ from spinblocks.barpart import (
 from spinblocks.spinchar import (
     alt,
     characters_of_label,
-    degree_valuation,
     sigma,
     spin_degree_sym,
     sym,
@@ -45,6 +46,19 @@ class TestDegree:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             spin_degree_sym(EMPTY)
+
+    def test_builds_no_bar_table(self, monkeypatch):
+        labels = [bp(3), bp(8, 1), bp(6, 2, 1), bp(30, 17, 2), bp(25, 11, 7, 4, 1)]
+        expected = [
+            (1 << ((lam.n - lam.m) // 2)) * math.factorial(lam.n) // bars(lam).h_total
+            for lam in labels
+        ]
+
+        def refuse(*args):
+            raise AssertionError("spin_degree_sym built a bar table")
+
+        monkeypatch.setattr(barpart, "BarTable", refuse)
+        assert [spin_degree_sym(lam) for lam in labels] == expected
 
     def test_even_when_splitting(self):
         # sigma = +1 forces an even degree, so restriction can split (n >= 2)
@@ -119,7 +133,7 @@ class TestCharacterCounts:
 def test_degree_valuation():
     (chi,) = characters_of_label(bp(9), sym(9))
     assert chi.degree == 16
-    assert degree_valuation(chi, 3) == 0
+    assert valuation(chi.degree, 3) == 0
     (chi,) = characters_of_label(bp(6, 2, 1), sym(9))
     assert chi.degree == 240
-    assert degree_valuation(chi, 3) == 1
+    assert valuation(chi.degree, 3) == 1
