@@ -6,6 +6,7 @@ from .barpart import (
     Bar,
     BarPartition,
     BarTable,
+    abacus_core,
     bar_core_and_weight,
     bar_cores_up_to,
     bar_products,

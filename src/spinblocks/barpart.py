@@ -322,6 +322,32 @@ def _runner_pair_parts(mu: tuple[int, ...], charge: int, j: int, p: int) -> list
     return parts
 
 
+def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
+    """(core, w) of lam from its residue-class abacus, without removing a bar.
+
+    Removing a p-bar never changes the runner-pair charges c_j - c_{p-j}
+    (Olsson 1993), and a p-bar-core is the empty partition at those charges
+    on every runner pair, so the core is read off the charges in O(m).
+    Agreement of w with the count of bar lengths divisible by p and with
+    |lam| = |core| + p*w is asserted, as in bar_core_and_weight.
+    """
+    _check_odd_prime(p)
+    parts = []
+    for j, charge in enumerate(_runner_charges(lam, p), start=1):
+        parts.extend(_runner_pair_parts((), charge, j, p))
+    core = BarPartition(tuple(sorted(parts, reverse=True)))
+    w, rest = divmod(lam.n - core.n, p)
+    if rest:
+        raise RuntimeError("size mismatch: |%s| - |%s| is not a multiple of %d" % (lam, core, p))
+    target_w = count_bar_lengths_divisible(lam, p)
+    if w != target_w:
+        raise RuntimeError(
+            "abacus core %s of %s has weight %d but %d bar lengths are divisible by %d"
+            % (core, lam, w, target_w, p)
+        )
+    return core, w
+
+
 def _quotients(w: int, runners: int):
     """(mu0, mu1, ..., mu_runners): mu0 strict, the rest ordinary, of total size w."""
     if runners == 0:

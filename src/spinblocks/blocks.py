@@ -67,12 +67,13 @@ def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
     """
     if n < 1:
         raise ValueError("n must be positive, got %d" % n)
-    targets = []
-    for core in sorted(bar_cores_up_to(n, p), reverse=True):
-        w, rest = divmod(n - core.n, p)
-        if rest == 0:
-            targets.append((core, w))
-    return targets
+    return _targets_among(bar_cores_up_to(n, p), n, p)
+
+
+def _targets_among(cores, n: int, p: int) -> list[tuple[BarPartition, int]]:
+    """(core, w) for each of the given p-bar-cores that heads a block of n, by decreasing core."""
+    return sorted(((core, (n - core.n) // p) for core in cores
+                   if core.n <= n and (n - core.n) % p == 0), reverse=True)
 
 
 def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:

@@ -20,7 +20,7 @@ from . import barpart, blocks, constructions, witness
 from .barpart import (
     BarPartition,
     _check_odd_prime,
-    bar_core_and_weight,
+    abacus_core,
     bar_cores_up_to,
     bars,
     format_partition,
@@ -130,7 +130,7 @@ def cmd_bars(args):
 def cmd_core(args):
     _check_odd_prime(args.p)
     lam = parse_partition(args.partition)
-    core, w = bar_core_and_weight(lam, args.p)
+    core, w = abacus_core(lam, args.p)
     payload = {"partition": lam, "p": args.p, "core": core, "weight": w}
     emit(args, "core", {"partition": args.partition, "p": args.p}, payload, "info")
     return 0

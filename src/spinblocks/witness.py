@@ -4,12 +4,14 @@ For every spin block of the alternating double cover with non-abelian
 defect (weight w >= p), a pair of labels is constructed by case analysis on
 the residue classes of the core, and every claimed property (same block,
 height zero, distinct degrees, the mod-p congruence of the p'-part of the
-bar product) is verified from scratch rather than trusted.  A certificate
-needs only its two labels: height zero is the defect-group minimum of the
-degree valuation (blocks.height_zero_valuation), so neither building nor
-verifying it builds the block.  scan certifies every block from its
-(core, w) alone; check_conjecture stays block-based as the descriptive
-report and the oracle for scan.
+bar product) is verified from scratch rather than trusted.  Block
+membership comes from the abacus core and the p'-residue from the parts, so
+certifying builds no bar table.  A certificate needs only its two labels:
+height zero is the defect-group minimum of the degree valuation
+(blocks.height_zero_valuation), so neither building nor verifying it builds
+the block.  scan certifies every block from its (core, w) alone;
+check_conjecture stays block-based as the descriptive report and the oracle
+for scan.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from dataclasses import dataclass, replace
 from .barpart import (
     BarPartition,
     _check_odd_prime,
-    bar_core_and_weight,
+    abacus_core,
+    bar_cores_up_to,
     bar_products,
-    bars,
     is_bar_core,
     valuation,
 )
 from .blocks import (
     NON_ABELIAN,
-    block_targets,
+    _targets_among,
     defect_class,
     equal_degree_test,
     height_zero_valuation,
@@ -113,18 +115,27 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
 
 
 def _pprime_residue(lam: BarPartition, p: int) -> int:
-    """Product of the bar lengths coprime to p, reduced mod p."""
+    """Product of the bar lengths coprime to p, reduced mod p, from the parts.
+
+    Part a has the unmixed lengths {1..a} less the differences a - b with
+    smaller parts b, and the mixed lengths a + b.  The product of the k <= a
+    coprime to p is (-1)^(a // p) * (a mod p)! mod p by Wilson's theorem.
+    """
     r = 1
-    for b in bars(lam).bars:
-        if b.length % p:
-            r = r * b.length % p
+    for idx, a in enumerate(lam.parts):
+        r = r * (-1) ** (a // p) * math.factorial(a % p) % p
+        for b in lam.parts[idx + 1:]:
+            if (a - b) % p:
+                r = r * pow(a - b, -1, p) % p
+            if (a + b) % p:
+                r = r * (a + b) % p
     return r
 
 
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its labels alone.
 
-    Both labels' cores and weights come from bar removal and both degrees
+    Both labels' cores and weights come from the abacus core and both degrees
     from alt_degree, recomputed and compared with the stored ones.  A label
     has height zero when it lies in the block (core, w) and its degree
     valuation is the defect-group minimum v_p(n!) - v_p((pw)!); the block
@@ -135,8 +146,8 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     checks = {}
     notes = []
 
-    core_a, w_a = bar_core_and_weight(cert.label_a, p)
-    core_b, w_b = bar_core_and_weight(cert.label_b, p)
+    core_a, w_a = abacus_core(cert.label_a, p)
+    core_b, w_b = abacus_core(cert.label_b, p)
     checks["same_block"] = (
         cert.label_a != cert.label_b
         and core_a == core_b == gamma
@@ -235,8 +246,8 @@ class ScanSummary:
 def scan(max_n: int, primes) -> ScanSummary:
     """Certify every non-abelian block of 4..max_n for each prime and aggregate.
 
-    Blocks are listed by (core, w) in check_conjecture's order and only
-    their witnesses are built.  A verified witness already shows two
+    Blocks are listed by (core, w) in check_conjecture's order, from the
+    p-bar-cores listed once per prime, and only their witnesses are built.  A verified witness already shows two
     height-zero degrees that differ; only a block whose witness fails is
     built, for the equal-degree test.  Each such block is named in the notes.
     """
@@ -251,8 +262,9 @@ def scan(max_n: int, primes) -> ScanSummary:
     notes = []
     for p in primes:
         non_abelian_seen = False
+        cores = bar_cores_up_to(max_n, p)
         for n in range(4, max_n + 1):
-            for core, w in block_targets(n, p):
+            for core, w in _targets_among(cores, n, p):
                 dc = defect_class(p, w)
                 counts[(p, dc)] = counts.get((p, dc), 0) + 1
                 if dc != NON_ABELIAN:

@@ -13,6 +13,7 @@ import pytest
 from spinblocks.barpart import (
     EMPTY,
     bar_core_and_weight,
+    bar_cores_up_to,
     bars,
     enumerate_bar_partitions,
     is_bar_core,
@@ -129,6 +130,23 @@ def test_certified_sweep_to_sixty():
     report("every non-abelian block to n = 60 is certified without building it", ok,
            "%d verified witnesses for p in {3,5}, %d blocks from the core filter"
            % (summary.witnesses_verified, expected))
+
+
+def test_certified_sweep_to_one_hundred_twenty():
+    # the brute-force cores_up_to would enumerate q(111) partitions
+    verified = expected = 0
+    ok = True
+    for p, max_n in ((3, 120), (5, 100)):
+        summary = scan(max_n, [p])
+        verified += summary.witnesses_verified
+        expected += sum((max_n - gamma.n) // p - p + 1
+                        for gamma in bar_cores_up_to(max_n - p * p, p))
+        non_abelian = summary.block_counts.get((p, NON_ABELIAN), 0)
+        ok = ok and summary.witnesses_verified == non_abelian
+        ok = ok and summary.equal_degree_non_abelian == 0 and summary.notes == ()
+    ok = ok and verified == expected
+    report("every non-abelian block for p = 3 to n = 120 and p = 5 to n = 100 is certified",
+           ok, "%d verified witnesses, %d blocks from the generated cores" % (verified, expected))
 
 
 def test_character_count_invariants():

@@ -12,6 +12,7 @@ from spinblocks.barpart import (
     TYPE3,
     Bar,
     BarPartition,
+    abacus_core,
     bar_core_and_weight,
     bar_cores_up_to,
     bar_products,
@@ -239,6 +240,38 @@ class TestCoreAndWeight:
     def test_order_independence_random(self, lam, p, seed):
         deterministic = bar_core_and_weight(lam, p)
         assert bar_core_and_weight(lam, p, rng=random.Random(seed)) == deterministic
+
+
+class TestAbacusCore:
+    """The residue-class abacus core against bar removal, the structural oracle."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_partition_up_to_thirty(self, p):
+        for n in range(31):
+            for lam in enumerate_bar_partitions(n):
+                assert abacus_core(lam, p) == bar_core_and_weight(lam, p)
+
+    @given(st.lists(st.integers(1, 80), max_size=16), st.sampled_from([3, 5, 7, 11, 13]))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_up_to_eighty(self, candidates, p):
+        parts = set()
+        for a in candidates:
+            if a not in parts and sum(parts) + a <= 80:
+                parts.add(a)
+        lam = make_bar_partition(parts)
+        assert abacus_core(lam, p) == bar_core_and_weight(lam, p)
+
+    def test_examples(self):
+        assert abacus_core(EMPTY, 3) == (EMPTY, 0)
+        assert abacus_core(bp(8, 1), 3) == (EMPTY, 3)
+        assert abacus_core(bp(30, 17, 2), 5) == bar_core_and_weight(bp(30, 17, 2), 5)
+        # one bar table per removal would hold about a million bars
+        assert abacus_core(bp(1000000, 1), 3) == (bp(4, 1), 333332)
+
+    def test_rejects_bad_p(self):
+        for p in (2, 4, 9, 1):
+            with pytest.raises(ValueError):
+                abacus_core(bp(3), p)
 
 
 class TestWeightTower:

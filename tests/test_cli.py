@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinblocks import barpart, witness
+from spinblocks import barpart, blocks, witness
 from spinblocks.blocks import spin_blocks
 from spinblocks.cli import INT64_MAX, _witness_targets, jsonable, main, render
 
@@ -56,6 +56,13 @@ class TestCore:
         assert rc == 0
         assert rec["payload"]["core"] == "-"
         assert rec["payload"]["weight"] == 3
+
+    def test_large_part(self, capsys):
+        # from the abacus core: bar removal would build ~10**6 bars per step
+        rc, rec = run_json(capsys, "core", "1000000,1", "--p", "3")
+        assert rc == 0
+        assert rec["payload"]["core"] == "4,1"
+        assert rec["payload"]["weight"] == 333332
 
     def test_bad_prime(self, capsys):
         rc, _out, err = run(capsys, "core", "9", "--p", "2")
@@ -229,6 +236,32 @@ class TestCheck:
                           if row["defect_class"] == "non-abelian")
         assert rec["payload"]["witnesses_verified"] == non_abelian > 0
         assert rec["payload"]["notes"] == []
+
+    def test_builds_no_bar_table(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certification built a bar table")
+
+        monkeypatch.setattr(barpart, "BarTable", refuse)
+        with pytest.raises(AssertionError):
+            barpart.bars(barpart.BarPartition((3,)))
+        summary = witness.scan(60, [3, 5])
+        assert summary.witnesses_verified > 0 and summary.notes == ()
+        rc, rec = run_json(capsys, "witness", "--n", "46", "--p", "5")
+        assert rc == 0 and rec["status"] == "pass"
+        rc, rec = run_json(capsys, "core", "30,17,2", "--p", "5")
+        assert rc == 0
+
+    def test_lists_cores_once_per_prime(self, monkeypatch):
+        calls = []
+
+        def counting(max_size, p):
+            calls.append((max_size, p))
+            return barpart.bar_cores_up_to(max_size, p)
+
+        monkeypatch.setattr(witness, "bar_cores_up_to", counting)
+        monkeypatch.setattr(blocks, "bar_cores_up_to", counting)
+        witness.scan(30, [3, 5])
+        assert calls == [(30, 3), (30, 5)]
 
     def test_rejects_tiny(self, capsys):
         rc, _out, err = run(capsys, "check", "--max-n", "3", "--primes", "3")

@@ -1,15 +1,18 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinblocks import witness
-from spinblocks.barpart import EMPTY, bars, make_bar_partition, valuation
+from spinblocks.barpart import EMPTY, bars, enumerate_bar_partitions, make_bar_partition, valuation
 from spinblocks.blocks import NON_ABELIAN, block_targets, height_zero_valuation, spin_blocks
 from spinblocks.witness import (
     CASE_EMPTY_CORE,
     CASE_TWO_CLASSES,
     CASE_UNIQUE_ODD_P3_SMALL,
     ScanSummary,
+    _pprime_residue,
     alt_degree,
     build_witness,
     check_conjecture,
@@ -128,6 +131,40 @@ class TestBlockMembership:
         assert bad.checks["same_block"] is False
         assert bad.checks["both_height_zero"] is False
         assert not bad.verified
+
+
+def residue_from_bars(lam, p):
+    r = 1
+    for b in bars(lam).bars:
+        if b.length % p:
+            r = r * b.length % p
+    return r
+
+
+class TestPprimeResidue:
+    """The p'-residue from the parts against the product over the bar table."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_partition_up_to_thirty(self, p):
+        for n in range(31):
+            for lam in enumerate_bar_partitions(n):
+                assert _pprime_residue(lam, p) == residue_from_bars(lam, p)
+
+    @given(st.lists(st.integers(1, 80), max_size=16), st.sampled_from([3, 5, 7, 11, 13]))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_up_to_eighty(self, candidates, p):
+        parts = set()
+        for a in candidates:
+            if a not in parts and sum(parts) + a <= 80:
+                parts.add(a)
+        lam = make_bar_partition(parts)
+        assert _pprime_residue(lam, p) == residue_from_bars(lam, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_empty_and_single_parts(self, p):
+        assert _pprime_residue(EMPTY, p) == 1
+        for a in range(1, 4 * p + 2):
+            assert _pprime_residue(bp(a), p) == residue_from_bars(bp(a), p)
 
 
 class TestCheckConjecture:
