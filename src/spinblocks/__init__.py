@@ -39,7 +39,6 @@ from .blocks import (
     SpinBlock,
     block_targets,
     equal_degree_test,
-    height_zero_by_criterion,
     height_zero_valuation,
     spin_block,
     spin_blocks,

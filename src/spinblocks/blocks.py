@@ -114,16 +114,6 @@ def spin_block(core: BarPartition, p: int, w: int, group) -> SpinBlock:
     return _build_block(p, core, w, as_group(group, n), labels)
 
 
-def height_zero_by_criterion(block: SpinBlock) -> set[BarPartition]:
-    """Labels whose degree valuation is height_zero_valuation of the block.
-
-    This is the defect-group reading of the height-zero condition; tests
-    cross-check it against the labels of height 0 in SpinBlock.heights.
-    """
-    target = height_zero_valuation(block.core.n + block.p * block.w, block.p, block.w)
-    return {chi.label for chi in block.characters if valuation(chi.degree, block.p) == target}
-
-
 def equal_degree_test(block: SpinBlock) -> tuple[bool, list[int]]:
     """Whether all height-zero characters of the block share one degree.
 

@@ -1,8 +1,9 @@
 """Command-line surface with deterministic JSON/CSV output.
 
 Exit codes: 0 all checks passed (or informational output), 1 a mathematical
-check failed, 2 usage or parse error.  Integers that do not fit in a signed
-64-bit word are serialized as decimal strings.
+check failed, 2 usage or parse error or an --out file that cannot be written.
+Integers that do not fit in a signed 64-bit word are serialized as decimal
+strings.
 """
 
 from __future__ import annotations
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

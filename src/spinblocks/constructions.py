@@ -6,6 +6,10 @@ prescribed weight w are built:
 * add_part_pw: adjoin the new part p*w (works for the empty core too);
 * grow_class: replace the top part e_i of the residue class i by e_i + p*w.
 
+Every built label, and both labels of principal_pair, is certified by its
+abacus core (barpart.abacus_core): core gamma, weight w and the expected
+number of parts, or a RuntimeError.
+
 For each family the ratio of bar-length products between consecutive
 weights has an exact closed form, split into its unmixed and mixed factors.
 Every closed form here is checked (in tests and via verify_ratio_identities)
@@ -25,15 +29,10 @@ from fractions import Fraction
 
 from .barpart import (
     EMPTY,
-    TYPE1,
-    TYPE2,
-    TYPE3,
-    Bar,
     BarPartition,
     _check_odd_prime,
+    abacus_core,
     bar_products,
-    count_bar_lengths_divisible,
-    remove_bar,
 )
 
 
@@ -87,28 +86,13 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
     return CoreDecomposition(p, gamma, tuple(classes), tuple(d), e)
 
 
-def _shrink_path(top: int, p: int, steps: int) -> list[Bar]:
-    """Bars shrinking the part top to top - p, then to top - 2p, ... (steps bars)."""
-    return [Bar(TYPE1, p, x=top - p * (k + 1), y=top - p * k) for k in range(steps)]
+def _certify(lam, gamma, p, w, expected_m):
+    """Check that lam has p-bar-core gamma, weight w and expected_m parts.
 
-
-def _certify_path(lam, path, gamma, p, w, expected_m):
-    """Check that removing the p-bars of path from lam, in order, leaves gamma.
-
-    gamma is a p-bar-core, so the path certifies core gamma and weight w;
-    the count of bar lengths divisible by p is asserted to agree.
+    The core and weight come from the abacus, which itself asserts that w
+    equals the count of bar lengths divisible by p and |lam| = |gamma| + p*w.
     """
-    cur = lam
-    try:
-        for bar in path:
-            if bar.length != p:
-                raise ValueError("bar of length %d, not %d" % (bar.length, p))
-            cur = remove_bar(cur, bar)
-    except ValueError as exc:
-        raise RuntimeError("construction for %s, p=%d, w=%d produced %s: %s"
-                           % (gamma, p, w, lam, exc)) from None
-    divisible = count_bar_lengths_divisible(lam, p)
-    if cur != gamma or len(path) != w or divisible != w or lam.m != expected_m:
+    if abacus_core(lam, p) != (gamma, w) or lam.m != expected_m:
         raise RuntimeError("construction for %s, p=%d, w=%d produced %s" % (gamma, p, w, lam))
     return lam
 
@@ -137,8 +121,7 @@ def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
 def _add_part_pw(dec, w):
     gamma, p = dec.gamma, dec.p
     lam = BarPartition(tuple(sorted(gamma.parts + (p * w,), reverse=True)))
-    path = _shrink_path(p * w, p, w - 1) + [Bar(TYPE2, p, y=p)]
-    return _certify_path(lam, path, gamma, p, w, gamma.m + 1)
+    return _certify(lam, gamma, p, w, gamma.m + 1)
 
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
@@ -153,7 +136,7 @@ def _grow_class(dec, i, w):
     gamma, p, ei = dec.gamma, dec.p, dec.e[i]
     parts = tuple(ei + p * w if a == ei else a for a in gamma.parts)
     lam = BarPartition(tuple(sorted(parts, reverse=True)))
-    return _certify_path(lam, _shrink_path(ei + p * w, p, w), gamma, p, w, gamma.m)
+    return _certify(lam, gamma, p, w, gamma.m)
 
 
 def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
@@ -161,12 +144,8 @@ def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
     _check_odd_prime(p)
     if w < 2:
         raise ValueError("w must be >= 2, got %d" % w)
-    first = BarPartition((p * w,))
-    second = BarPartition((p * w - 1, 1))
-    _certify_path(first, _shrink_path(p * w, p, w - 1) + [Bar(TYPE2, p, y=p)], EMPTY, p, w, 1)
-    _certify_path(second, _shrink_path(p * w - 1, p, w - 1) + [Bar(TYPE3, p, i=1, j=2)],
-                  EMPTY, p, w, 2)
-    return first, second
+    return (_certify(BarPartition((p * w,)), EMPTY, p, w, 1),
+            _certify(BarPartition((p * w - 1, 1)), EMPTY, p, w, 2))
 
 
 def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:

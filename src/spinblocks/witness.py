@@ -247,15 +247,19 @@ def scan(max_n: int, primes) -> ScanSummary:
     """Certify every non-abelian block of 4..max_n for each prime and aggregate.
 
     Blocks are listed by (core, w) in check_conjecture's order, from the
-    p-bar-cores listed once per prime, and only their witnesses are built.  A verified witness already shows two
-    height-zero degrees that differ; only a block whose witness fails is
-    built, for the equal-degree test.  Each such block is named in the notes.
+    p-bar-cores listed once per prime, and only their witnesses are built.
+    A verified witness already shows two height-zero degrees that differ;
+    only a block whose witness fails is built, for the equal-degree test.
+    Each such block is named in the notes.  A prime given twice is refused,
+    since it would count every block twice.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4, got %d" % max_n)
     primes = tuple(primes)
-    for p in primes:
+    for idx, p in enumerate(primes):
         _check_odd_prime(p)
+        if p in primes[:idx]:
+            raise ValueError("repeated prime %d in %s" % (p, ",".join(map(str, primes))))
     counts = {}
     witnesses = 0
     anomalies = 0

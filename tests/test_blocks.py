@@ -5,13 +5,13 @@ from spinblocks.barpart import (
     enumerate_bar_partitions,
     labels_with_core_and_weight,
     make_bar_partition,
+    valuation,
 )
 from spinblocks.blocks import (
     ABELIAN,
     DEFECT_ZERO,
     NON_ABELIAN,
     equal_degree_test,
-    height_zero_by_criterion,
     height_zero_valuation,
     spin_block,
     spin_blocks,
@@ -20,6 +20,12 @@ from spinblocks.blocks import (
 
 def bp(*parts):
     return make_bar_partition(parts)
+
+
+def at_closed_form(block):
+    """Labels whose degree valuation is the block's height_zero_valuation."""
+    target = height_zero_valuation(block.core.n + block.p * block.w, block.p, block.w)
+    return {chi.label for chi in block.characters if valuation(chi.degree, block.p) == target}
 
 
 class TestSpinBlocks:
@@ -117,17 +123,17 @@ class TestHeights:
 class TestHeightZeroCriterion:
     def test_nine(self):
         (block,) = spin_blocks(9, 3, "S")
-        got = height_zero_by_criterion(block)
+        got = at_closed_form(block)
         assert got == {bp(9), bp(8, 1), bp(7, 2), bp(6, 3), bp(5, 4)}
 
     def test_defect_zero(self):
         blocks = spin_blocks(5, 3, "A")
         (dz,) = [b for b in blocks if b.defect_class == DEFECT_ZERO]
-        assert height_zero_by_criterion(dz) == {bp(4, 1)}
+        assert at_closed_form(dz) == {bp(4, 1)}
 
     def test_four(self):
         (block,) = spin_blocks(4, 3, "A")
-        assert height_zero_by_criterion(block) == {bp(4), bp(3, 1)}
+        assert at_closed_form(block) == {bp(4), bp(3, 1)}
 
     def test_closed_form_values(self):
         assert height_zero_valuation(9, 3, 3) == 0     # v_3(9!) - v_3(9!)
@@ -140,7 +146,7 @@ class TestHeightZeroCriterion:
         for n in range(2, 17):
             for block in spin_blocks(n, p, "A"):
                 from_heights = {lam for lam, h in block.heights.items() if h == 0}
-                assert height_zero_by_criterion(block) == from_heights
+                assert at_closed_form(block) == from_heights
 
 
 class TestEqualDegree:

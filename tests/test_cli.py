@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +21,21 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     rc, out, _err = run(capsys, *argv)
     return rc, json.loads(out)
+
+
+def refuse_bar_work(monkeypatch):
+    """Make building a bar table, or removing a bar anywhere in spinblocks, raise."""
+    def refuse(*args):
+        raise AssertionError("built a bar table or removed a bar")
+
+    monkeypatch.setattr(barpart, "BarTable", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "spinblocks" and hasattr(module, "remove_bar"):
+            monkeypatch.setattr(module, "remove_bar", refuse)
+    with pytest.raises(AssertionError):
+        barpart.bars(barpart.BarPartition((3,)))
+    with pytest.raises(AssertionError):
+        barpart.remove_bar(barpart.BarPartition((3,)), barpart.Bar(barpart.TYPE2, 3, y=3))
 
 
 class TestBars:
@@ -139,12 +155,7 @@ class TestVerify:
         ("prop36", "--p", "5", "--max-w", "10"),
     ])
     def test_builds_no_bar_table(self, capsys, monkeypatch, argv):
-        def refuse(*args):
-            raise AssertionError("verify built a bar table")
-
-        monkeypatch.setattr(barpart, "BarTable", refuse)
-        with pytest.raises(AssertionError):
-            barpart.bars(barpart.BarPartition((3,)))
+        refuse_bar_work(monkeypatch)
         rc, rec = run_json(capsys, "verify", *argv)
         assert rc == 0
         assert rec["status"] == "pass"
@@ -238,15 +249,14 @@ class TestCheck:
         assert rec["payload"]["notes"] == []
 
     def test_builds_no_bar_table(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("certification built a bar table")
-
-        monkeypatch.setattr(barpart, "BarTable", refuse)
-        with pytest.raises(AssertionError):
-            barpart.bars(barpart.BarPartition((3,)))
+        refuse_bar_work(monkeypatch)
         summary = witness.scan(60, [3, 5])
         assert summary.witnesses_verified > 0 and summary.notes == ()
+        rc, rec = run_json(capsys, "check", "--max-n", "30", "--primes", "3,5")
+        assert rc == 0 and rec["status"] == "pass"
         rc, rec = run_json(capsys, "witness", "--n", "46", "--p", "5")
+        assert rc == 0 and rec["status"] == "pass"
+        rc, rec = run_json(capsys, "witness", "--core", "1", "--w", "14", "--p", "3")
         assert rc == 0 and rec["status"] == "pass"
         rc, rec = run_json(capsys, "core", "30,17,2", "--p", "5")
         assert rc == 0
@@ -270,6 +280,11 @@ class TestCheck:
     def test_bad_primes(self, capsys):
         rc, _out, err = run(capsys, "check", "--max-n", "6", "--primes", "3,4")
         assert rc == 2
+        # a repeated prime would count every block twice
+        rc, out, err = run(capsys, "check", "--max-n", "12", "--primes", "3,3")
+        assert rc == 2
+        assert out == ""
+        assert "repeated prime 3" in err
 
 
 class TestOutput:
@@ -296,6 +311,14 @@ class TestOutput:
         assert out == ""
         rec = json.loads(target.read_text())
         assert rec["payload"]["weight"] == 3
+
+    def test_unwritable_out_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        rc, out, err = run(capsys, "core", "8,1", "--p", "3", "--out", str(target))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not target.exists()
 
     def test_big_integers_become_strings(self, capsys):
         rc, rec = run_json(capsys, "bars", "30,17,2")

@@ -6,7 +6,6 @@ from spinblocks.barpart import (
     EMPTY,
     TYPE1,
     TYPE2,
-    Bar,
     bar_core_and_weight,
     bars,
     enumerate_bar_partitions,
@@ -15,9 +14,8 @@ from spinblocks.barpart import (
 )
 from spinblocks.constructions import (
     TWO_CLASSES,
-    _certify_path,
-    _shrink_path,
     UNIQUE_CLASS,
+    _certify,
     add_part_pw,
     add_part_ratio,
     add_part_ratio_parts,
@@ -96,8 +94,9 @@ class TestConstructions:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_core_weight_and_length(self, p):
+        # the abacus certificate of every construction against bar removal
         for gamma in cores_up_to(8, p):
-            for w in (1, 2, 3):
+            for w in range(1, p + 2):
                 lam = add_part_pw(gamma, p, w)
                 assert bar_core_and_weight(lam, p) == (gamma, w)
                 assert lam.m == gamma.m + 1
@@ -106,6 +105,10 @@ class TestConstructions:
                     mu = grow_class(gamma, p, i, w)
                     assert bar_core_and_weight(mu, p) == (gamma, w)
                     assert mu.m == gamma.m
+        for w in range(2, p + 2):
+            first, second = principal_pair(p, w)
+            assert bar_core_and_weight(first, p) == bar_core_and_weight(second, p) == (EMPTY, w)
+            assert (first.m, second.m) == (1, 2)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_divisible_bar_types(self, p):
@@ -124,24 +127,15 @@ class TestConstructions:
                 assert set(kinds) <= {TYPE1, TYPE2}
 
 
-class TestRemovalPath:
-    def test_own_path_certifies(self):
-        lam = grow_class(bp(4, 1), 3, 1, 2)
-        assert _certify_path(lam, _shrink_path(10, 3, 2), bp(4, 1), 3, 2, 2) == lam
-
-    @pytest.mark.parametrize("path", [
-        [Bar(TYPE1, 3, x=7, y=10)],                            # stops short of the core
-        [Bar(TYPE1, 3, x=5, y=8), Bar(TYPE1, 3, x=2, y=5)],    # 8 is not a part
-        [Bar(TYPE1, 6, x=4, y=10)],                            # not a 3-bar
-        [Bar(TYPE1, 3, x=7, y=10), Bar(TYPE2, 3, y=3)],        # 3 is not a part
-    ])
-    def test_wrong_path_raises(self, path):
+class TestCertify:
+    @pytest.mark.parametrize("gamma, w, expected_m", [
+        (bp(4, 2), 2, 2),   # (10, 1) has 3-bar-core (4, 1), not (4, 2)
+        (bp(4, 1), 3, 2),   # ... and weight 2, not 3
+        (bp(4, 1), 2, 3),   # ... and two parts, not three
+    ], ids=["wrong-core", "wrong-weight", "wrong-part-count"])
+    def test_wrong_label_raises(self, gamma, w, expected_m):
         with pytest.raises(RuntimeError):
-            _certify_path(bp(10, 1), path, bp(4, 1), 3, 2, 2)
-
-    def test_wrong_weight_raises(self):
-        with pytest.raises(RuntimeError):
-            _certify_path(bp(10, 1), _shrink_path(10, 3, 2), bp(4, 1), 3, 3, 2)
+            _certify(bp(10, 1), gamma, 3, w, expected_m)
 
 
 class TestRatioValues:

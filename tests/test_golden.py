@@ -24,6 +24,8 @@ GOLDEN = [
     ("verify ratios --p 7 --max-core 12 --max-w 6", 0, "3bbdb39b2b16d566a6b55bc6e1e9490888c3a4cdc01d2ef9ae819c7e2fff83d0"),
     ("verify thm35 --p 7 --max-core 12 --max-w 6", 0, "d1321ba6a12becaafb3e4ac327d363b80a0a8ae1d9bfb8b52b46a9f53239a464"),
     ("verify prop36 --p 7 --max-w 20", 0, "db472a371638f58f257ddc28e1fed36af869156067e61906d672a7c06113a7d1"),
+    ("verify ratios --p 5 --max-core 12 --max-w 6", 0, "240f6c28adeaa0488410674e7d7a3cea1d272f9170f6c01dff2419e159329e45"),
+    ("witness --core 9,4,3 --w 6 --p 5", 0, "8022c0675a02b93339e29fb531e179628ed42b693414a8c3caf610b23787ceb2"),
 ]
 
 

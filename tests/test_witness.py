@@ -198,6 +198,16 @@ class TestScan:
         assert summary.witnesses_verified == 0
         assert any("p=5" in note for note in summary.notes)
 
+    @pytest.mark.parametrize("primes", [[3, 3], [3, 5, 3]])
+    def test_rejects_repeated_prime(self, monkeypatch, primes):
+        # refused before any work: a repeated prime would count every block twice
+        def refuse(*args):
+            raise AssertionError("scan listed cores")
+
+        monkeypatch.setattr(witness, "bar_cores_up_to", refuse)
+        with pytest.raises(ValueError, match="repeated prime 3"):
+            scan(12, primes)
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_block_based_check(self, monkeypatch, p):
         # scan lists (core, w) and builds no block; check_conjecture builds
