@@ -58,6 +58,7 @@ from .constructions import (
     grow_class_ratio_parts,
     principal_gap_check,
     principal_pair,
+    verify_ratio_chain,
     verify_ratio_identities,
 )
 from .witness import (

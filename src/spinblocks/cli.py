@@ -3,13 +3,14 @@
 Exit codes: 0 all checks passed (or informational output), 1 a mathematical
 check failed, 2 usage or parse error or an --out file that cannot be written.
 Integers that do not fit in a signed 64-bit word are serialized as decimal
-strings.
+strings, exactly, however many digits they have.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -35,14 +36,25 @@ INT64_MAX = 2**63 - 1
 _BAR_KIND_NAMES = {barpart.TYPE1: "type1", barpart.TYPE2: "type2", barpart.TYPE3: "type3"}
 
 
+def _digits(x):
+    """Exact decimal text of an int, also past the interpreter's int-to-str
+    digit limit: a Decimal built from an int is exact and not subject to it."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(decimal.Decimal(x))
+
+
 def jsonable(obj):
     """Convert to JSON-safe data: big ints and fractions become strings."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        return str(obj) if abs(obj) > INT64_MAX else obj
+        return _digits(obj) if abs(obj) > INT64_MAX else obj
     if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else "%d/%d" % (obj.numerator, obj.denominator)
+        if obj.denominator == 1:
+            return _digits(obj.numerator)
+        return "%s/%s" % (_digits(obj.numerator), _digits(obj.denominator))
     if isinstance(obj, BarPartition):
         return format_partition(obj)
     if isinstance(obj, str):
@@ -172,13 +184,12 @@ def cmd_verify(args):
     failures = []
     checked = 0
     if args.kind == "ratios":
-        grid = [
-            (gamma, w)
+        reports = (
+            report
             for gamma in bar_cores_up_to(args.max_core, args.p)
-            for w in range(1, args.max_w + 1)
-        ]
-        for gamma, w in grid:
-            report = constructions.verify_ratio_identities(gamma, args.p, w)
+            for report in constructions.verify_ratio_chain(gamma, args.p, args.max_w)
+        )
+        for report in reports:
             for check in report.checks:
                 checked += 1
                 if not check.ok:

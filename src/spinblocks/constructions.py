@@ -11,14 +11,19 @@ abacus core (barpart.abacus_core): core gamma, weight w and the expected
 number of parts, or a RuntimeError.
 
 For each family the ratio of bar-length products between consecutive
-weights has an exact closed form, split into its unmixed and mixed factors.
-Every closed form here is checked (in tests and via verify_ratio_identities)
+weights has an exact closed form, split into its unmixed and mixed factors;
+each is one Fraction of two integer products. Every closed form here is
+checked (in tests and via verify_ratio_chain / verify_ratio_identities)
 against the direct quotient of the two labels' bar products, taken from
 their parts by Schur's formula (barpart.bar_products).
 
 Each public construction and ratio function decomposes its core and calls a
-private function of the CoreDecomposition; verify_ratio_identities and
-compare_constructions decompose once and call those directly.
+private function of the CoreDecomposition. verify_ratio_chain decomposes a
+core once and walks each of its weight chains once, w = 1, 2, ...: every
+label is built, certified and given its bar products once, and those
+products are the w-1 side of the next step. verify_ratio_identities is the
+single step w-1 -> w of the same walk; compare_constructions decomposes
+once per (core, w).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .barpart import (
     EMPTY,
@@ -42,7 +48,8 @@ class CoreDecomposition:
 
     classes[j] lists the parts congruent to j mod p (sorted increasing);
     d[j] is one less than the class size (-1 for an empty class) and
-    e[j] = j + d[j]*p is the top value the class reaches.
+    e[j] = j + d[j]*p is the top value the class reaches; nonempty lists the
+    occupied classes in increasing order.
     """
 
     p: int
@@ -50,10 +57,7 @@ class CoreDecomposition:
     classes: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
     e: tuple[int, ...]
-
-    @property
-    def nonempty(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.p) if self.classes[j])
+    nonempty: tuple[int, ...]
 
 
 def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
@@ -83,7 +87,8 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
         classes[j] = tuple(cls)
         d.append(dj)
     e = tuple(j + d[j] * p for j in range(p))
-    return CoreDecomposition(p, gamma, tuple(classes), tuple(d), e)
+    nonempty = tuple(j for j in range(p) if classes[j])
+    return CoreDecomposition(p, gamma, tuple(classes), tuple(d), e, nonempty)
 
 
 def _certify(lam, gamma, p, w, expected_m):
@@ -164,16 +169,13 @@ def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:
 
 
 def _grow_class_ratio_parts(dec, i, w):
-    p, ei = dec.p, dec.e[i]
-    unmixed = Fraction(p * w)
-    for j in range(p):
-        if j != i:
-            unmixed *= abs(p * (w - 1) + ei - dec.e[j])
-    mixed = Fraction(2 * ei + p * (w - 1), ei + p * (w - 1) + i)
-    for j in dec.nonempty:
-        if j != i:
-            mixed *= Fraction(ei + dec.e[j] + p * w, ei + p * (w - 1) + j)
-    return unmixed, mixed
+    p, ei, e = dec.p, dec.e[i], dec.e
+    unmixed = p * w * math.prod(abs(p * (w - 1) + ei - e[j]) for j in range(p) if j != i)
+    others = [j for j in dec.nonempty if j != i]
+    mixed = Fraction(
+        (2 * ei + p * (w - 1)) * math.prod(ei + e[j] + p * w for j in others),
+        (ei + p * (w - 1) + i) * math.prod(ei + p * (w - 1) + j for j in others))
+    return Fraction(unmixed), mixed
 
 
 def grow_class_ratio(gamma, p, i, w) -> Fraction:
@@ -192,15 +194,13 @@ def grow_class_ratio(gamma, p, i, w) -> Fraction:
 
 
 def _grow_class_ratio(dec, i, w):
-    p, ei = dec.p, dec.e[i]
-    total = Fraction(p * w) * (p * (w - 1) + 2 * ei)
-    for j in dec.nonempty:
-        if j != i:
-            total *= abs(p * (w - 1) + ei - dec.e[j]) * (p * w + ei + dec.e[j])
-    for k in range(p):
-        if not dec.classes[k] and not dec.classes[(p - k) % p]:
-            total *= abs(p * w + ei - k)
-    return total
+    p, ei, e, classes = dec.p, dec.e[i], dec.e, dec.classes
+    total = (p * w * (p * (w - 1) + 2 * ei)
+             * math.prod(abs(p * (w - 1) + ei - e[j]) * (p * w + ei + e[j])
+                         for j in dec.nonempty if j != i)
+             * math.prod(abs(p * w + ei - k) for k in range(p)
+                         if not classes[k] and not classes[(p - k) % p]))
+    return Fraction(total)
 
 
 def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
@@ -216,24 +216,14 @@ def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
 
 
 def _add_part_ratio_parts(dec, w):
-    gamma, p = dec.gamma, dec.p
+    parts, p, e = dec.gamma.parts, dec.p, dec.e
     if w > 1:
-        unmixed = Fraction(p * w)
-        for j in range(1, p):
-            unmixed *= abs(p * (w - 1) - dec.e[j])
-        mixed = Fraction(1)
-        for j in dec.nonempty:
-            mixed *= Fraction(dec.e[j] + p * w, p * (w - 1) + j)
-        return unmixed, mixed
-    unmixed = Fraction(p)
-    for j in range(1, p):
-        unmixed *= abs(dec.e[j])
-    for a in gamma.parts:
-        unmixed /= a
-    mixed = Fraction(1)
-    for a in gamma.parts:
-        mixed *= a + p
-    return unmixed, mixed
+        unmixed = p * w * math.prod(abs(p * (w - 1) - e[j]) for j in range(1, p))
+        mixed = Fraction(math.prod(e[j] + p * w for j in dec.nonempty),
+                         math.prod(p * (w - 1) + j for j in dec.nonempty))
+        return Fraction(unmixed), mixed
+    unmixed = Fraction(p * math.prod(abs(e[j]) for j in range(1, p)), math.prod(parts))
+    return unmixed, Fraction(math.prod(a + p for a in parts))
 
 
 def add_part_ratio(gamma, p, w) -> Fraction:
@@ -245,20 +235,14 @@ def add_part_ratio(gamma, p, w) -> Fraction:
 
 
 def _add_part_ratio(dec, w):
-    gamma, p = dec.gamma, dec.p
+    parts, p, e = dec.gamma.parts, dec.p, dec.e
     if w > 1:
-        total = Fraction(p * w)
-        for j in range(1, p):
-            total *= abs(p * (w - 1) - dec.e[j])
-            # empty classes contribute a factor 1 here
-            total *= Fraction(p * w + dec.e[j], p * (w - 1) + j)
-        return total
-    total = Fraction(p)
-    for j in range(1, p):
-        total *= abs(dec.e[j])
-    for a in gamma.parts:
-        total *= Fraction(a + p, a)
-    return total
+        # empty classes contribute a factor 1 to the quotient
+        return Fraction(
+            p * w * math.prod(abs(p * (w - 1) - e[j]) * (p * w + e[j]) for j in range(1, p)),
+            math.prod(p * (w - 1) + j for j in range(1, p)))
+    return Fraction(p * math.prod(abs(e[j]) for j in range(1, p)) * math.prod(a + p for a in parts),
+                    math.prod(parts))
 
 
 @dataclass(frozen=True)
@@ -287,9 +271,44 @@ class RatioReport:
         return all(c.ok for c in self.checks)
 
 
-def _direct_ratios(lam, prev):
-    (ua, ma), (ub, mb) = bar_products(lam), bar_products(prev)
-    return Fraction(ua, ub), Fraction(ma, mb), Fraction(ua * ma, ub * mb)
+def _ratio_walk(dec, first_w, last_w):
+    """The RatioReports at the weights first_w..last_w of the core, in order.
+
+    Each chain's label at a weight is built, certified and given its bar
+    products once; those products are the w-1 side of the next step. The
+    w-1 side of the step to w = 1 is the core itself.
+    """
+    gamma = dec.gamma
+    # (identity, residue, label, closed-form parts, closed-form total), each a function of w
+    chains = [("grow-class", i, partial(_grow_class, dec, i),
+               partial(_grow_class_ratio_parts, dec, i), partial(_grow_class_ratio, dec, i))
+              for i in dec.nonempty]
+    notes = ()
+    if gamma.m:
+        chains.append(("add-part", None, partial(_add_part_pw, dec),
+                       partial(_add_part_ratio_parts, dec), partial(_add_part_ratio, dec)))
+    else:
+        notes = ("empty core: add-part closed forms not applicable",)
+        if not dec.nonempty:
+            notes += ("empty core: no occupied class, nothing to verify",)
+    if first_w == 1:
+        prev = [bar_products(gamma)] * len(chains)
+    else:
+        prev = [bar_products(label(first_w - 1)) for _, _, label, _, _ in chains]
+    reports = []
+    for w in range(first_w, last_w + 1):
+        checks = []
+        for k, (identity, residue, label, parts, total) in enumerate(chains):
+            cur = bar_products(label(w))
+            (ua, ma), (ub, mb) = cur, prev[k]
+            prev[k] = cur
+            cu, cm = parts(w)
+            checks += (RatioCheck(identity + "-unmixed", residue, w, cu, Fraction(ua, ub)),
+                       RatioCheck(identity + "-mixed", residue, w, cm, Fraction(ma, mb)),
+                       RatioCheck(identity + "-total", residue, w, total(w),
+                                  Fraction(ua * ma, ub * mb)))
+        reports.append(RatioReport(gamma, dec.p, w, tuple(checks), notes))
+    return reports
 
 
 def verify_ratio_identities(gamma: BarPartition, p: int, w: int) -> RatioReport:
@@ -297,33 +316,21 @@ def verify_ratio_identities(gamma: BarPartition, p: int, w: int) -> RatioReport:
 
     Direct quotients divide the bar products (Schur's formula on the parts)
     of the constructed labels at weights w and w-1; equality is exact,
-    never approximate.
+    never approximate. This is the single step w-1 -> w of the chain walk
+    that verify_ratio_chain makes.
     """
     _check_w(w)
-    dec = decompose_core(gamma, p)
-    checks = []
-    notes = []
-    for i in dec.nonempty:
-        lam = _grow_class(dec, i, w)
-        prev = gamma if w == 1 else _grow_class(dec, i, w - 1)
-        du, dm, dt = _direct_ratios(lam, prev)
-        cu, cm = _grow_class_ratio_parts(dec, i, w)
-        checks.append(RatioCheck("grow-class-unmixed", i, w, cu, du))
-        checks.append(RatioCheck("grow-class-mixed", i, w, cm, dm))
-        checks.append(RatioCheck("grow-class-total", i, w, _grow_class_ratio(dec, i, w), dt))
-    if gamma.m:
-        lam = _add_part_pw(dec, w)
-        prev = gamma if w == 1 else _add_part_pw(dec, w - 1)
-        du, dm, dt = _direct_ratios(lam, prev)
-        cu, cm = _add_part_ratio_parts(dec, w)
-        checks.append(RatioCheck("add-part-unmixed", None, w, cu, du))
-        checks.append(RatioCheck("add-part-mixed", None, w, cm, dm))
-        checks.append(RatioCheck("add-part-total", None, w, _add_part_ratio(dec, w), dt))
-    else:
-        notes.append("empty core: add-part closed forms not applicable")
-        if not dec.nonempty:
-            notes.append("empty core: no occupied class, nothing to verify")
-    return RatioReport(gamma, p, w, tuple(checks), tuple(notes))
+    (report,) = _ratio_walk(decompose_core(gamma, p), w, w)
+    return report
+
+
+def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioReport]:
+    """verify_ratio_identities(gamma, p, w) for w = 1..max_w, in order.
+
+    One walk up each weight chain of the core: every label is built and
+    certified once, and its bar products serve both steps it belongs to.
+    """
+    return _ratio_walk(decompose_core(gamma, p), 1, max_w)
 
 
 TWO_CLASSES = "two-classes"

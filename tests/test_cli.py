@@ -1,15 +1,30 @@
 import json
+import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinblocks import barpart, blocks, witness
+from spinblocks import barpart, blocks, constructions, witness
 from spinblocks.blocks import spin_blocks
 from spinblocks.cli import INT64_MAX, _witness_targets, jsonable, main, render
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def exact_digits(x):
+    """Decimal digits of x >= 0, from pieces short enough for str()."""
+    if x < 10**1000:
+        return str(x)
+    hi, lo = divmod(x, 10**1000)
+    return exact_digits(hi) + "%0*d" % (1000, lo)
 
 
 def run(capsys, *argv):
@@ -162,6 +177,26 @@ class TestVerify:
         assert rec["payload"]["checked"] > 0
         assert rec["payload"]["failures"] == []
 
+
+    @pytest.mark.parametrize("kind, fault, first", [
+        # a grow_class total one too large: grow (1) -> (4) at p=3, w=1 has ratio 24
+        ("ratios",
+         lambda real: ("_grow_class_ratio", lambda *a, f=real._grow_class_ratio: f(*a) + 1),
+         {"core": "1", "w": 1, "identity": "grow-class-total", "residue": 1,
+          "closed_form": "25", "direct": "24"}),
+        # bar products replaced by (1, number of parts): the grown label never wins
+        ("thm35",
+         lambda real: ("bar_products", lambda lam: (1, lam.m)),
+         {"core": "1", "w": 1, "case": "unique-class", "larger": "4", "smaller": "3,1",
+          "h_larger": 1, "h_smaller": 2}),
+    ], ids=["ratios", "thm35"])
+    def test_failure_is_reported(self, capsys, monkeypatch, kind, fault, first):
+        name, patched = fault(constructions)
+        monkeypatch.setattr(constructions, name, patched)
+        rc, rec = run_json(capsys, "verify", kind, "--p", "3", "--max-core", "4", "--max-w", "2")
+        assert rc == 1
+        assert rec["status"] == "fail"
+        assert rec["payload"]["failures"][0] == first
 
 class TestWitness:
     def test_by_n(self, capsys):
@@ -326,6 +361,30 @@ class TestOutput:
         assert isinstance(rec["payload"]["h_total"], str)
         assert int(rec["payload"]["h_total"]) > 2**63
 
+    @pytest.mark.parametrize("argv, path, value", [
+        # (2000) has the bar lengths 1..2000; 2000! has 5 736 digits
+        (("bars", "2000"), ("h_total",), math.factorial(2000)),
+        # (4500) = (p*w) at p=3, w=1500; 4500! has 14 488 digits
+        (("verify", "prop36", "--p", "3", "--max-w", "1500"), ("values", -1, "h_single"),
+         math.factorial(4500)),
+    ], ids=["bars-2000", "prop36-1500"])
+    def test_integers_past_the_str_digit_limit(self, capsys, argv, path, value):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        entry = json.loads(out)["payload"]
+        for key in path:
+            entry = entry[key]
+        assert len(entry) > sys.int_info.default_max_str_digits
+        assert entry == exact_digits(value)
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "spinblocks", "core", "8,1", "--p", "3"],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["weight"] == 3
+        assert "spinblocks.__main__" not in sys.modules
+
     def test_missing_subcommand(self, capsys):
         rc, _out, _err = run(capsys, )
         assert rc == 2
@@ -347,6 +406,15 @@ class TestJsonRoundTrip:
             assert type(back) is int and back == x
         else:
             assert back == str(x) and int(back) == x
+
+    @pytest.mark.parametrize("value, text", [
+        (10**4300, "1" + "0" * 4300),
+        (-(10**5000) - 7, "-" + exact_digits(10**5000 + 7)),
+        (Fraction(10**5000 + 1, 3), exact_digits(10**5000 + 1) + "/3"),
+        (Fraction(3, 10**5000 + 1), "3/" + exact_digits(10**5000 + 1)),
+    ], ids=["int", "negative", "numerator", "denominator"])
+    def test_past_the_str_digit_limit(self, value, text):
+        assert roundtrip(value) == text
 
     @given(st.fractions())
     def test_fractions(self, q):

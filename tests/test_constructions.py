@@ -1,17 +1,21 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from spinblocks import constructions
 from spinblocks.barpart import (
     EMPTY,
     TYPE1,
     TYPE2,
+    abacus_core,
     bar_core_and_weight,
     bars,
     enumerate_bar_partitions,
     is_bar_core,
     make_bar_partition,
 )
+from spinblocks.cli import main
 from spinblocks.constructions import (
     TWO_CLASSES,
     UNIQUE_CLASS,
@@ -26,6 +30,7 @@ from spinblocks.constructions import (
     grow_class_ratio_parts,
     principal_gap_check,
     principal_pair,
+    verify_ratio_chain,
     verify_ratio_identities,
 )
 
@@ -203,6 +208,26 @@ class TestRatioIdentities:
                 for step in range(1, w + 1):
                     prod *= add_part_ratio(gamma, p, step)
                 assert prod == Fraction(bars(add_part_pw(gamma, p, w)).h_total, h_gamma)
+
+
+def test_ratio_chain_certifies_each_label_once(monkeypatch, capsys):
+    certified = []
+
+    def counting(lam, p):
+        certified.append((lam, p))
+        return abacus_core(lam, p)
+
+    monkeypatch.setattr(constructions, "abacus_core", counting)
+    assert main(["verify", "ratios", "--p", "5", "--max-core", "12", "--max-w", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    # one grow_class chain per occupied class, one add_part chain per nonempty core
+    chains = sum(len(decompose_core(g, 5).nonempty) + (g.m > 0) for g in cores_up_to(12, 5))
+    assert len(certified) == len(set(certified)) == 6 * chains
+    # the single step w-1 -> w is the walk's report at w
+    for p in (3, 5, 7):
+        for gamma in cores_up_to(12, p):
+            assert verify_ratio_chain(gamma, p, 6) == [
+                verify_ratio_identities(gamma, p, w) for w in range(1, 7)]
 
 
 class TestComparisons:

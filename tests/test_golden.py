@@ -26,6 +26,10 @@ GOLDEN = [
     ("verify prop36 --p 7 --max-w 20", 0, "db472a371638f58f257ddc28e1fed36af869156067e61906d672a7c06113a7d1"),
     ("verify ratios --p 5 --max-core 12 --max-w 6", 0, "240f6c28adeaa0488410674e7d7a3cea1d272f9170f6c01dff2419e159329e45"),
     ("witness --core 9,4,3 --w 6 --p 5", 0, "8022c0675a02b93339e29fb531e179628ed42b693414a8c3caf610b23787ceb2"),
+    ("verify ratios --p 5 --max-core 25 --max-w 10", 0, "bda2b60848d4b374cff2dea3055275e41e28921162221d7d5b130e76e442e4d5"),
+    ("verify thm35 --p 5 --max-core 25 --max-w 10", 0, "79b2890c69dbb37c6b109d5f08257f096b6b2d8d8fa2bcb5c61b479234afe1da"),
+    ("verify ratios --p 7 --max-core 20 --max-w 10", 0, "066fba32d0f6fced79968b5fdd1fad18cc4141d90cb37716fdf2ba991f243285"),
+    ("verify prop36 --p 5 --max-w 40", 0, "7cf0920ae80cbf56dfd29b001174805775f1e17cd79647d6b0afb2c41461f1ac"),
 ]
 
 
