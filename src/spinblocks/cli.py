@@ -1,7 +1,9 @@
 """Command-line surface with deterministic JSON/CSV output.
 
 Exit codes: 0 all checks passed (or informational output), 1 a mathematical
-check failed, 2 usage or parse error or an --out file that cannot be written.
+check or an internal invariant (a RuntimeError, reported as payload.error)
+failed, 2 usage or parse error or an --out file that cannot be written.
+Inputs are checked by the library calls the commands make, before any work.
 Integers that do not fit in a signed 64-bit word are serialized as decimal
 strings, exactly, however many digits they have.
 """
@@ -119,6 +121,8 @@ def _bar_entry(bar):
 
 def cmd_bars(args):
     lam = parse_partition(args.partition)
+    if args.p is not None:  # bars() takes no prime: refuse a bad one before the table
+        _check_odd_prime(args.p)
     table = bars(lam)
     payload = {
         "partition": lam,
@@ -131,7 +135,6 @@ def cmd_bars(args):
         "h_mixed": table.h_mixed,
     }
     if args.p is not None:
-        _check_odd_prime(args.p)
         ws, v = weight_tower(lam, args.p)
         payload["p"] = args.p
         payload["weights"] = list(ws)
@@ -141,7 +144,6 @@ def cmd_bars(args):
 
 
 def cmd_core(args):
-    _check_odd_prime(args.p)
     lam = parse_partition(args.partition)
     core, w = abacus_core(lam, args.p)
     payload = {"partition": lam, "p": args.p, "core": core, "weight": w}
@@ -150,9 +152,6 @@ def cmd_core(args):
 
 
 def cmd_blocks(args):
-    _check_odd_prime(args.p)
-    if args.n < 1:
-        raise ValueError("n must be positive, got %d" % args.n)
     out = []
     for block in blocks.spin_blocks(args.n, args.p, args.group):
         flag, degrees = blocks.equal_degree_test(block)
@@ -180,7 +179,6 @@ def cmd_blocks(args):
 
 
 def cmd_verify(args):
-    _check_odd_prime(args.p)
     failures = []
     checked = 0
     if args.kind == "ratios":
@@ -268,14 +266,12 @@ def _cert_payload(cert):
 
 
 def _witness_targets(n, p):
-    """(core, w) of each block of n with w >= p, or the empty core with w >= 2,
-    by decreasing core."""
+    """(core, w) of each block of n that gets a witness pair, by decreasing core."""
     return [(core, w) for core, w in blocks.block_targets(n, p)
-            if w >= p or (core.m == 0 and w >= 2)]
+            if witness.witness_eligible(core, p, w)]
 
 
 def cmd_witness(args):
-    _check_odd_prime(args.p)
     if args.n is not None:
         if args.core is not None or args.w is not None:
             raise ValueError("give either --n or --core/--w, not both")
@@ -288,16 +284,11 @@ def cmd_witness(args):
     else:
         if args.core is None or args.w is None:
             raise ValueError("need --n, or both --core and --w")
-        core = parse_partition(args.core)
-        if not (args.w >= args.p or (core.m == 0 and args.w >= 2)):
-            raise ValueError(
-                "block (core %s, w=%d) has abelian defect; only the empty core"
-                " with w >= 2 is accepted below w = p" % (core, args.w)
-            )
-        targets = [(core, args.w)]
+        targets = [(parse_partition(args.core), args.w)]
     certs = [witness.build_witness(core, args.p, w) for core, w in targets]
     all_ok = all(c.verified for c in certs)
-    any_non_abelian = any(w >= args.p for _, w in targets)
+    any_non_abelian = any(blocks.defect_class(args.p, w) == blocks.NON_ABELIAN
+                          for _, w in targets)
     payload = {"certificates": [_cert_payload(c) for c in certs]}
     status = ("pass" if any_non_abelian else "info") if all_ok else "fail"
     inputs = {"n": args.n, "core": args.core, "w": args.w, "p": args.p}
@@ -306,8 +297,6 @@ def cmd_witness(args):
 
 
 def cmd_check(args):
-    if args.max_n < 4:
-        raise ValueError("max-n must be >= 4, got %d" % args.max_n)
     primes = _parse_primes(args.primes)
     summary = witness.scan(args.max_n, primes)
     counts = [
@@ -336,8 +325,6 @@ def _parse_primes(text):
         primes = tuple(int(tok) for tok in str(text).split(","))
     except ValueError:
         raise ValueError("cannot parse prime list %r" % (text,)) from None
-    for p in primes:
-        _check_odd_prime(p)
     return primes
 
 
@@ -410,7 +397,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except RuntimeError as exc:
+            # an internal invariant failed: a failed check, not a usage error
+            inputs = {k: v for k, v in vars(args).items()
+                      if k not in ("cmd", "func", "format", "out")}
+            emit(args, args.cmd, inputs, {"error": str(exc)}, "fail")
+            return 1
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ from .barpart import (
     _check_odd_prime,
     abacus_core,
     bar_products,
+    is_bar_core,
 )
 
 
@@ -61,34 +62,22 @@ class CoreDecomposition:
 
 
 def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
-    """Split a p-bar-core into residue classes; rejects non-cores.
+    """Split a p-bar-core into residue classes; refuses a non-core.
 
-    A strict partition is a p-bar-core exactly when no part is divisible
-    by p, no two opposite residue classes are both occupied, and every
-    occupied class j is the gapless run {j, j+p, ..., e_j}.
+    Whether gamma is a p-bar-core is decided by barpart.is_bar_core alone.
+    A core has no part divisible by p, no two opposite residue classes both
+    occupied, and every occupied class j is the gapless run {j, j+p, ...,
+    e_j}, so its classes and their sizes are all the data there is.
     """
-    _check_odd_prime(p)
+    if not is_bar_core(gamma, p):
+        raise ValueError("%s is not a %d-bar-core" % (gamma, p))
     classes = [[] for _ in range(p)]
-    for a in gamma.parts:
+    for a in reversed(gamma.parts):
         classes[a % p].append(a)
-    if classes[0]:
-        raise ValueError("%s is not a %d-bar-core: part %d divisible by %d"
-                         % (gamma, p, classes[0][0], p))
-    for j in range(1, p):
-        if classes[j] and classes[p - j]:
-            raise ValueError("%s is not a %d-bar-core: classes %d and %d both occupied"
-                             % (gamma, p, j, p - j))
-    d = []
-    for j in range(p):
-        cls = sorted(classes[j])
-        dj = len(cls) - 1
-        if cls != [j + k * p for k in range(dj + 1)]:
-            raise ValueError("%s is not a %d-bar-core: class %d has gaps" % (gamma, p, j))
-        classes[j] = tuple(cls)
-        d.append(dj)
+    d = tuple(len(cls) - 1 for cls in classes)
     e = tuple(j + d[j] * p for j in range(p))
     nonempty = tuple(j for j in range(p) if classes[j])
-    return CoreDecomposition(p, gamma, tuple(classes), tuple(d), e, nonempty)
+    return CoreDecomposition(p, gamma, tuple(map(tuple, classes)), d, e, nonempty)
 
 
 def _certify(lam, gamma, p, w, expected_m):

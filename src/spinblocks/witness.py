@@ -25,7 +25,6 @@ from .barpart import (
     abacus_core,
     bar_cores_up_to,
     bar_products,
-    is_bar_core,
     valuation,
 )
 from .blocks import (
@@ -38,7 +37,7 @@ from .blocks import (
     spin_blocks,
 )
 from .constructions import TWO_CLASSES, compare_constructions, principal_pair
-from .spinchar import alt_degree
+from .spinchar import alt_degree, sigma
 
 CASE_EMPTY_CORE = "empty-core"
 CASE_TWO_CLASSES = "two-classes"
@@ -70,28 +69,35 @@ class WitnessCertificate:
         )
 
 
+def witness_eligible(core: BarPartition, p: int, w: int) -> bool:
+    """Whether the block (core, w) gets a witness pair: every block of
+    non-abelian defect (w >= p), and the empty core at every w >= 2, where
+    its pair already works."""
+    return defect_class(p, w) == NON_ABELIAN or (core.m == 0 and w >= 2)
+
+
 def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
     """Construct and fully verify a witness pair for the block (gamma, p, w).
 
-    Accepted inputs: any core with w >= p, or the empty core with w >= 2
-    (the empty-core pair already works for every weight >= 2).
+    Accepted inputs are the blocks that witness_eligible names; a gamma
+    that is not a p-bar-core is refused by constructions.decompose_core
+    (the empty core is always one).
     """
     _check_odd_prime(p)
-    if not is_bar_core(gamma, p):
-        raise ValueError("%s is not a %d-bar-core" % (gamma, p))
+    if not witness_eligible(gamma, p, w):
+        raise ValueError(
+            "block (core %s, w=%d) has no witness pair: only the empty core"
+            " with w >= 2 is accepted below w = p" % (gamma, w)
+        )
     if gamma.m == 0:
-        if w < 2:
-            raise ValueError("empty core needs w >= 2, got %d" % w)
         label_a, label_b = principal_pair(p, w)
         case = CASE_EMPTY_CORE
     else:
-        if w < p:
-            raise ValueError("nonempty core needs non-abelian defect (w >= p), got w=%d" % w)
         pair = compare_constructions(gamma, p, w)
         label_a, label_b = pair.larger, pair.smaller
         if pair.case == TWO_CLASSES:
             case = CASE_TWO_CLASSES
-        elif (label_a.n - label_a.m) % 2 == 0:
+        elif sigma(label_a) == 1:
             case = CASE_UNIQUE_EVEN
         elif p > 3:
             case = CASE_UNIQUE_ODD

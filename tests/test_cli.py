@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinblocks import barpart, blocks, constructions, witness
+from spinblocks import barpart, blocks, constructions, spinchar, witness
 from spinblocks.blocks import spin_blocks
 from spinblocks.cli import INT64_MAX, _witness_targets, jsonable, main, render
 
@@ -320,6 +320,54 @@ class TestCheck:
         assert rc == 2
         assert out == ""
         assert "repeated prime 3" in err
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv", [
+        # an invalid p for every subcommand, with bounds that select work
+        ("bars", "8,1", "--p", "4"),
+        ("core", "8,1", "--p", "9"),
+        ("blocks", "--n", "9", "--p", "2"),
+        ("verify", "ratios", "--p", "15", "--max-core", "6", "--max-w", "2"),
+        ("verify", "thm35", "--p", "1", "--max-core", "6", "--max-w", "2"),
+        ("verify", "prop36", "--p", "4", "--max-w", "4"),
+        ("witness", "--n", "9", "--p", "21"),
+        ("witness", "--core", "1", "--w", "3", "--p", "4"),
+        ("check", "--max-n", "10", "--primes", "3,4"),
+        # other inputs the library refuses
+        ("blocks", "--n", "0", "--p", "3"),
+        ("check", "--max-n", "3", "--primes", "3"),
+        ("witness", "--core", "4", "--w", "3", "--p", "3"),  # 4 is not a 3-bar-core
+        ("witness", "--core", "1", "--w", "2", "--p", "3"),  # abelian defect
+    ], ids=" ".join)
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a certificate")
+
+        refuse_bar_work(monkeypatch)
+        monkeypatch.setattr(witness, "WitnessCertificate", refuse)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (("verify", "ratios", "--p", "3", "--max-core", "4", "--max-w", "2"),
+         constructions, "_certify"),
+        (("witness", "--n", "9", "--p", "3"), spinchar, "spin_degree_sym"),
+    ], ids=["verify-ratios", "witness"])
+    def test_invariant_failure_is_reported(self, capsys, monkeypatch, argv, module, name):
+        def fail(*args):
+            raise RuntimeError("forced invariant failure")
+
+        monkeypatch.setattr(module, name, fail)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (1, "")
+        rec = json.loads(out)
+        assert rec["command"] == argv[0]
+        assert rec["inputs"]["p"] == 3
+        assert rec["status"] == "fail"
+        assert rec["payload"] == {"error": "forced invariant failure"}
 
 
 class TestOutput:

@@ -10,6 +10,7 @@ from spinblocks.barpart import (
     TYPE2,
     abacus_core,
     bar_core_and_weight,
+    bar_cores_up_to,
     bars,
     enumerate_bar_partitions,
     is_bar_core,
@@ -74,6 +75,25 @@ class TestDecompose:
             decompose_core(bp(2, 1), 3)  # opposite classes both occupied
         with pytest.raises(ValueError):
             decompose_core(bp(4), 3)  # class 1 has a gap (no part 1)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_classes_of_every_core(self, p):
+        # what makes is_bar_core the only check decompose_core needs
+        for gamma in bar_cores_up_to(30, p):
+            dec = decompose_core(gamma, p)
+            assert dec.classes[0] == ()
+            for j in range(1, p):
+                assert not (dec.classes[j] and dec.classes[p - j])
+                assert dec.classes[j] == tuple(range(j, dec.e[j] + 1, p))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_rejects_every_non_core(self, p):
+        cores = set(bar_cores_up_to(20, p))
+        for n in range(21):
+            for lam in enumerate_bar_partitions(n):
+                if lam not in cores:
+                    with pytest.raises(ValueError, match="not a %d-bar-core" % p):
+                        decompose_core(lam, p)
 
 
 class TestConstructions:
