@@ -48,10 +48,7 @@ EMPTY = BarPartition(())
 
 
 def make_bar_partition(parts) -> BarPartition:
-    """Validate and canonically order a list of parts."""
-    parts = list(parts)
-    if len(set(parts)) != len(parts):
-        raise ValueError("repeated part in %r" % (parts,))
+    """Canonically order a list of parts; BarPartition validates them."""
     return BarPartition(tuple(sorted(parts, reverse=True)))
 
 
@@ -368,11 +365,10 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
     runner pair (j, p-j) an ordinary partition on a Maya diagram whose
     charge is the core's.  Output is in decreasing lexicographic order.
     """
-    _check_odd_prime(p)
+    if not is_bar_core(gamma, p):  # checks the prime too
+        raise ValueError("%s is not a %d-bar-core" % (gamma, p))
     if w < 0:
         raise ValueError("w must be nonnegative, got %d" % w)
-    if not is_bar_core(gamma, p):
-        raise ValueError("%s is not a %d-bar-core" % (gamma, p))
     charges = _runner_charges(gamma, p)
     out = []
     for quotient in _quotients(w, len(charges)):

@@ -63,17 +63,13 @@ def height_zero_valuation(n: int, p: int, w: int) -> int:
 def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
     """(core, w) of every spin block of n, by decreasing core, without its labels.
 
-    Every p-bar-core of size n - p*w, w >= 0, is the core of exactly one block.
+    Every p-bar-core of size n - p*w, w >= 0, is the core of exactly one
+    block.  n must be positive: no group is built here to refuse it.
     """
     if n < 1:
         raise ValueError("n must be positive, got %d" % n)
-    return _targets_among(bar_cores_up_to(n, p), n, p)
-
-
-def _targets_among(cores, n: int, p: int) -> list[tuple[BarPartition, int]]:
-    """(core, w) for each of the given p-bar-cores that heads a block of n, by decreasing core."""
-    return sorted(((core, (n - core.n) // p) for core in cores
-                   if core.n <= n and (n - core.n) % p == 0), reverse=True)
+    return sorted(((core, (n - core.n) // p) for core in bar_cores_up_to(n, p)
+                   if (n - core.n) % p == 0), reverse=True)
 
 
 def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:
@@ -90,10 +86,9 @@ def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
     """The spin blocks of the tagged double cover, ordered by core.
 
     Labels of n are grouped by bar core; weight-0 labels form singleton
-    defect-zero blocks.
+    defect-zero blocks.  The prime and the group (so n) are checked before
+    any label is enumerated.
     """
-    if n < 1:
-        raise ValueError("n must be positive, got %d" % n)
     _check_odd_prime(p)
     group = as_group(group, n)
     by_core = {}
@@ -106,12 +101,13 @@ def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
 
 
 def spin_block(core: BarPartition, p: int, w: int, group) -> SpinBlock:
-    """The one spin block of core and weight w, its labels generated from p-bar quotients."""
-    labels = labels_with_core_and_weight(core, p, w)
-    n = core.n + p * w
-    if n < 1:
-        raise ValueError("n must be positive, got %d" % n)
-    return _build_block(p, core, w, as_group(group, n), labels)
+    """The one spin block of core and weight w, its labels generated from p-bar quotients.
+
+    The group is resolved for n = |core| + p*w (so n is checked) before any
+    label is generated.
+    """
+    group = as_group(group, core.n + p * w)
+    return _build_block(p, core, w, group, labels_with_core_and_weight(core, p, w))
 
 
 def equal_degree_test(block: SpinBlock) -> tuple[bool, list[int]]:

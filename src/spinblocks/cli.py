@@ -220,6 +220,7 @@ def cmd_verify(args):
                     "h_smaller": res.h_smaller,
                 })
     else:  # prop36
+        _check_odd_prime(args.p)  # before the bounds: below max-w 2 no w reaches principal_pair
         values = []
         for w in range(2, args.max_w + 1):
             res = constructions.principal_gap_check(args.p, w)
@@ -277,10 +278,8 @@ def cmd_witness(args):
             raise ValueError("give either --n or --core/--w, not both")
         targets = _witness_targets(args.n, args.p)
         if not targets:
-            raise ValueError(
-                "no spin block of n=%d has w >= %d (or empty core with w >= 2)"
-                % (args.n, args.p)
-            )
+            raise ValueError("no spin block of n=%d gets a witness pair at p=%d"
+                             % (args.n, args.p))
     else:
         if args.core is None or args.w is None:
             raise ValueError("need --n, or both --core and --w")

@@ -103,7 +103,7 @@ def _check_class(dec, i):
 
 def _check_nonempty(gamma):
     if gamma.m == 0:
-        raise ValueError("add_part ratio formulas need a nonempty core")
+        raise ValueError("the core must be nonempty")
 
 
 def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
@@ -352,8 +352,7 @@ def compare_constructions(gamma: BarPartition, p: int, w: int) -> ComparisonResu
     occupied class the grown label is compared against the added-part
     label.  Comparison is an exact big-integer inequality.
     """
-    if gamma.m == 0:
-        raise ValueError("comparison needs a nonempty core")
+    _check_nonempty(gamma)
     _check_w(w)
     dec = decompose_core(gamma, p)
     order = sorted(dec.nonempty, key=lambda j: dec.e[j], reverse=True)

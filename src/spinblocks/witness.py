@@ -9,9 +9,9 @@ membership comes from the abacus core and the p'-residue from the parts, so
 certifying builds no bar table.  A certificate needs only its two labels:
 height zero is the defect-group minimum of the degree valuation
 (blocks.height_zero_valuation), so neither building nor verifying it builds
-the block.  scan certifies every block from its (core, w) alone;
-check_conjecture stays block-based as the descriptive report and the oracle
-for scan.
+the block.  scan certifies every block from its (core, w) alone, walking
+each p-bar-core's weights once; check_conjecture stays block-based as the
+descriptive report and the oracle for scan.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .barpart import (
 )
 from .blocks import (
     NON_ABELIAN,
-    _targets_among,
     defect_class,
     equal_degree_test,
     height_zero_valuation,
@@ -226,7 +225,6 @@ def check_conjecture(n: int, p: int) -> list[BlockReport]:
     """
     if n < 4:
         raise ValueError("n must be >= 4, got %d" % n)
-    _check_odd_prime(p)
     reports = []
     for block in spin_blocks(n, p, "A"):
         flag, degrees = equal_degree_test(block)
@@ -252,12 +250,13 @@ class ScanSummary:
 def scan(max_n: int, primes) -> ScanSummary:
     """Certify every non-abelian block of 4..max_n for each prime and aggregate.
 
-    Blocks are listed by (core, w) in check_conjecture's order, from the
-    p-bar-cores listed once per prime, and only their witnesses are built.
-    A verified witness already shows two height-zero degrees that differ;
-    only a block whose witness fails is built, for the equal-degree test.
-    Each such block is named in the notes.  A prime given twice is refused,
-    since it would count every block twice.
+    Each block is one pair (p-bar-core, w) of n = |core| + p*w, so the sweep
+    walks the weights of each core from bar_cores_up_to(max_n, p), skipping
+    n < 4, and builds only the witnesses.  A verified witness already shows
+    two height-zero degrees that differ; only a block whose witness fails is
+    built, for the equal-degree test, and named in the notes in walk order
+    (core, then w).  A prime given twice is refused, since it would count
+    every block twice.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4, got %d" % max_n)
@@ -272,9 +271,11 @@ def scan(max_n: int, primes) -> ScanSummary:
     notes = []
     for p in primes:
         non_abelian_seen = False
-        cores = bar_cores_up_to(max_n, p)
-        for n in range(4, max_n + 1):
-            for core, w in _targets_among(cores, n, p):
+        for core in bar_cores_up_to(max_n, p):
+            for w in range((max_n - core.n) // p + 1):
+                n = core.n + p * w
+                if n < 4:
+                    continue
                 dc = defect_class(p, w)
                 counts[(p, dc)] = counts.get((p, dc), 0) + 1
                 if dc != NON_ABELIAN:

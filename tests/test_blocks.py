@@ -1,5 +1,6 @@
 import pytest
 
+from spinblocks import blocks
 from spinblocks.barpart import (
     EMPTY,
     enumerate_bar_partitions,
@@ -16,6 +17,7 @@ from spinblocks.blocks import (
     spin_block,
     spin_blocks,
 )
+from spinblocks.spinchar import alt
 
 
 def bp(*parts):
@@ -93,6 +95,22 @@ class TestSpinBlock:
             spin_block(bp(3), 3, 1, "A")  # not a core
         with pytest.raises(ValueError):
             spin_block(bp(1), 4, 1, "A")
+
+
+class TestRefusedBeforeLabels:
+    @pytest.mark.parametrize("call", [
+        lambda: spin_block(EMPTY, 3, 0, "A"),  # n = 0
+        lambda: spin_block(bp(1), 3, 1, alt(5)),  # the block has n = 4
+        lambda: spin_blocks(0, 3, "A"),
+    ], ids=["spin_block-n0", "spin_block-wrong-group", "spin_blocks-n0"])
+    def test_refused(self, monkeypatch, call):
+        def refuse(*args):
+            raise AssertionError("generated labels")
+
+        monkeypatch.setattr(blocks, "labels_with_core_and_weight", refuse)
+        monkeypatch.setattr(blocks, "enumerate_bar_partitions", refuse)
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestHeights:

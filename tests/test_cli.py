@@ -322,18 +322,24 @@ class TestCheck:
         assert "repeated prime 3" in err
 
 
+# an invalid p for every subcommand, with bounds that select work (and, for
+# prop36 --max-w 1, bounds that select none)
+BAD_PRIME = [
+    ("bars", "8,1", "--p", "4"),
+    ("core", "8,1", "--p", "9"),
+    ("blocks", "--n", "9", "--p", "2"),
+    ("verify", "ratios", "--p", "15", "--max-core", "6", "--max-w", "2"),
+    ("verify", "thm35", "--p", "1", "--max-core", "6", "--max-w", "2"),
+    ("verify", "prop36", "--p", "4", "--max-w", "4"),
+    ("verify", "prop36", "--p", "4", "--max-w", "1"),
+    ("witness", "--n", "9", "--p", "21"),
+    ("witness", "--core", "1", "--w", "3", "--p", "4"),
+    ("check", "--max-n", "10", "--primes", "3,4"),
+]
+
+
 class TestRefusals:
-    @pytest.mark.parametrize("argv", [
-        # an invalid p for every subcommand, with bounds that select work
-        ("bars", "8,1", "--p", "4"),
-        ("core", "8,1", "--p", "9"),
-        ("blocks", "--n", "9", "--p", "2"),
-        ("verify", "ratios", "--p", "15", "--max-core", "6", "--max-w", "2"),
-        ("verify", "thm35", "--p", "1", "--max-core", "6", "--max-w", "2"),
-        ("verify", "prop36", "--p", "4", "--max-w", "4"),
-        ("witness", "--n", "9", "--p", "21"),
-        ("witness", "--core", "1", "--w", "3", "--p", "4"),
-        ("check", "--max-n", "10", "--primes", "3,4"),
+    @pytest.mark.parametrize("argv", BAD_PRIME + [
         # other inputs the library refuses
         ("blocks", "--n", "0", "--p", "3"),
         ("check", "--max-n", "3", "--primes", "3"),
@@ -350,6 +356,12 @@ class TestRefusals:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", BAD_PRIME, ids=" ".join)
+    def test_names_the_bad_prime(self, capsys, argv):
+        rc, _out, err = run(capsys, *argv)
+        assert rc == 2
+        assert "p must be an odd prime" in err
 
     @pytest.mark.parametrize("argv, module, name", [
         (("verify", "ratios", "--p", "3", "--max-core", "4", "--max-w", "2"),

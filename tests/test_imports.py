@@ -1,5 +1,6 @@
-"""Guard against imports that a module of the package never uses, such as
-those a deletion leaves behind; the project depends on no linter."""
+"""Guard against imports that a module of the package never uses and private
+names that the package never reads, such as those a deletion leaves behind;
+the project depends on no linter."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,35 @@ def test_guard_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources):
+    """Module-level _names (functions, classes, assignments) defined in the
+    sources and never read in any of them; dunder names are exempt."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
+def test_guard_finds_dead_private_names():
+    sources = ["_LIMIT = 3\n_kept: int = 1\ndef _gone(): pass\nclass _Old: pass\n"
+               "def _used(): return _kept\n",
+               "from .a import _used, _gone\nm.__x = 1\n__all__ = []\nprint(_used(), m._LIMIT)\n"]
+    assert dead_private_names(sources) == ["_Old", "_gone"]
+
+
+def test_no_dead_private_name():
+    assert dead_private_names(path.read_text() for path in SRC.glob("*.py")) == []

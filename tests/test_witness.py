@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import strategies as st
 
 from spinblocks import witness
 from spinblocks.barpart import EMPTY, bars, enumerate_bar_partitions, make_bar_partition, valuation
-from spinblocks.blocks import NON_ABELIAN, block_targets, height_zero_valuation, spin_blocks
+from spinblocks.blocks import (
+    NON_ABELIAN,
+    block_targets,
+    defect_class,
+    height_zero_valuation,
+    spin_blocks,
+)
 from spinblocks.witness import (
     CASE_EMPTY_CORE,
     CASE_TWO_CLASSES,
@@ -207,6 +214,21 @@ class TestScan:
         monkeypatch.setattr(witness, "bar_cores_up_to", refuse)
         with pytest.raises(ValueError, match="repeated prime 3"):
             scan(12, primes)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_certifies_each_non_abelian_block_once(self, monkeypatch, p):
+        # the totals alone would hide one block certified twice and another skipped
+        calls = []
+
+        def recording(core, q, w):
+            calls.append((core, w))
+            return build_witness(core, q, w)
+
+        monkeypatch.setattr(witness, "build_witness", recording)
+        summary = scan(40, [p])
+        targets = [target for n in range(4, 41) for target in block_targets(n, p)]
+        assert sorted(calls) == sorted((core, w) for core, w in targets if w >= p)
+        assert summary.block_counts == Counter((p, defect_class(p, w)) for _core, w in targets)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_block_based_check(self, monkeypatch, p):
