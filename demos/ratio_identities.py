@@ -17,7 +17,7 @@ from spinblocks import (
     grow_class_ratio,
     make_bar_partition,
     parse_partition,
-    verify_ratio_identities,
+    verify_ratio_chain,
 )
 
 for text, p, i in (("1", 3, 1), ("4,1", 3, 1), ("3,1", 5, 3)):
@@ -38,11 +38,10 @@ for text, p, i in (("1", 3, 1), ("4,1", 3, 1), ("3,1", 5, 3)):
 print("Full sweep over every identity for a few (core, w) pairs:")
 for text, p in (("1", 3), ("4,1", 3), ("3,1", 5), ("2,1", 5)):
     gamma = parse_partition(text)
-    for w in (1, 2, 3):
-        report = verify_ratio_identities(gamma, p, w)
+    for report in verify_ratio_chain(gamma, p, 3):
         print(
             "  core %-4s p=%d w=%d: %2d identities, all ok: %s"
-            % (gamma, p, w, len(report.checks), report.all_ok)
+            % (gamma, p, report.w, len(report.checks), report.all_ok)
         )
 
 print()

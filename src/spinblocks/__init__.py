@@ -59,7 +59,6 @@ from .constructions import (
     principal_gap_check,
     principal_pair,
     verify_ratio_chain,
-    verify_ratio_identities,
 )
 from .witness import (
     BlockReport,

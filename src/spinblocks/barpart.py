@@ -184,7 +184,7 @@ def remove_bar(lam: BarPartition, bar: Bar) -> BarPartition:
         new = [a for k, a in enumerate(lam.parts) if k not in (bar.i - 1, bar.j - 1)]
     else:
         raise ValueError("unknown bar kind %r" % (bar.kind,))
-    return BarPartition(tuple(sorted(new, reverse=True)))
+    return make_bar_partition(new)
 
 
 def is_odd_prime(p: int) -> bool:
@@ -332,7 +332,7 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     parts = []
     for j, charge in enumerate(_runner_charges(lam, p), start=1):
         parts.extend(_runner_pair_parts((), charge, j, p))
-    core = BarPartition(tuple(sorted(parts, reverse=True)))
+    core = make_bar_partition(parts)
     w, rest = divmod(lam.n - core.n, p)
     if rest:
         raise RuntimeError("size mismatch: |%s| - |%s| is not a multiple of %d" % (lam, core, p))
@@ -375,7 +375,7 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
         parts = [p * k for k in quotient[0]]
         for j, (mu, charge) in enumerate(zip(quotient[1:], charges), start=1):
             parts.extend(_runner_pair_parts(mu, charge, j, p))
-        out.append(BarPartition(tuple(sorted(parts, reverse=True))))
+        out.append(make_bar_partition(parts))
     out.sort(reverse=True)
     return out
 
@@ -400,5 +400,5 @@ def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
                     charge += step
                     run = _runner_pair_parts((), charge, j, p)
         cores = grown
-    out = sorted((BarPartition(tuple(sorted(parts, reverse=True))) for parts in cores), reverse=True)
+    out = sorted(map(make_bar_partition, cores), reverse=True)
     return sorted(out, key=lambda lam: lam.n)

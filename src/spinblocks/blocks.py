@@ -73,8 +73,6 @@ def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
 
 
 def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:
-    if group.kind == "A" and group.n < 2:
-        raise ValueError("the alternating double cover needs n >= 2, got %d" % group.n)
     chars = tuple(chi for lam in labels for chi in characters_of_label(lam, group))
     vals = {chi.label: valuation(chi.degree, p) for chi in chars}
     low = min(vals.values())

@@ -13,17 +13,16 @@ number of parts, or a RuntimeError.
 For each family the ratio of bar-length products between consecutive
 weights has an exact closed form, split into its unmixed and mixed factors;
 each is one Fraction of two integer products. Every closed form here is
-checked (in tests and via verify_ratio_chain / verify_ratio_identities)
-against the direct quotient of the two labels' bar products, taken from
-their parts by Schur's formula (barpart.bar_products).
+checked (in tests and via verify_ratio_chain) against the direct quotient
+of the two labels' bar products, taken from their parts by Schur's formula
+(barpart.bar_products).
 
 Each public construction and ratio function decomposes its core and calls a
 private function of the CoreDecomposition. verify_ratio_chain decomposes a
 core once and walks each of its weight chains once, w = 1, 2, ...: every
 label is built, certified and given its bar products once, and those
-products are the w-1 side of the next step. verify_ratio_identities is the
-single step w-1 -> w of the same walk; compare_constructions decomposes
-once per (core, w).
+products are the w-1 side of the next step. compare_constructions
+decomposes once per (core, w).
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .barpart import (
     abacus_core,
     bar_products,
     is_bar_core,
+    make_bar_partition,
 )
 
 
@@ -114,8 +114,7 @@ def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
 
 def _add_part_pw(dec, w):
     gamma, p = dec.gamma, dec.p
-    lam = BarPartition(tuple(sorted(gamma.parts + (p * w,), reverse=True)))
-    return _certify(lam, gamma, p, w, gamma.m + 1)
+    return _certify(make_bar_partition(gamma.parts + (p * w,)), gamma, p, w, gamma.m + 1)
 
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
@@ -129,8 +128,7 @@ def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
 def _grow_class(dec, i, w):
     gamma, p, ei = dec.gamma, dec.p, dec.e[i]
     parts = tuple(ei + p * w if a == ei else a for a in gamma.parts)
-    lam = BarPartition(tuple(sorted(parts, reverse=True)))
-    return _certify(lam, gamma, p, w, gamma.m)
+    return _certify(make_bar_partition(parts), gamma, p, w, gamma.m)
 
 
 def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
@@ -260,32 +258,32 @@ class RatioReport:
         return all(c.ok for c in self.checks)
 
 
-def _ratio_walk(dec, first_w, last_w):
-    """The RatioReports at the weights first_w..last_w of the core, in order.
+def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioReport]:
+    """The RatioReports of the core at w = 1..max_w, in order.
 
-    Each chain's label at a weight is built, certified and given its bar
-    products once; those products are the w-1 side of the next step. The
-    w-1 side of the step to w = 1 is the core itself.
+    Each report compares every applicable closed form of the step w-1 -> w
+    with the direct quotient of the bar products (Schur's formula on the
+    parts) of the constructed labels at weights w and w-1; equality is
+    exact, never approximate. One walk up each weight chain of the core:
+    every label is built, certified and given its bar products once, and
+    those products serve both steps it belongs to. The w-1 side of the step
+    to w = 1 is the core itself.
     """
-    gamma = dec.gamma
+    dec = decompose_core(gamma, p)
     # (identity, residue, label, closed-form parts, closed-form total), each a function of w
     chains = [("grow-class", i, partial(_grow_class, dec, i),
                partial(_grow_class_ratio_parts, dec, i), partial(_grow_class_ratio, dec, i))
               for i in dec.nonempty]
-    notes = ()
     if gamma.m:
         chains.append(("add-part", None, partial(_add_part_pw, dec),
                        partial(_add_part_ratio_parts, dec), partial(_add_part_ratio, dec)))
-    else:
-        notes = ("empty core: add-part closed forms not applicable",)
-        if not dec.nonempty:
-            notes += ("empty core: no occupied class, nothing to verify",)
-    if first_w == 1:
-        prev = [bar_products(gamma)] * len(chains)
-    else:
-        prev = [bar_products(label(first_w - 1)) for _, _, label, _, _ in chains]
+        notes = ()
+    else:  # the empty core has no occupied class either
+        notes = ("empty core: add-part closed forms not applicable",
+                 "empty core: no occupied class, nothing to verify")
+    prev = [bar_products(gamma)] * len(chains)
     reports = []
-    for w in range(first_w, last_w + 1):
+    for w in range(1, max_w + 1):
         checks = []
         for k, (identity, residue, label, parts, total) in enumerate(chains):
             cur = bar_products(label(w))
@@ -296,30 +294,8 @@ def _ratio_walk(dec, first_w, last_w):
                        RatioCheck(identity + "-mixed", residue, w, cm, Fraction(ma, mb)),
                        RatioCheck(identity + "-total", residue, w, total(w),
                                   Fraction(ua * ma, ub * mb)))
-        reports.append(RatioReport(gamma, dec.p, w, tuple(checks), notes))
+        reports.append(RatioReport(gamma, p, w, tuple(checks), notes))
     return reports
-
-
-def verify_ratio_identities(gamma: BarPartition, p: int, w: int) -> RatioReport:
-    """Compare every applicable closed form at weight w with direct quotients.
-
-    Direct quotients divide the bar products (Schur's formula on the parts)
-    of the constructed labels at weights w and w-1; equality is exact,
-    never approximate. This is the single step w-1 -> w of the chain walk
-    that verify_ratio_chain makes.
-    """
-    _check_w(w)
-    (report,) = _ratio_walk(decompose_core(gamma, p), w, w)
-    return report
-
-
-def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioReport]:
-    """verify_ratio_identities(gamma, p, w) for w = 1..max_w, in order.
-
-    One walk up each weight chain of the core: every label is built and
-    certified once, and its bar products serve both steps it belongs to.
-    """
-    return _ratio_walk(decompose_core(gamma, p), 1, max_w)
 
 
 TWO_CLASSES = "two-classes"

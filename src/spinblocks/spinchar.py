@@ -16,6 +16,8 @@ from .barpart import BarPartition, bar_products
 
 @dataclass(frozen=True)
 class GroupTag:
+    """The double cover of kind "S" or "A" on n >= 1 letters (n >= 2 for "A")."""
+
     kind: str  # "S" or "A"
     n: int
 
@@ -24,6 +26,8 @@ class GroupTag:
             raise ValueError("group kind must be 'S' or 'A', got %r" % (self.kind,))
         if self.n < 1:
             raise ValueError("n must be positive, got %d" % self.n)
+        if self.kind == "A" and self.n < 2:
+            raise ValueError("the alternating double cover needs n >= 2, got %d" % self.n)
 
     def __str__(self):
         return "2.%s_%d" % (self.kind, self.n)

@@ -270,7 +270,6 @@ def scan(max_n: int, primes) -> ScanSummary:
     anomalies = 0
     notes = []
     for p in primes:
-        non_abelian_seen = False
         for core in bar_cores_up_to(max_n, p):
             for w in range((max_n - core.n) // p + 1):
                 n = core.n + p * w
@@ -280,7 +279,6 @@ def scan(max_n: int, primes) -> ScanSummary:
                 counts[(p, dc)] = counts.get((p, dc), 0) + 1
                 if dc != NON_ABELIAN:
                     continue
-                non_abelian_seen = True
                 cert = build_witness(core, p, w)
                 if cert.verified:
                     witnesses += 1
@@ -292,6 +290,6 @@ def scan(max_n: int, primes) -> ScanSummary:
                     " degrees %s; certificate notes: %s"
                     % (p, n, core, w, "yes" if equal else "no", "; ".join(cert.notes))
                 )
-        if not non_abelian_seen:
+        if (p, NON_ABELIAN) not in counts:
             notes.append("no non-abelian blocks for p=%d with n <= %d" % (p, max_n))
     return ScanSummary(max_n, primes, counts, witnesses, anomalies, tuple(notes))

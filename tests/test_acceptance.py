@@ -27,7 +27,7 @@ from spinblocks.constructions import (
     decompose_core,
     grow_class,
     principal_gap_check,
-    verify_ratio_identities,
+    verify_ratio_chain,
 )
 from spinblocks.spinchar import alt, characters_of_label, sym
 from spinblocks.witness import _pprime_residue, alt_degree, build_witness, scan
@@ -56,8 +56,7 @@ def test_ratio_identities_exact():
     bad = []
     for p in (3, 5):
         for gamma in cores_up_to(12, p):
-            for w in range(1, 5):
-                rep = verify_ratio_identities(gamma, p, w)
+            for rep in verify_ratio_chain(gamma, p, 4):
                 checked += len(rep.checks)
                 bad.extend(c for c in rep.checks if not c.ok)
     report("ratio identities equal direct quotients",

@@ -51,6 +51,9 @@ class TestConstruction:
 
     def test_sorts_input(self):
         assert make_bar_partition([1, 4]).parts == (4, 1)
+        # only make_bar_partition orders the parts
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            BarPartition((1, 3))
 
     def test_rejects_repeats(self):
         with pytest.raises(ValueError):
@@ -199,6 +202,20 @@ class TestRemoveBar:
         with pytest.raises(ValueError):
             remove_bar(bp(3), Bar(TYPE2, 2, y=3))
 
+    @pytest.mark.parametrize("bar, message", [
+        (Bar(TYPE2, 2, y=2), "no part 2"),
+        (Bar(TYPE1, 1, x=1, y=2), "no part 2"),
+        (Bar(TYPE1, 3, x=0, y=3), "need 0 < x < y"),
+        (Bar(TYPE1, 5, x=2, y=3), "bad length 5 for bar"),
+        (Bar(TYPE3, 4, i=2, j=1), "bad positions"),
+        (Bar(TYPE3, 5, i=1, j=2), "bad length 5 for mixed bar"),
+        (Bar(9, 1), "unknown bar kind"),
+    ], ids=["deleted-non-part", "shrunk-non-part", "x-zero", "type1-length", "positions",
+            "mixed-length", "unknown-kind"])
+    def test_rejects_foreign_bar(self, bar, message):
+        with pytest.raises(ValueError, match=message):
+            remove_bar(bp(3, 1), bar)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_bar_removes_cleanly(self, n):
         for lam in enumerate_bar_partitions(n):
@@ -317,6 +334,8 @@ class TestLabelsWithCoreAndWeight:
     def test_rejects_non_core(self):
         with pytest.raises(ValueError):
             labels_with_core_and_weight(bp(3), 3, 1)
+        with pytest.raises(ValueError, match="w must be nonnegative, got -1"):
+            labels_with_core_and_weight(EMPTY, 3, -1)
 
     def test_generated_charge_runners(self):
         # 7-bar-core (9, 2) has charges +1 on pair (2, 5) and -1 on pair (1, 6)

@@ -12,6 +12,7 @@ from spinblocks.blocks import (
     ABELIAN,
     DEFECT_ZERO,
     NON_ABELIAN,
+    block_targets,
     equal_degree_test,
     height_zero_valuation,
     spin_block,
@@ -66,6 +67,8 @@ class TestSpinBlocks:
             spin_blocks(0, 3, "A")
         with pytest.raises(ValueError):
             spin_blocks(5, 2, "A")
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            block_targets(0, 3)
 
     def test_alternating_needs_two_letters(self):
         with pytest.raises(ValueError, match="n >= 2"):

@@ -189,7 +189,11 @@ class TestVerify:
          lambda real: ("bar_products", lambda lam: (1, lam.m)),
          {"core": "1", "w": 1, "case": "unique-class", "larger": "4", "smaller": "3,1",
           "h_larger": 1, "h_smaller": 2}),
-    ], ids=["ratios", "thm35"])
+        # the same fault: (pw) no longer exceeds twice (pw-1, 1)
+        ("prop36",
+         lambda real: ("bar_products", lambda lam: (1, lam.m)),
+         {"w": 2, "h_single": 1, "h_split": 2, "ok": False}),
+    ], ids=["ratios", "thm35", "prop36"])
     def test_failure_is_reported(self, capsys, monkeypatch, kind, fault, first):
         name, patched = fault(constructions)
         monkeypatch.setattr(constructions, name, patched)
@@ -239,6 +243,9 @@ class TestWitness:
         rc, _out, err = run(capsys, "witness", "--n", "9", "--core", "-",
                             "--w", "3", "--p", "3")
         assert rc == 2
+        rc, out, err = run(capsys, "witness", "--core", "1", "--p", "3")
+        assert (rc, out) == (2, "")
+        assert "need --n, or both --core and --w" in err
 
 
 class TestCheck:
@@ -320,6 +327,9 @@ class TestCheck:
         assert rc == 2
         assert out == ""
         assert "repeated prime 3" in err
+        rc, out, err = run(capsys, "check", "--max-n", "10", "--primes", "3,x")
+        assert (rc, out) == (2, "")
+        assert "cannot parse prime list '3,x'" in err
 
 
 # an invalid p for every subcommand, with bounds that select work (and, for

@@ -32,7 +32,6 @@ from spinblocks.constructions import (
     principal_gap_check,
     principal_pair,
     verify_ratio_chain,
-    verify_ratio_identities,
 )
 
 
@@ -101,6 +100,8 @@ class TestConstructions:
         assert add_part_pw(bp(1), 3, 1) == bp(3, 1)
         assert add_part_pw(bp(1), 3, 3) == bp(9, 1)
         assert add_part_pw(EMPTY, 3, 2) == bp(6)
+        with pytest.raises(ValueError, match="w must be >= 1, got 0"):
+            add_part_pw(bp(1), 3, 0)
 
     def test_grow_class(self):
         assert grow_class(bp(1), 3, 1, 1) == bp(4)
@@ -196,7 +197,8 @@ class TestRatioValues:
 
 class TestRatioIdentities:
     def test_report_structure(self):
-        report = verify_ratio_identities(bp(1), 3, 1)
+        (report,) = verify_ratio_chain(bp(1), 3, 1)
+        assert (report.gamma, report.p, report.w) == (bp(1), 3, 1)
         assert report.all_ok
         assert {c.identity for c in report.checks} == {
             "grow-class-unmixed", "grow-class-mixed", "grow-class-total",
@@ -204,16 +206,18 @@ class TestRatioIdentities:
         }
 
     def test_empty_core_notes(self):
-        report = verify_ratio_identities(EMPTY, 3, 2)
-        assert report.all_ok
-        assert report.checks == ()
-        assert any("empty core" in note for note in report.notes)
+        for report in verify_ratio_chain(EMPTY, 3, 2):
+            assert report.all_ok
+            assert report.checks == ()
+            assert report.notes == ("empty core: add-part closed forms not applicable",
+                                    "empty core: no occupied class, nothing to verify")
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_sweep(self, p):
         for gamma in cores_up_to(9, p):
-            for w in (1, 2, 3):
-                assert verify_ratio_identities(gamma, p, w).all_ok
+            reports = verify_ratio_chain(gamma, p, 3)
+            assert [r.w for r in reports] == [1, 2, 3]
+            assert all(r.all_ok for r in reports)
 
     def test_telescoping(self):
         # the product of step ratios recovers the full quotient H(lam)/H(gamma)
@@ -243,11 +247,6 @@ def test_ratio_chain_certifies_each_label_once(monkeypatch, capsys):
     # one grow_class chain per occupied class, one add_part chain per nonempty core
     chains = sum(len(decompose_core(g, 5).nonempty) + (g.m > 0) for g in cores_up_to(12, 5))
     assert len(certified) == len(set(certified)) == 6 * chains
-    # the single step w-1 -> w is the walk's report at w
-    for p in (3, 5, 7):
-        for gamma in cores_up_to(12, p):
-            assert verify_ratio_chain(gamma, p, 6) == [
-                verify_ratio_identities(gamma, p, w) for w in range(1, 7)]
 
 
 class TestComparisons:

@@ -67,3 +67,43 @@ def test_guard_finds_dead_private_names():
 
 def test_no_dead_private_name():
     assert dead_private_names(path.read_text() for path in SRC.glob("*.py")) == []
+
+
+def is_call_to(node, name):
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name)
+
+
+def sorting_bar_partitions(source):
+    """Lines of BarPartition(...) calls that sort their own parts: the
+    canonical part order belongs to make_bar_partition, which is exempt."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "make_bar_partition":
+            return
+        if is_call_to(node, "BarPartition") and any(
+                is_call_to(sub, "sorted") for sub in ast.walk(node) if sub is not node):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return lines
+
+
+def test_guard_finds_sorting_bar_partitions():
+    source = ("def make_bar_partition(parts):\n"
+              "    return BarPartition(tuple(sorted(parts, reverse=True)))\n"
+              "a = BarPartition(tuple(sorted(x, reverse=True)))\n"
+              "b = barpart.BarPartition(parts=tuple(sorted(y)))\n"
+              "c = [BarPartition(tuple(sorted(z))) for z in zs]\n"
+              "d = BarPartition(tuple(x))\n"
+              "e = sorted(BarPartition(x) for x in xs)\n")
+    assert sorting_bar_partitions(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_part_order_has_one_owner(path):
+    assert sorting_bar_partitions(path.read_text()) == []

@@ -12,6 +12,7 @@ from spinblocks.barpart import (
     weight_tower,
 )
 from spinblocks.spinchar import (
+    GroupTag,
     alt,
     characters_of_label,
     sigma,
@@ -103,11 +104,15 @@ class TestSplitting:
     def test_group_mismatch(self):
         with pytest.raises(ValueError):
             characters_of_label(bp(3), sym(4))
+        with pytest.raises(ValueError, match="group kind must be 'S' or 'A', got 'B'"):
+            GroupTag("B", 5)
 
     def test_degenerate_one_letter(self):
-        # the label (1) has sigma = +1 with odd degree 1: no consistent split
-        with pytest.raises(RuntimeError):
+        # the label (1) has sigma = +1 with odd degree 1: GroupTag refuses the group
+        with pytest.raises(ValueError, match="n >= 2, got 1"):
             characters_of_label(bp(1), alt(1))
+        with pytest.raises(ValueError, match="n >= 2, got 1"):
+            characters_of_label(bp(1), "A")
 
 
 class TestCharacterCounts:

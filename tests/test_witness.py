@@ -109,6 +109,14 @@ class TestVerifyWitness:
         assert bad.checks["degrees_distinct"] is False
         assert not bad.verified
 
+    def test_detects_congruence_failure(self, monkeypatch):
+        cert = build_witness(bp(1), 3, 3)
+        monkeypatch.setattr(witness, "_pprime_residue", lambda lam, p: 0)
+        bad = verify_witness(cert)
+        assert bad.checks["congruence_ok"] is False
+        assert not bad.verified
+        assert "p'-part residues 0, 0 not congruent to +-1 mod 3" in bad.notes
+
 
 class TestBlockMembership:
     def test_flags_label_outside_block(self):
