@@ -261,7 +261,9 @@ def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
 
 
 def valuation(x: int, p: int) -> int:
-    """Largest k with p**k dividing x (x nonzero)."""
+    """Largest k with p**k dividing x (x nonzero, base p >= 2)."""
+    if p < 2:
+        raise ValueError("valuation base must be >= 2, got %r" % (p,))
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
     x = abs(x)
@@ -319,19 +321,31 @@ def _runner_pair_parts(mu: tuple[int, ...], charge: int, j: int, p: int) -> list
     return parts
 
 
+def _core_run(charge: int, j: int, p: int) -> range:
+    """Parts on runners j and p-j of the empty quotient at the given charge.
+
+    The arithmetic run j, j+p, ..., j+(c-1)p for c > 0, and p-j+(|c|-1)p,
+    ..., p-j (decreasing, as _runner_pair_parts lists it) for c < 0.
+    """
+    if charge >= 0:
+        return range(j, j + charge * p, p)
+    return range(p - j - (charge + 1) * p, 0, -p)
+
+
 def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     """(core, w) of lam from its residue-class abacus, without removing a bar.
 
     Removing a p-bar never changes the runner-pair charges c_j - c_{p-j}
     (Olsson 1993), and a p-bar-core is the empty partition at those charges
-    on every runner pair, so the core is read off the charges in O(m).
+    on every runner pair, so the core is one arithmetic run per runner pair
+    (_core_run), read off the charges in O(m).
     Agreement of w with the count of bar lengths divisible by p and with
     |lam| = |core| + p*w is asserted, as in bar_core_and_weight.
     """
     _check_odd_prime(p)
     parts = []
     for j, charge in enumerate(_runner_charges(lam, p), start=1):
-        parts.extend(_runner_pair_parts((), charge, j, p))
+        parts.extend(_core_run(charge, j, p))
     core = make_bar_partition(parts)
     w, rest = divmod(lam.n - core.n, p)
     if rest:
@@ -384,7 +398,9 @@ def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
     """All p-bar-cores of size <= max_size, by size, then decreasing lexicographic.
 
     A p-bar-core has nothing on runner 0 and, on each runner pair (j, p-j),
-    the empty partition at some signed bead count c.
+    the empty partition at some signed bead count c: the arithmetic run
+    j, j+p, ..., j+(c-1)p for c > 0 and p-j, ..., p-j+(|c|-1)p for c < 0
+    (_core_run).
     """
     _check_odd_prime(p)
     cores = [()] if max_size >= 0 else []
@@ -394,11 +410,11 @@ def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
             grown.append(parts)
             for step in (1, -1):
                 charge = step
-                run = _runner_pair_parts((), charge, j, p)
+                run = _core_run(charge, j, p)
                 while sum(parts) + sum(run) <= max_size:
                     grown.append(parts + tuple(run))
                     charge += step
-                    run = _runner_pair_parts((), charge, j, p)
+                    run = _core_run(charge, j, p)
         cores = grown
     out = sorted(map(make_bar_partition, cores), reverse=True)
     return sorted(out, key=lambda lam: lam.n)

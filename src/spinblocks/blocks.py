@@ -49,6 +49,7 @@ class SpinBlock:
 def height_zero_valuation(n: int, p: int, w: int) -> int:
     """v_p(n!) - v_p((pw)!): the degree valuation of the height-zero
     characters of a spin block of n with weight w, read off its defect group."""
+    _check_odd_prime(p)
 
     def fact_val(k):  # Legendre: v_p(k!) = sum of k // p**i
         total = 0

@@ -200,14 +200,12 @@ def cmd_verify(args):
                         "direct": check.direct,
                     })
     elif args.kind == "thm35":
-        grid = [
-            (gamma, w)
-            for gamma in bar_cores_up_to(args.max_core, args.p)
-            if gamma.m
-            for w in range(1, args.max_w + 1)
-        ]
-        for gamma, w in grid:
-            res = constructions.compare_constructions(gamma, args.p, w)
+        # one decomposition per nonempty core, compared at every w
+        decs = (constructions.decompose_core(gamma, args.p)
+                for gamma in bar_cores_up_to(args.max_core, args.p) if gamma.m)
+        results = (constructions._compare_constructions(dec, w)
+                   for dec in decs for w in range(1, args.max_w + 1))
+        for res in results:
             checked += 1
             if not res.verified:
                 failures.append({

@@ -11,18 +11,22 @@ abacus core (barpart.abacus_core): core gamma, weight w and the expected
 number of parts, or a RuntimeError.
 
 For each family the ratio of bar-length products between consecutive
-weights has an exact closed form, split into its unmixed and mixed factors;
-each is one Fraction of two integer products. Every closed form here is
-checked (in tests and via verify_ratio_chain) against the direct quotient
-of the two labels' bar products, taken from their parts by Schur's formula
-(barpart.bar_products).
+weights has an exact closed form, split into its unmixed and mixed factors.
+Privately each is an unreduced (numerator, denominator) pair of integer
+products with a positive denominator; the public ratio functions return it
+reduced, as a Fraction. Every closed form here is checked (in tests and via
+verify_ratio_chain) against the direct quotient of the two labels' bar
+products, taken from their parts by Schur's formula (barpart.bar_products),
+by cross-multiplying the two pairs: no Fraction, and so no gcd, is built
+unless a check fails and its values are read.
 
-Each public construction and ratio function decomposes its core and calls a
-private function of the CoreDecomposition. verify_ratio_chain decomposes a
-core once and walks each of its weight chains once, w = 1, 2, ...: every
-label is built, certified and given its bar products once, and those
-products are the w-1 side of the next step. compare_constructions
-decomposes once per (core, w).
+Each public construction, ratio and comparison function checks its inputs,
+decomposes its core and calls a private function of the CoreDecomposition.
+verify_ratio_chain decomposes a core once and walks each of its weight
+chains once, w = 1, 2, ...: every label is built, certified and given its
+bar products once, and those products are the w-1 side of the next step.
+The thm35 sweep of the CLI decomposes each core once and compares every w
+on that decomposition (_compare_constructions).
 """
 
 from __future__ import annotations
@@ -152,17 +156,16 @@ def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:
     dec = decompose_core(gamma, p)
     _check_class(dec, i)
     _check_w(w)
-    return _grow_class_ratio_parts(dec, i, w)
+    return tuple(Fraction(*pair) for pair in _grow_class_ratio_parts(dec, i, w))
 
 
 def _grow_class_ratio_parts(dec, i, w):
     p, ei, e = dec.p, dec.e[i], dec.e
     unmixed = p * w * math.prod(abs(p * (w - 1) + ei - e[j]) for j in range(p) if j != i)
     others = [j for j in dec.nonempty if j != i]
-    mixed = Fraction(
-        (2 * ei + p * (w - 1)) * math.prod(ei + e[j] + p * w for j in others),
-        (ei + p * (w - 1) + i) * math.prod(ei + p * (w - 1) + j for j in others))
-    return Fraction(unmixed), mixed
+    mixed = ((2 * ei + p * (w - 1)) * math.prod(ei + e[j] + p * w for j in others),
+             (ei + p * (w - 1) + i) * math.prod(ei + p * (w - 1) + j for j in others))
+    return (unmixed, 1), mixed
 
 
 def grow_class_ratio(gamma, p, i, w) -> Fraction:
@@ -177,7 +180,7 @@ def grow_class_ratio(gamma, p, i, w) -> Fraction:
     dec = decompose_core(gamma, p)
     _check_class(dec, i)
     _check_w(w)
-    return _grow_class_ratio(dec, i, w)
+    return Fraction(*_grow_class_ratio(dec, i, w))
 
 
 def _grow_class_ratio(dec, i, w):
@@ -187,7 +190,7 @@ def _grow_class_ratio(dec, i, w):
                          for j in dec.nonempty if j != i)
              * math.prod(abs(p * w + ei - k) for k in range(p)
                          if not classes[k] and not classes[(p - k) % p]))
-    return Fraction(total)
+    return total, 1
 
 
 def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
@@ -199,18 +202,18 @@ def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
     dec = decompose_core(gamma, p)
     _check_nonempty(gamma)
     _check_w(w)
-    return _add_part_ratio_parts(dec, w)
+    return tuple(Fraction(*pair) for pair in _add_part_ratio_parts(dec, w))
 
 
 def _add_part_ratio_parts(dec, w):
     parts, p, e = dec.gamma.parts, dec.p, dec.e
     if w > 1:
         unmixed = p * w * math.prod(abs(p * (w - 1) - e[j]) for j in range(1, p))
-        mixed = Fraction(math.prod(e[j] + p * w for j in dec.nonempty),
-                         math.prod(p * (w - 1) + j for j in dec.nonempty))
-        return Fraction(unmixed), mixed
-    unmixed = Fraction(p * math.prod(abs(e[j]) for j in range(1, p)), math.prod(parts))
-    return unmixed, Fraction(math.prod(a + p for a in parts))
+        mixed = (math.prod(e[j] + p * w for j in dec.nonempty),
+                 math.prod(p * (w - 1) + j for j in dec.nonempty))
+        return (unmixed, 1), mixed
+    unmixed = (p * math.prod(abs(e[j]) for j in range(1, p)), math.prod(parts))
+    return unmixed, (math.prod(a + p for a in parts), 1)
 
 
 def add_part_ratio(gamma, p, w) -> Fraction:
@@ -218,31 +221,46 @@ def add_part_ratio(gamma, p, w) -> Fraction:
     dec = decompose_core(gamma, p)
     _check_nonempty(gamma)
     _check_w(w)
-    return _add_part_ratio(dec, w)
+    return Fraction(*_add_part_ratio(dec, w))
 
 
 def _add_part_ratio(dec, w):
     parts, p, e = dec.gamma.parts, dec.p, dec.e
     if w > 1:
         # empty classes contribute a factor 1 to the quotient
-        return Fraction(
-            p * w * math.prod(abs(p * (w - 1) - e[j]) * (p * w + e[j]) for j in range(1, p)),
-            math.prod(p * (w - 1) + j for j in range(1, p)))
-    return Fraction(p * math.prod(abs(e[j]) for j in range(1, p)) * math.prod(a + p for a in parts),
-                    math.prod(parts))
+        return (p * w * math.prod(abs(p * (w - 1) - e[j]) * (p * w + e[j]) for j in range(1, p)),
+                math.prod(p * (w - 1) + j for j in range(1, p)))
+    return (p * math.prod(abs(e[j]) for j in range(1, p)) * math.prod(a + p for a in parts),
+            math.prod(parts))
 
 
 @dataclass(frozen=True)
 class RatioCheck:
+    """One closed form of a step against its direct quotient of bar products.
+
+    Both sides are unreduced (numerator, denominator) pairs of integers with
+    positive denominators, so ok is the cross-multiplication a*d == b*c.
+    closed_form and direct are the reduced Fractions, built only when read.
+    """
+
     identity: str
     residue: int | None  # class index for grow_class chains, None for add_part
     w: int
-    closed_form: Fraction
-    direct: Fraction
+    closed_pair: tuple[int, int]
+    direct_pair: tuple[int, int]
 
     @property
     def ok(self) -> bool:
-        return self.closed_form == self.direct
+        (a, b), (c, d) = self.closed_pair, self.direct_pair
+        return a * d == b * c
+
+    @property
+    def closed_form(self) -> Fraction:
+        return Fraction(*self.closed_pair)
+
+    @property
+    def direct(self) -> Fraction:
+        return Fraction(*self.direct_pair)
 
 
 @dataclass(frozen=True)
@@ -264,13 +282,13 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioRep
     Each report compares every applicable closed form of the step w-1 -> w
     with the direct quotient of the bar products (Schur's formula on the
     parts) of the constructed labels at weights w and w-1; equality is
-    exact, never approximate. One walk up each weight chain of the core:
-    every label is built, certified and given its bar products once, and
-    those products serve both steps it belongs to. The w-1 side of the step
-    to w = 1 is the core itself.
+    exact, by cross-multiplying integer pairs (RatioCheck). One walk up each
+    weight chain of the core: every label is built, certified and given its
+    bar products once, and those products serve both steps it belongs to.
+    The w-1 side of the step to w = 1 is the core itself.
     """
     dec = decompose_core(gamma, p)
-    # (identity, residue, label, closed-form parts, closed-form total), each a function of w
+    # (identity, residue, label, closed-form part pairs, total pair), each a function of w
     chains = [("grow-class", i, partial(_grow_class, dec, i),
                partial(_grow_class_ratio_parts, dec, i), partial(_grow_class_ratio, dec, i))
               for i in dec.nonempty]
@@ -290,10 +308,9 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioRep
             (ua, ma), (ub, mb) = cur, prev[k]
             prev[k] = cur
             cu, cm = parts(w)
-            checks += (RatioCheck(identity + "-unmixed", residue, w, cu, Fraction(ua, ub)),
-                       RatioCheck(identity + "-mixed", residue, w, cm, Fraction(ma, mb)),
-                       RatioCheck(identity + "-total", residue, w, total(w),
-                                  Fraction(ua * ma, ub * mb)))
+            checks += (RatioCheck(identity + "-unmixed", residue, w, cu, (ua, ub)),
+                       RatioCheck(identity + "-mixed", residue, w, cm, (ma, mb)),
+                       RatioCheck(identity + "-total", residue, w, total(w), (ua * ma, ub * mb)))
         reports.append(RatioReport(gamma, p, w, tuple(checks), notes))
     return reports
 
@@ -330,7 +347,11 @@ def compare_constructions(gamma: BarPartition, p: int, w: int) -> ComparisonResu
     """
     _check_nonempty(gamma)
     _check_w(w)
-    dec = decompose_core(gamma, p)
+    return _compare_constructions(decompose_core(gamma, p), w)
+
+
+def _compare_constructions(dec, w):
+    gamma, p = dec.gamma, dec.p
     order = sorted(dec.nonempty, key=lambda j: dec.e[j], reverse=True)
     if len({dec.e[j] for j in dec.nonempty}) != len(dec.nonempty):
         raise RuntimeError("top class values are not pairwise distinct for %s" % gamma)

@@ -12,6 +12,8 @@ from spinblocks.barpart import (
     TYPE3,
     Bar,
     BarPartition,
+    _core_run,
+    _runner_pair_parts,
     abacus_core,
     bar_core_and_weight,
     bar_cores_up_to,
@@ -371,6 +373,12 @@ class TestBarCoresUpTo:
         with pytest.raises(ValueError):
             bar_cores_up_to(5, 9)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_core_run_is_the_empty_quotient(self, p):
+        for j in range(1, p):
+            for charge in range(-15, 16):
+                assert list(_core_run(charge, j, p)) == _runner_pair_parts((), charge, j, p)
+
 
 def test_valuation():
     assert valuation(240, 3) == 1
@@ -379,3 +387,9 @@ def test_valuation():
     assert valuation(250, 5) == 3
     with pytest.raises(ValueError):
         valuation(0, 3)
+
+
+@pytest.mark.parametrize("base", [1, -1, 0])
+def test_valuation_rejects_base_below_two(base):
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        valuation(5, base)

@@ -162,6 +162,11 @@ class TestHeightZeroCriterion:
         assert height_zero_valuation(5, 3, 0) == 1     # defect zero: v_3(5!)
         assert height_zero_valuation(50, 5, 10) == 0   # v_5(50!) = v_5(50!) = 12
 
+    @pytest.mark.parametrize("p", [1, 2, 9, -3])
+    def test_closed_form_rejects_bad_prime(self, p):
+        with pytest.raises(ValueError, match="odd prime"):
+            height_zero_valuation(10, p, 2)
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_agrees_with_heights(self, p):
         for n in range(2, 17):

@@ -53,6 +53,15 @@ def refuse_bar_work(monkeypatch):
         barpart.remove_bar(barpart.BarPartition((3,)), barpart.Bar(barpart.TYPE2, 3, y=3))
 
 
+def one_more(ratio):
+    """ratio, a function returning a (numerator, denominator) pair, raised by 1."""
+    def patched(*args):
+        num, den = ratio(*args)
+        return num + den, den
+
+    return patched
+
+
 class TestBars:
     def test_basic(self, capsys):
         rc, rec = run_json(capsys, "bars", "8,1")
@@ -178,10 +187,24 @@ class TestVerify:
         assert rec["payload"]["failures"] == []
 
 
+    @pytest.mark.parametrize("kind", ["ratios", "thm35"])
+    def test_builds_no_fraction(self, capsys, monkeypatch, kind):
+        # the closed forms are checked by cross-multiplying integer pairs
+        def refuse(*args):
+            raise AssertionError("built a Fraction")
+
+        monkeypatch.setattr(constructions, "Fraction", refuse)
+        with pytest.raises(AssertionError):
+            constructions.grow_class_ratio(barpart.BarPartition((1,)), 3, 1, 1)
+        rc, rec = run_json(capsys, "verify", kind, "--p", "5", "--max-core", "12", "--max-w", "6")
+        assert rc == 0
+        assert rec["status"] == "pass"
+        assert rec["payload"]["checked"] > 0
+
     @pytest.mark.parametrize("kind, fault, first", [
         # a grow_class total one too large: grow (1) -> (4) at p=3, w=1 has ratio 24
         ("ratios",
-         lambda real: ("_grow_class_ratio", lambda *a, f=real._grow_class_ratio: f(*a) + 1),
+         lambda real: ("_grow_class_ratio", one_more(real._grow_class_ratio)),
          {"core": "1", "w": 1, "identity": "grow-class-total", "residue": 1,
           "closed_form": "25", "direct": "24"}),
         # bar products replaced by (1, number of parts): the grown label never wins

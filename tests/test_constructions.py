@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,12 @@ from spinblocks.cli import main
 from spinblocks.constructions import (
     TWO_CLASSES,
     UNIQUE_CLASS,
+    RatioCheck,
+    _add_part_ratio,
+    _add_part_ratio_parts,
     _certify,
+    _grow_class_ratio,
+    _grow_class_ratio_parts,
     add_part_pw,
     add_part_ratio,
     add_part_ratio_parts,
@@ -194,6 +200,21 @@ class TestRatioValues:
         with pytest.raises(ValueError):
             add_part_ratio(EMPTY, 3, 2)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_private_pairs_reduce_to_public_fractions(self, p):
+        for gamma in bar_cores_up_to(15, p):
+            if not gamma.m:
+                continue
+            dec = decompose_core(gamma, p)
+            for w in range(1, 7):
+                for i in dec.nonempty:
+                    assert Fraction(*_grow_class_ratio(dec, i, w)) == grow_class_ratio(gamma, p, i, w)
+                    assert (tuple(Fraction(*pair) for pair in _grow_class_ratio_parts(dec, i, w))
+                            == grow_class_ratio_parts(gamma, p, i, w))
+                assert Fraction(*_add_part_ratio(dec, w)) == add_part_ratio(gamma, p, w)
+                assert (tuple(Fraction(*pair) for pair in _add_part_ratio_parts(dec, w))
+                        == add_part_ratio_parts(gamma, p, w))
+
 
 class TestRatioIdentities:
     def test_report_structure(self):
@@ -218,6 +239,25 @@ class TestRatioIdentities:
             reports = verify_ratio_chain(gamma, p, 3)
             assert [r.w for r in reports] == [1, 2, 3]
             assert all(r.all_ok for r in reports)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_cross_multiplication_is_fraction_equality(self, p):
+        for gamma in bar_cores_up_to(15, p):
+            if not gamma.m:
+                continue
+            for report in verify_ratio_chain(gamma, p, 6):
+                for check in report.checks:
+                    assert check.closed_pair[1] > 0 and check.direct_pair[1] > 0
+                    assert check.ok == (check.closed_form == check.direct)
+                    assert check.ok
+                    a, b = check.closed_pair
+                    assert not replace(check, closed_pair=(a + 1, b)).ok
+
+    def test_unequal_pairs_fail(self):
+        check = RatioCheck("grow-class-total", 1, 1, (50, 2), (24, 1))
+        assert not check.ok
+        assert (check.closed_form, check.direct) == (25, 24)
+        assert RatioCheck("grow-class-total", 1, 1, (48, 2), (72, 3)).ok
 
     def test_telescoping(self):
         # the product of step ratios recovers the full quotient H(lam)/H(gamma)
@@ -247,6 +287,19 @@ def test_ratio_chain_certifies_each_label_once(monkeypatch, capsys):
     # one grow_class chain per occupied class, one add_part chain per nonempty core
     chains = sum(len(decompose_core(g, 5).nonempty) + (g.m > 0) for g in cores_up_to(12, 5))
     assert len(certified) == len(set(certified)) == 6 * chains
+
+
+def test_thm35_decomposes_each_core_once(monkeypatch, capsys):
+    decomposed = []
+
+    def counting(gamma, p):
+        decomposed.append(gamma)
+        return decompose_core(gamma, p)
+
+    monkeypatch.setattr(constructions, "decompose_core", counting)
+    assert main(["verify", "thm35", "--p", "5", "--max-core", "12", "--max-w", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert decomposed == [g for g in bar_cores_up_to(12, 5) if g.m]
 
 
 class TestComparisons:

@@ -30,9 +30,13 @@ GOLDEN = [
     ("verify thm35 --p 5 --max-core 25 --max-w 10", 0, "79b2890c69dbb37c6b109d5f08257f096b6b2d8d8fa2bcb5c61b479234afe1da"),
     ("verify ratios --p 7 --max-core 20 --max-w 10", 0, "066fba32d0f6fced79968b5fdd1fad18cc4141d90cb37716fdf2ba991f243285"),
     ("verify prop36 --p 5 --max-w 40", 0, "7cf0920ae80cbf56dfd29b001174805775f1e17cd79647d6b0afb2c41461f1ac"),
+    ("verify thm35 --p 7 --max-core 20 --max-w 10", 0, "4b17844c6e6f35f8aee03f6c386f19bc7d19baefb11654a1fa8444b8275892ad"),
+    ("verify prop36 --p 7 --max-w 42", 0, "89a9b7f6088a96f0f684d9351a5d3b86947afa1da828fbe5b699189ee4a7ebd6"),
     # CSV of payloads that hold lists
     ("verify prop36 --p 3 --max-w 3 --format csv", 0, "6980eca8a1f7caa7be8deb191667539a26951bd72978d643bb035d0849b0040b"),
     ("bars 3,1 --p 3 --format csv", 0, "05bb9c357829fbebe9ca51b00064db0809b68e1274c04798310d67d878cdc366"),
+    ("verify ratios --p 3 --max-core 8 --max-w 3 --format csv", 0, "9dd1bba95a1a8944cdb84973442091bc1228d772114fbd6838ac8c0229196a7c"),
+    ("verify thm35 --p 3 --max-core 8 --max-w 3 --format csv", 0, "381503690f594c7675dc8fce47e46d6514aa99d958eff34bd60f91f05b4255a3"),
 ]
 
 
