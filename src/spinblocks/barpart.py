@@ -142,18 +142,40 @@ def bar_products(lam: BarPartition) -> tuple[int, int]:
     return num // den, h_m
 
 
+def _residue_classes(lam: BarPartition, q: int) -> tuple[int, dict[int, int]]:
+    """(sum of a // q, {r: n_r}) over the parts a of lam, n_r of them = r mod q."""
+    quotients = 0
+    classes = {}
+    for a in lam.parts:
+        quotients += a // q
+        r = a % q
+        classes[r] = classes.get(r, 0) + 1
+    return quotients, classes
+
+
+def _divisible_count(q: int, quotients: int, classes: dict[int, int]) -> int:
+    """count_bar_lengths_divisible from the residue histogram _residue_classes(lam, q)."""
+    count = quotients
+    for r, n_r in classes.items():
+        if 2 * r % q:
+            count -= n_r * (n_r - 1) // 2
+            if 2 * r < q:
+                count += n_r * classes.get(q - r, 0)
+    return count
+
+
 def count_bar_lengths_divisible(lam: BarPartition, q: int) -> int:
-    """Number of bars of lam whose length is divisible by q, without building bars.
+    """Number of bars of lam whose length is divisible by q, in O(m) from the parts.
 
     Part a has a // q unmixed lengths in {1..a} divisible by q, less the
     differences a - b with smaller parts b; each pair a + b adds a mixed one.
+    With n_r parts congruent to r mod q, a pair in one residue class loses a
+    difference, a pair in opposite classes r, q - r gains a sum, and in a
+    class with 2r = 0 mod q the two cancel:
+
+        sum a // q + sum_{0 < r < q - r} n_r n_{q-r} - sum_{2r != 0} C(n_r, 2).
     """
-    count = 0
-    for idx, a in enumerate(lam.parts):
-        count += a // q
-        for b in lam.parts[idx + 1:]:
-            count += ((a + b) % q == 0) - ((a - b) % q == 0)
-    return count
+    return _divisible_count(q, *_residue_classes(lam, q))
 
 
 def remove_bar(lam: BarPartition, bar: Bar) -> BarPartition:
@@ -299,12 +321,10 @@ def enumerate_bar_partitions(n: int) -> list[BarPartition]:
     return [BarPartition(parts) for parts in _gen_distinct(n, n)]
 
 
-def _runner_charges(lam: BarPartition, p: int) -> list[int]:
-    """c_j - c_{p-j} for j = 1..(p-1)/2, where c_j counts the parts = j mod p."""
-    counts = [0] * p
-    for a in lam.parts:
-        counts[a % p] += 1
-    return [counts[j] - counts[p - j] for j in range(1, (p + 1) // 2)]
+def _runner_charges(classes: dict[int, int], p: int) -> tuple[int, ...]:
+    """c_j - c_{p-j} for j = 1..(p-1)/2, where c_j = classes[j] counts the
+    parts = j mod p (classes from _residue_classes(lam, p))."""
+    return tuple(classes.get(j, 0) - classes.get(p - j, 0) for j in range(1, (p + 1) // 2))
 
 
 def _runner_pair_parts(mu: tuple[int, ...], charge: int, j: int, p: int) -> list[int]:
@@ -340,17 +360,19 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     on every runner pair, so the core is one arithmetic run per runner pair
     (_core_run), read off the charges in O(m).
     Agreement of w with the count of bar lengths divisible by p and with
-    |lam| = |core| + p*w is asserted, as in bar_core_and_weight.
+    |lam| = |core| + p*w is asserted, as in bar_core_and_weight; the charges
+    and that count come from one residue histogram of the parts.
     """
     _check_odd_prime(p)
+    quotients, classes = _residue_classes(lam, p)
     parts = []
-    for j, charge in enumerate(_runner_charges(lam, p), start=1):
+    for j, charge in enumerate(_runner_charges(classes, p), start=1):
         parts.extend(_core_run(charge, j, p))
     core = make_bar_partition(parts)
     w, rest = divmod(lam.n - core.n, p)
     if rest:
         raise RuntimeError("size mismatch: |%s| - |%s| is not a multiple of %d" % (lam, core, p))
-    target_w = count_bar_lengths_divisible(lam, p)
+    target_w = _divisible_count(p, quotients, classes)
     if w != target_w:
         raise RuntimeError(
             "abacus core %s of %s has weight %d but %d bar lengths are divisible by %d"
@@ -383,7 +405,7 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
     if w < 0:
         raise ValueError("w must be nonnegative, got %d" % w)
-    charges = _runner_charges(gamma, p)
+    charges = _runner_charges(_residue_classes(gamma, p)[1], p)
     out = []
     for quotient in _quotients(w, len(charges)):
         parts = [p * k for k in quotient[0]]

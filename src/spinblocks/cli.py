@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import sys
@@ -330,7 +331,9 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process: main only reads it."""
     parser = argparse.ArgumentParser(
         prog="spinblocks",
         description="Exact bar-partition and spin-block computations for the"

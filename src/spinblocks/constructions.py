@@ -7,8 +7,11 @@ prescribed weight w are built:
 * grow_class: replace the top part e_i of the residue class i by e_i + p*w.
 
 Every built label, and both labels of principal_pair, is certified by its
-abacus core (barpart.abacus_core): core gamma, weight w and the expected
-number of parts, or a RuntimeError.
+runner charges (_certify): the same charges as gamma, |gamma| + p*w boxes,
+w bar lengths divisible by p and the expected number of parts, or a
+RuntimeError. A p-bar-core is determined by its runner charges (Olsson
+1993), so these checks say exactly what barpart.abacus_core(lam, p) ==
+(gamma, w) says, without building, sorting and validating a core per label.
 
 For each family the ratio of bar-length products between consecutive
 weights has an exact closed form, split into its unmixed and mixed factors.
@@ -26,7 +29,8 @@ verify_ratio_chain decomposes a core once and walks each of its weight
 chains once, w = 1, 2, ...: every label is built, certified and given its
 bar products once, and those products are the w-1 side of the next step.
 The thm35 sweep of the CLI decomposes each core once and compares every w
-on that decomposition (_compare_constructions).
+on that decomposition (_compare_constructions), and witness.scan builds
+every certificate of a core on one decomposition.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from functools import partial
 from .barpart import (
     EMPTY,
     BarPartition,
-    _check_odd_prime,
-    abacus_core,
+    _divisible_count,
+    _residue_classes,
+    _runner_charges,
     bar_products,
     is_bar_core,
     make_bar_partition,
@@ -54,7 +59,8 @@ class CoreDecomposition:
     classes[j] lists the parts congruent to j mod p (sorted increasing);
     d[j] is one less than the class size (-1 for an empty class) and
     e[j] = j + d[j]*p is the top value the class reaches; nonempty lists the
-    occupied classes in increasing order.
+    occupied classes in increasing order; charges are the runner charges
+    c_j - c_{p-j}, j = 1..(p-1)/2, that determine gamma (barpart._runner_charges).
     """
 
     p: int
@@ -63,6 +69,7 @@ class CoreDecomposition:
     d: tuple[int, ...]
     e: tuple[int, ...]
     nonempty: tuple[int, ...]
+    charges: tuple[int, ...]
 
 
 def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
@@ -81,16 +88,26 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
     d = tuple(len(cls) - 1 for cls in classes)
     e = tuple(j + d[j] * p for j in range(p))
     nonempty = tuple(j for j in range(p) if classes[j])
-    return CoreDecomposition(p, gamma, tuple(map(tuple, classes)), d, e, nonempty)
+    charges = _runner_charges(_residue_classes(gamma, p)[1], p)
+    return CoreDecomposition(p, gamma, tuple(map(tuple, classes)), d, e, nonempty, charges)
 
 
-def _certify(lam, gamma, p, w, expected_m):
-    """Check that lam has p-bar-core gamma, weight w and expected_m parts.
+def _certify(lam, dec, w, expected_m):
+    """Check that lam has p-bar-core dec.gamma, weight w and expected_m parts.
 
-    The core and weight come from the abacus, which itself asserts that w
-    equals the count of bar lengths divisible by p and |lam| = |gamma| + p*w.
+    Removing a p-bar keeps the runner charges, and a p-bar-core is
+    determined by its charges (Olsson 1993), so lam has core gamma exactly
+    when its charges are dec.charges. Its weight is then (|lam| - |gamma|)/p,
+    which must be w, as must the count of its bar lengths divisible by p.
+    These are the checks of barpart.abacus_core(lam, p) == (gamma, w), with
+    no core rebuilt: the charges and the count come from one residue
+    histogram of the parts, and the prime was checked when dec was made.
     """
-    if abacus_core(lam, p) != (gamma, w) or lam.m != expected_m:
+    gamma, p = dec.gamma, dec.p
+    quotients, classes = _residue_classes(lam, p)
+    if (lam.m != expected_m or lam.n != gamma.n + p * w
+            or _runner_charges(classes, p) != dec.charges
+            or _divisible_count(p, quotients, classes) != w):
         raise RuntimeError("construction for %s, p=%d, w=%d produced %s" % (gamma, p, w, lam))
     return lam
 
@@ -117,8 +134,8 @@ def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
 
 
 def _add_part_pw(dec, w):
-    gamma, p = dec.gamma, dec.p
-    return _certify(make_bar_partition(gamma.parts + (p * w,)), gamma, p, w, gamma.m + 1)
+    gamma = dec.gamma
+    return _certify(make_bar_partition(gamma.parts + (dec.p * w,)), dec, w, gamma.m + 1)
 
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
@@ -132,16 +149,20 @@ def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
 def _grow_class(dec, i, w):
     gamma, p, ei = dec.gamma, dec.p, dec.e[i]
     parts = tuple(ei + p * w if a == ei else a for a in gamma.parts)
-    return _certify(make_bar_partition(parts), gamma, p, w, gamma.m)
+    return _certify(make_bar_partition(parts), dec, w, gamma.m)
 
 
 def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
     """The labels (pw) and (pw-1, 1), both of empty core and weight w."""
-    _check_odd_prime(p)
+    dec = decompose_core(EMPTY, p)  # checks the prime
     if w < 2:
         raise ValueError("w must be >= 2, got %d" % w)
-    return (_certify(BarPartition((p * w,)), EMPTY, p, w, 1),
-            _certify(BarPartition((p * w - 1, 1)), EMPTY, p, w, 2))
+    return _principal_pair(dec, w)
+
+
+def _principal_pair(dec, w):
+    pw = dec.p * w
+    return _certify(BarPartition((pw,)), dec, w, 1), _certify(BarPartition((pw - 1, 1)), dec, w, 2)
 
 
 def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:

@@ -10,8 +10,9 @@ certifying builds no bar table.  A certificate needs only its two labels:
 height zero is the defect-group minimum of the degree valuation
 (blocks.height_zero_valuation), so neither building nor verifying it builds
 the block.  scan certifies every block from its (core, w) alone, walking
-each p-bar-core's weights once; check_conjecture stays block-based as the
-descriptive report and the oracle for scan.
+each p-bar-core's weights once on one decomposition of the core;
+check_conjecture stays block-based as the descriptive report and the oracle
+for scan.
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ from .blocks import (
     spin_block,
     spin_blocks,
 )
-from .constructions import TWO_CLASSES, compare_constructions, principal_pair
+from .constructions import (
+    TWO_CLASSES,
+    _compare_constructions,
+    _principal_pair,
+    decompose_core,
+)
 from .spinchar import alt_degree, sigma
 
 CASE_EMPTY_CORE = "empty-core"
@@ -88,11 +94,17 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
             "block (core %s, w=%d) has no witness pair: only the empty core"
             " with w >= 2 is accepted below w = p" % (gamma, w)
         )
+    return _build_witness(decompose_core(gamma, p), w)
+
+
+def _build_witness(dec, w):
+    """build_witness on a decomposed core, for a block witness_eligible names."""
+    p, gamma = dec.p, dec.gamma
     if gamma.m == 0:
-        label_a, label_b = principal_pair(p, w)
+        label_a, label_b = _principal_pair(dec, w)
         case = CASE_EMPTY_CORE
     else:
-        pair = compare_constructions(gamma, p, w)
+        pair = _compare_constructions(dec, w)
         label_a, label_b = pair.larger, pair.smaller
         if pair.case == TWO_CLASSES:
             case = CASE_TWO_CLASSES
@@ -252,7 +264,8 @@ def scan(max_n: int, primes) -> ScanSummary:
 
     Each block is one pair (p-bar-core, w) of n = |core| + p*w, so the sweep
     walks the weights of each core from bar_cores_up_to(max_n, p), skipping
-    n < 4, and builds only the witnesses.  A verified witness already shows
+    n < 4, and builds only the witnesses, decomposing a core once, at its
+    first non-abelian block.  A verified witness already shows
     two height-zero degrees that differ; only a block whose witness fails is
     built, for the equal-degree test, and named in the notes in walk order
     (core, then w).  A prime given twice is refused, since it would count
@@ -271,6 +284,7 @@ def scan(max_n: int, primes) -> ScanSummary:
     notes = []
     for p in primes:
         for core in bar_cores_up_to(max_n, p):
+            dec = None
             for w in range((max_n - core.n) // p + 1):
                 n = core.n + p * w
                 if n < 4:
@@ -279,7 +293,9 @@ def scan(max_n: int, primes) -> ScanSummary:
                 counts[(p, dc)] = counts.get((p, dc), 0) + 1
                 if dc != NON_ABELIAN:
                     continue
-                cert = build_witness(core, p, w)
+                if dec is None:
+                    dec = decompose_core(core, p)
+                cert = _build_witness(dec, w)
                 if cert.verified:
                     witnesses += 1
                     continue

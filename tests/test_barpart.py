@@ -142,7 +142,7 @@ class TestBars:
         assert prod == table.h_total
 
 
-DIVISORS = (2, 3, 5, 7, 9, 11, 25)
+DIVISORS = (2, 3, 4, 5, 6, 7, 9, 11, 25)
 
 
 def assert_products_and_counts_match_bars(lam):

@@ -254,6 +254,22 @@ class TestWitness:
         assert rc == 2
         assert "no spin block" in err
 
+    def test_verifier_derives_cores_by_abacus(self, capsys, monkeypatch):
+        # building certifies by runner charges; verifying re-derives both
+        # labels' cores on its own, through the abacus
+        derived = []
+        abacus = witness.abacus_core
+
+        def counting(lam, p):
+            derived.append(barpart.format_partition(lam))
+            return abacus(lam, p)
+
+        monkeypatch.setattr(witness, "abacus_core", counting)
+        rc, rec = run_json(capsys, "witness", "--core", "1", "--w", "14", "--p", "3")
+        assert rc == 0 and rec["status"] == "pass"
+        (cert,) = rec["payload"]["certificates"]
+        assert derived == [cert["label_a"], cert["label_b"]]
+
     @pytest.mark.parametrize("p", [3, 5])
     def test_targets_are_the_qualifying_blocks(self, p):
         for n in range(1, 31):
@@ -283,9 +299,9 @@ class TestCheck:
     def test_failed_block_is_reported(self, capsys, monkeypatch, fault):
         # a verified witness already proves the degrees unequal, so check
         # runs the equal-degree test only on a block whose witness failed
-        build = witness.build_witness
-        monkeypatch.setattr(witness, "build_witness", lambda core, p, w: replace(
-            build(core, p, w), checks={"same_block": False}, notes=("forced failure",)))
+        build = witness._build_witness
+        monkeypatch.setattr(witness, "_build_witness", lambda dec, w: replace(
+            build(dec, w), checks={"same_block": False}, notes=("forced failure",)))
         if fault == "equal-degree":
             monkeypatch.setattr(witness, "equal_degree_test", lambda block: (True, []))
         rc, rec = run_json(capsys, "check", "--max-n", "10", "--primes", "3")
@@ -337,6 +353,23 @@ class TestCheck:
         monkeypatch.setattr(blocks, "bar_cores_up_to", counting)
         witness.scan(30, [3, 5])
         assert calls == [(30, 3), (30, 5)]
+
+    def test_decomposes_each_core_once(self, capsys, monkeypatch):
+        # one decomposition per core with a non-abelian block (w >= p), the
+        # empty core included, shared by all of that core's certificates
+        decomposed = []
+        decompose = constructions.decompose_core
+
+        def counting(gamma, p):
+            decomposed.append((gamma, p))
+            return decompose(gamma, p)
+
+        monkeypatch.setattr(witness, "decompose_core", counting)
+        monkeypatch.setattr(constructions, "decompose_core", counting)
+        rc, rec = run_json(capsys, "check", "--max-n", "30", "--primes", "3,5")
+        assert rc == 0 and rec["status"] == "pass"
+        assert decomposed == [(core, p) for p in (3, 5) for core in barpart.bar_cores_up_to(30, p)
+                              if core.n + p * p <= 30]
 
     def test_rejects_tiny(self, capsys):
         rc, _out, err = run(capsys, "check", "--max-n", "3", "--primes", "3")

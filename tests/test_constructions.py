@@ -160,14 +160,37 @@ class TestConstructions:
 
 
 class TestCertify:
-    @pytest.mark.parametrize("gamma, w, expected_m", [
-        (bp(4, 2), 2, 2),   # (10, 1) has 3-bar-core (4, 1), not (4, 2)
-        (bp(4, 1), 3, 2),   # ... and weight 2, not 3
-        (bp(4, 1), 2, 3),   # ... and two parts, not three
+    @pytest.mark.parametrize("lam, gamma, p, w, expected_m", [
+        # (5, 4) has 5-bar-core (4) and weight 1; (3, 1) is a 5-bar-core of the same size
+        (bp(5, 4), bp(3, 1), 5, 1, 2),
+        (bp(10, 1), bp(4, 1), 3, 3, 2),   # (10, 1) has 3-bar-core (4, 1), weight 2, not 3
+        (bp(10, 1), bp(4, 1), 3, 2, 3),   # ... and two parts, not three
     ], ids=["wrong-core", "wrong-weight", "wrong-part-count"])
-    def test_wrong_label_raises(self, gamma, w, expected_m):
-        with pytest.raises(RuntimeError):
-            _certify(bp(10, 1), gamma, 3, w, expected_m)
+    def test_wrong_label_raises(self, lam, gamma, p, w, expected_m):
+        dec = decompose_core(gamma, p)
+        with pytest.raises(RuntimeError, match="construction for %s, p=%d, w=%d produced %s"
+                           % (gamma, p, w, lam)):
+            _certify(lam, dec, w, expected_m)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_same_verdict_as_abacus_core(self, p):
+        # exhaustive: the charge check accepts exactly the labels whose
+        # abacus core and weight are (gamma, w), among all strict partitions of n
+        decs = [decompose_core(gamma, p) for gamma in bar_cores_up_to(30, p)]
+        for n in range(31):
+            for lam in enumerate_bar_partitions(n):
+                core, weight = abacus_core(lam, p)
+                for dec in decs:
+                    w, rest = divmod(n - dec.gamma.n, p)
+                    if rest or w < 0:
+                        continue
+                    if (core, weight) == (dec.gamma, w):
+                        assert _certify(lam, dec, w, lam.m) is lam
+                        with pytest.raises(RuntimeError):
+                            _certify(lam, dec, w, lam.m + 1)
+                    else:
+                        with pytest.raises(RuntimeError):
+                            _certify(lam, dec, w, lam.m)
 
 
 class TestRatioValues:
@@ -277,11 +300,11 @@ class TestRatioIdentities:
 def test_ratio_chain_certifies_each_label_once(monkeypatch, capsys):
     certified = []
 
-    def counting(lam, p):
-        certified.append((lam, p))
-        return abacus_core(lam, p)
+    def counting(lam, dec, w, expected_m):
+        certified.append((lam, dec.p))
+        return _certify(lam, dec, w, expected_m)
 
-    monkeypatch.setattr(constructions, "abacus_core", counting)
+    monkeypatch.setattr(constructions, "_certify", counting)
     assert main(["verify", "ratios", "--p", "5", "--max-core", "12", "--max-w", "6"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     # one grow_class chain per occupied class, one add_part chain per nonempty core

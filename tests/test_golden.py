@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from spinblocks.cli import main
+from spinblocks.cli import build_parser, main
 
 # (command, exit code, SHA-256 of stdout)
 GOLDEN = [
@@ -47,3 +47,21 @@ def test_output_digest(capsys, command, code, digest):
     assert rc == code
     assert out.err == ""
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once(capsys):
+    # main reuses one parser: a usage error, or options given to an earlier
+    # command, must not leak into the next command's output
+    assert build_parser() is build_parser()
+    pinned = {command: (code, digest) for command, code, digest in GOLDEN}
+    for command in ("core 8,1 --p 3 --format csv", "verify ratios --p 3 --max-w x",
+                    "frobnicate", "core 30,17,2 --p 5",
+                    "verify prop36 --p 3 --max-w 3 --format csv",
+                    "verify ratios --p 3 --max-core 10 --max-w 4"):
+        rc = main(command.split())
+        out = capsys.readouterr()
+        if command in pinned:
+            assert (rc, hashlib.sha256(out.out.encode()).hexdigest()) == pinned[command]
+        else:
+            assert (rc, out.out) == (2, "")
+            assert "usage: spinblocks" in out.err

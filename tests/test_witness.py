@@ -227,12 +227,13 @@ class TestScan:
     def test_certifies_each_non_abelian_block_once(self, monkeypatch, p):
         # the totals alone would hide one block certified twice and another skipped
         calls = []
+        build = witness._build_witness
 
-        def recording(core, q, w):
-            calls.append((core, w))
-            return build_witness(core, q, w)
+        def recording(dec, w):
+            calls.append((dec.gamma, w))
+            return build(dec, w)
 
-        monkeypatch.setattr(witness, "build_witness", recording)
+        monkeypatch.setattr(witness, "_build_witness", recording)
         summary = scan(40, [p])
         targets = [target for n in range(4, 41) for target in block_targets(n, p)]
         assert sorted(calls) == sorted((core, w) for core, w in targets if w >= p)
