@@ -50,6 +50,8 @@ def height_zero_valuation(n: int, p: int, w: int) -> int:
     """v_p(n!) - v_p((pw)!): the degree valuation of the height-zero
     characters of a spin block of n with weight w, read off its defect group."""
     _check_odd_prime(p)
+    if not 0 <= p * w <= n:
+        raise ValueError("a block of n = %d has weight 0 <= w <= n/p, got w = %d" % (n, w))
 
     def fact_val(k):  # Legendre: v_p(k!) = sum of k // p**i
         total = 0

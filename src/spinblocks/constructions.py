@@ -28,9 +28,9 @@ decomposes its core and calls a private function of the CoreDecomposition.
 verify_ratio_chain decomposes a core once and walks each of its weight
 chains once, w = 1, 2, ...: every label is built, certified and given its
 bar products once, and those products are the w-1 side of the next step.
-The thm35 sweep of the CLI decomposes each core once and compares every w
-on that decomposition (_compare_constructions), and witness.scan builds
-every certificate of a core on one decomposition.
+_witness_pair alone picks the witness pair of a block (gamma, w), for the
+empty core too; principal_pair, compare_constructions (swept over every w
+of a core by the thm35 check of the CLI) and witness._build_witness read it.
 """
 
 from __future__ import annotations
@@ -57,18 +57,18 @@ class CoreDecomposition:
     """Residue-class data of a p-bar-core.
 
     classes[j] lists the parts congruent to j mod p (sorted increasing);
-    d[j] is one less than the class size (-1 for an empty class) and
-    e[j] = j + d[j]*p is the top value the class reaches; nonempty lists the
-    occupied classes in increasing order; charges are the runner charges
-    c_j - c_{p-j}, j = 1..(p-1)/2, that determine gamma (barpart._runner_charges).
+    e[j] = j + (|classes[j]| - 1)*p is the top value the class reaches;
+    nonempty lists the occupied classes in increasing order, top_order by
+    decreasing top value; charges are the runner charges c_j - c_{p-j},
+    j = 1..(p-1)/2, that determine gamma (barpart._runner_charges).
     """
 
     p: int
     gamma: BarPartition
     classes: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
     e: tuple[int, ...]
     nonempty: tuple[int, ...]
+    top_order: tuple[int, ...]
     charges: tuple[int, ...]
 
 
@@ -85,11 +85,14 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
     classes = [[] for _ in range(p)]
     for a in reversed(gamma.parts):
         classes[a % p].append(a)
-    d = tuple(len(cls) - 1 for cls in classes)
-    e = tuple(j + d[j] * p for j in range(p))
+    e = tuple(j + (len(cls) - 1) * p for j, cls in enumerate(classes))
     nonempty = tuple(j for j in range(p) if classes[j])
+    top_order = tuple(sorted(nonempty, key=e.__getitem__, reverse=True))
+    if len({e[j] for j in nonempty}) != len(nonempty):
+        raise RuntimeError("top class values are not pairwise distinct for %s" % gamma)
     charges = _runner_charges(_residue_classes(gamma, p)[1], p)
-    return CoreDecomposition(p, gamma, tuple(map(tuple, classes)), d, e, nonempty, charges)
+    return CoreDecomposition(p, gamma, tuple(map(tuple, classes)), e, nonempty, top_order,
+                             charges)
 
 
 def _certify(lam, dec, w, expected_m):
@@ -157,12 +160,26 @@ def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
     dec = decompose_core(EMPTY, p)  # checks the prime
     if w < 2:
         raise ValueError("w must be >= 2, got %d" % w)
-    return _principal_pair(dec, w)
+    return _witness_pair(dec, w)[1:]
 
 
-def _principal_pair(dec, w):
-    pw = dec.p * w
-    return _certify(BarPartition((pw,)), dec, w, 1), _certify(BarPartition((pw - 1, 1)), dec, w, 2)
+EMPTY_CORE = "empty-core"
+TWO_CLASSES = "two-classes"
+UNIQUE_CLASS = "unique-class"
+
+
+def _witness_pair(dec, w):
+    """(case, larger, smaller) for the block (dec.gamma, w): (pw), (pw-1, 1) for the
+    empty core (Prop. 3.6), else the labels grown from the two classes of largest
+    top value, or grown and added-part for a unique class (Thm. 3.5)."""
+    order = dec.top_order
+    if not order:
+        pw = dec.p * w
+        return (EMPTY_CORE, _certify(BarPartition((pw,)), dec, w, 1),
+                _certify(BarPartition((pw - 1, 1)), dec, w, 2))
+    if len(order) >= 2:
+        return TWO_CLASSES, _grow_class(dec, order[0], w), _grow_class(dec, order[1], w)
+    return UNIQUE_CLASS, _grow_class(dec, order[0], w), _add_part_pw(dec, w)
 
 
 def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:
@@ -336,10 +353,6 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioRep
     return reports
 
 
-TWO_CLASSES = "two-classes"
-UNIQUE_CLASS = "unique-class"
-
-
 @dataclass(frozen=True)
 class ComparisonResult:
     """Outcome of the strict bar-product comparison between two labels."""
@@ -372,20 +385,9 @@ def compare_constructions(gamma: BarPartition, p: int, w: int) -> ComparisonResu
 
 
 def _compare_constructions(dec, w):
-    gamma, p = dec.gamma, dec.p
-    order = sorted(dec.nonempty, key=lambda j: dec.e[j], reverse=True)
-    if len({dec.e[j] for j in dec.nonempty}) != len(dec.nonempty):
-        raise RuntimeError("top class values are not pairwise distinct for %s" % gamma)
-    if len(order) >= 2:
-        i1, i2 = order[0], order[1]
-        la, lb = _grow_class(dec, i1, w), _grow_class(dec, i2, w)
-        case = TWO_CLASSES
-    else:
-        (i,) = order
-        la, lb = _grow_class(dec, i, w), _add_part_pw(dec, w)
-        case = UNIQUE_CLASS
-    h_a, h_b = math.prod(bar_products(la)), math.prod(bar_products(lb))
-    return ComparisonResult(case, gamma, p, w, la, lb, h_a, h_b)
+    case, la, lb = _witness_pair(dec, w)
+    return ComparisonResult(case, dec.gamma, dec.p, w, la, lb,
+                            math.prod(bar_products(la)), math.prod(bar_products(lb)))
 
 
 @dataclass(frozen=True)

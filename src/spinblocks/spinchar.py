@@ -85,6 +85,7 @@ def alt_degree(lam: BarPartition) -> int:
 
     Half the "S" degree if sigma = +1, the full "S" degree if sigma = -1.
     """
+    alt(lam.n)  # the group's rule refuses n < 2
     d = spin_degree_sym(lam)
     if sigma(lam) == 1:
         if d % 2:

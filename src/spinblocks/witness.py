@@ -1,11 +1,12 @@
 """Witness pairs: two height-zero characters of distinct degrees per block.
 
 For every spin block of the alternating double cover with non-abelian
-defect (weight w >= p), a pair of labels is constructed by case analysis on
-the residue classes of the core, and every claimed property (same block,
-height zero, distinct degrees, the mod-p congruence of the p'-part of the
-bar product) is verified from scratch rather than trusted.  Block
-membership comes from the abacus core and the p'-residue from the parts, so
+defect (weight w >= p), a pair of labels is taken from the one case
+analysis on the residue classes of the core (constructions._witness_pair),
+and every claimed property (same block, height zero, distinct degrees, the
+mod-p congruence of the p'-part of the bar product) is verified from
+scratch rather than trusted.  Block membership comes from the abacus core
+and the p'-residue from the parts, so
 certifying builds no bar table.  A certificate needs only its two labels:
 height zero is the defect-group minimum of the degree valuation
 (blocks.height_zero_valuation), so neither building nor verifying it builds
@@ -36,16 +37,11 @@ from .blocks import (
     spin_block,
     spin_blocks,
 )
-from .constructions import (
-    TWO_CLASSES,
-    _compare_constructions,
-    _principal_pair,
-    decompose_core,
-)
+from .constructions import EMPTY_CORE, TWO_CLASSES, UNIQUE_CLASS, _witness_pair, decompose_core
 from .spinchar import alt_degree, sigma
 
-CASE_EMPTY_CORE = "empty-core"
-CASE_TWO_CLASSES = "two-classes"
+CASE_EMPTY_CORE = EMPTY_CORE
+CASE_TWO_CLASSES = TWO_CLASSES
 CASE_UNIQUE_EVEN = "unique-class-even"
 CASE_UNIQUE_ODD = "unique-class-odd"
 CASE_UNIQUE_ODD_P3_LARGE = "unique-class-odd-p3-large"
@@ -98,17 +94,12 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
 
 
 def _build_witness(dec, w):
-    """build_witness on a decomposed core, for a block witness_eligible names."""
+    """build_witness on a decomposed core, for a block witness_eligible names;
+    the case of a unique class is refined by sigma, p and the core."""
     p, gamma = dec.p, dec.gamma
-    if gamma.m == 0:
-        label_a, label_b = _principal_pair(dec, w)
-        case = CASE_EMPTY_CORE
-    else:
-        pair = _compare_constructions(dec, w)
-        label_a, label_b = pair.larger, pair.smaller
-        if pair.case == TWO_CLASSES:
-            case = CASE_TWO_CLASSES
-        elif sigma(label_a) == 1:
+    case, label_a, label_b = _witness_pair(dec, w)
+    if case == UNIQUE_CLASS:
+        if sigma(label_a) == 1:
             case = CASE_UNIQUE_EVEN
         elif p > 3:
             case = CASE_UNIQUE_ODD
@@ -268,12 +259,15 @@ def scan(max_n: int, primes) -> ScanSummary:
     first non-abelian block.  A verified witness already shows
     two height-zero degrees that differ; only a block whose witness fails is
     built, for the equal-degree test, and named in the notes in walk order
-    (core, then w).  A prime given twice is refused, since it would count
-    every block twice.
+    (core, then w).  An empty prime list is refused, since it certifies
+    nothing, and so is a prime given twice, since it would count every block
+    twice.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4, got %d" % max_n)
     primes = tuple(primes)
+    if not primes:
+        raise ValueError("scan needs at least one prime")
     for idx, p in enumerate(primes):
         _check_odd_prime(p)
         if p in primes[:idx]:

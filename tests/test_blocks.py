@@ -162,6 +162,11 @@ class TestHeightZeroCriterion:
         assert height_zero_valuation(5, 3, 0) == 1     # defect zero: v_3(5!)
         assert height_zero_valuation(50, 5, 10) == 0   # v_5(50!) = v_5(50!) = 12
 
+    @pytest.mark.parametrize("n, w", [(3, 5), (10, -1), (8, 3)])
+    def test_closed_form_rejects_impossible_weight(self, n, w):
+        with pytest.raises(ValueError, match="weight 0 <= w <= n/p"):
+            height_zero_valuation(n, 3, w)
+
     @pytest.mark.parametrize("p", [1, 2, 9, -3])
     def test_closed_form_rejects_bad_prime(self, p):
         with pytest.raises(ValueError, match="odd prime"):

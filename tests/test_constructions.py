@@ -56,9 +56,9 @@ class TestDecompose:
     def test_single_part(self):
         dec = decompose_core(bp(1), 3)
         assert dec.classes == ((), (1,), ())
-        assert dec.d == (-1, 0, -1)
         assert dec.e == (-3, 1, -1)
         assert dec.nonempty == (1,)
+        assert dec.top_order == (1,)
 
     def test_two_classes(self):
         dec = decompose_core(bp(3, 1), 5)
@@ -66,12 +66,13 @@ class TestDecompose:
         assert dec.classes[3] == (3,)
         assert dec.nonempty == (1, 3)
         assert dec.e[1] == 1 and dec.e[3] == 3
+        assert dec.top_order == (3, 1)
 
     def test_stacked_class(self):
         dec = decompose_core(bp(4, 1), 3)
         assert dec.classes[1] == (1, 4)
-        assert dec.d[1] == 1
         assert dec.e[1] == 4
+        assert dec.top_order == (1,)
 
     def test_rejects_non_core(self):
         with pytest.raises(ValueError):

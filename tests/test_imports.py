@@ -107,3 +107,37 @@ def test_guard_finds_sorting_bar_partitions():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_part_order_has_one_owner(path):
     assert sorting_bar_partitions(path.read_text()) == []
+
+
+def class_order_reads(source):
+    """Lines that read the top_order field of a CoreDecomposition: which two
+    labels witness a block is decided by _witness_pair alone, which is exempt."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "_witness_pair":
+            return
+        if (isinstance(node, ast.Attribute) and node.attr == "top_order"
+                and isinstance(node.ctx, ast.Load)):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return lines
+
+
+def test_guard_finds_class_order_reads():
+    source = ("def _witness_pair(dec, w):\n"
+              "    return dec.top_order[:2]\n"
+              "a = dec.top_order[0]\n"
+              "def pick(dec):\n"
+              "    return sorted(dec.top_order)\n"
+              "top_order = (1, 3)\n"
+              "b = CoreDecomposition(p, gamma, top_order=top_order)\n")
+    assert class_order_reads(source) == [3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_witness_pair_has_one_owner(path):
+    assert class_order_reads(path.read_text()) == []

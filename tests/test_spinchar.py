@@ -14,6 +14,7 @@ from spinblocks.barpart import (
 from spinblocks.spinchar import (
     GroupTag,
     alt,
+    alt_degree,
     characters_of_label,
     sigma,
     spin_degree_sym,
@@ -47,6 +48,11 @@ class TestDegree:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             spin_degree_sym(EMPTY)
+
+    def test_alternating_degree_rejects_one_letter(self):
+        # (1) labels the symmetric cover on one letter; the alternating one needs n >= 2
+        with pytest.raises(ValueError, match="alternating double cover needs n >= 2, got 1"):
+            alt_degree(bp(1))
 
     def test_builds_no_bar_table(self, monkeypatch):
         labels = [bp(3), bp(8, 1), bp(6, 2, 1), bp(30, 17, 2), bp(25, 11, 7, 4, 1)]

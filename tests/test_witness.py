@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinblocks import witness
-from spinblocks.barpart import EMPTY, bars, enumerate_bar_partitions, make_bar_partition, valuation
+from spinblocks import constructions, witness
+from spinblocks.barpart import (
+    EMPTY,
+    bar_cores_up_to,
+    bars,
+    enumerate_bar_partitions,
+    make_bar_partition,
+    valuation,
+)
 from spinblocks.blocks import (
     NON_ABELIAN,
     block_targets,
@@ -25,6 +32,7 @@ from spinblocks.witness import (
     check_conjecture,
     scan,
     verify_witness,
+    witness_eligible,
 )
 
 
@@ -74,6 +82,21 @@ class TestBuildWitness:
             assert cert.degree_a != cert.degree_b
             h_a, h_b = bars(cert.label_a).h_total, bars(cert.label_b).h_total
             assert h_a > 2 * h_b
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_pair_is_the_constructions_pair(self, p):
+        # the certificate carries the comparison's pair, or Prop. 3.6's for the empty core
+        for core in bar_cores_up_to(40, p):
+            for w in range((40 - core.n) // p + 1):
+                if not witness_eligible(core, p, w):
+                    continue
+                cert = build_witness(core, p, w)
+                if core.m:
+                    res = constructions.compare_constructions(core, p, w)
+                    expected = (res.larger, res.smaller)
+                else:
+                    expected = constructions.principal_pair(p, w)
+                assert (cert.label_a, cert.label_b) == expected
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -222,6 +245,19 @@ class TestScan:
         monkeypatch.setattr(witness, "bar_cores_up_to", refuse)
         with pytest.raises(ValueError, match="repeated prime 3"):
             scan(12, primes)
+
+    def test_rejects_empty_prime_list(self):
+        with pytest.raises(ValueError, match="at least one prime"):
+            scan(12, [])
+
+    def test_builds_no_comparison(self, monkeypatch):
+        # a certificate needs the pair, not the two bar products a comparison computes
+        def refuse(*args):
+            raise AssertionError("scan built a comparison")
+
+        monkeypatch.setattr(constructions, "ComparisonResult", refuse)
+        summary = scan(40, [3, 5])
+        assert summary.witnesses_verified > 0 and summary.notes == ()
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_certifies_each_non_abelian_block_once(self, monkeypatch, p):
