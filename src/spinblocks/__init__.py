@@ -46,7 +46,6 @@ from .blocks import (
 from .constructions import (
     ComparisonResult,
     CoreDecomposition,
-    GapResult,
     RatioReport,
     add_part_pw,
     add_part_ratio,
@@ -56,8 +55,6 @@ from .constructions import (
     grow_class,
     grow_class_ratio,
     grow_class_ratio_parts,
-    principal_gap_check,
-    principal_pair,
     verify_ratio_chain,
 )
 from .witness import (

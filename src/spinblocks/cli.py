@@ -3,7 +3,10 @@
 Exit codes: 0 all checks passed (or informational output), 1 a mathematical
 check or an internal invariant (a RuntimeError, reported as payload.error)
 failed, 2 usage or parse error or an --out file that cannot be written.
-Inputs are checked by the library calls the commands make, before any work.
+Inputs are checked by the library calls the commands make, before any work,
+never by the CLI itself: bars --p has its prime checked by weight_tower before
+the bar table is built, and verify prop36 by decompose_core of the empty core
+before its bounds are judged.
 Integers that do not fit in a signed 64-bit word are serialized as decimal
 strings, exactly, however many digits they have.
 """
@@ -23,8 +26,8 @@ from operator import attrgetter
 
 from . import barpart, blocks, constructions, witness
 from .barpart import (
+    EMPTY,
     BarPartition,
-    _check_odd_prime,
     abacus_core,
     bar_cores_up_to,
     bars,
@@ -122,24 +125,13 @@ def _bar_entry(bar):
 
 def cmd_bars(args):
     lam = parse_partition(args.partition)
-    if args.p is not None:  # bars() takes no prime: refuse a bad one before the table
-        _check_odd_prime(args.p)
-    table = bars(lam)
-    payload = {
-        "partition": lam,
-        "n": lam.n,
-        "m": lam.m,
-        "bars": [_bar_entry(b) for b in table.bars],
-        "lengths": table.lengths(),
-        "h_total": table.h_total,
-        "h_unmixed": table.h_unmixed,
-        "h_mixed": table.h_mixed,
-    }
-    if args.p is not None:
+    payload = {"partition": lam, "n": lam.n, "m": lam.m}
+    if args.p is not None:  # weight_tower checks the prime, before the bar table is built
         ws, v = weight_tower(lam, args.p)
-        payload["p"] = args.p
-        payload["weights"] = list(ws)
-        payload["valuation"] = v
+        payload.update(p=args.p, weights=list(ws), valuation=v)
+    table = bars(lam)
+    payload.update(bars=[_bar_entry(b) for b in table.bars], lengths=table.lengths(),
+                   h_total=table.h_total, h_unmixed=table.h_unmixed, h_mixed=table.h_mixed)
     emit(args, "bars", {"partition": args.partition, "p": args.p}, payload, "info")
     return 0
 
@@ -218,19 +210,19 @@ def cmd_verify(args):
                     "h_larger": res.h_larger,
                     "h_smaller": res.h_smaller,
                 })
-    else:  # prop36
-        _check_odd_prime(args.p)  # before the bounds: below max-w 2 no w reaches principal_pair
+    else:  # prop36: the empty core's pair (pw), (pw-1, 1) at every w >= 2
+        dec = constructions.decompose_core(EMPTY, args.p)  # checks the prime before the bounds
         values = []
         for w in range(2, args.max_w + 1):
-            res = constructions.principal_gap_check(args.p, w)
+            res = constructions._compare_constructions(dec, w)
             checked += 1
             values.append({
                 "w": w,
-                "h_single": res.h_single,
-                "h_split": res.h_split,
-                "ok": res.ok,
+                "h_single": res.h_larger,
+                "h_split": res.h_smaller,
+                "ok": res.verified,
             })
-            if not res.ok:
+            if not res.verified:
                 failures.append(values[-1])
     inputs = {"kind": args.kind, "p": args.p, "max_w": args.max_w}
     payload = {"kind": args.kind, "p": args.p, "checked": checked, "failures": failures}

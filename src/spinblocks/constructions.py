@@ -6,10 +6,10 @@ prescribed weight w are built:
 * add_part_pw: adjoin the new part p*w (works for the empty core too);
 * grow_class: replace the top part e_i of the residue class i by e_i + p*w.
 
-Every built label, and both labels of principal_pair, is certified by its
-runner charges (_certify): the same charges as gamma, |gamma| + p*w boxes,
-w bar lengths divisible by p and the expected number of parts, or a
-RuntimeError. A p-bar-core is determined by its runner charges (Olsson
+Every built label, and both labels (pw), (pw-1, 1) of the empty core's
+witness pair, is certified by its runner charges (_certify): the same
+charges as gamma, |gamma| + p*w boxes, w bar lengths divisible by p and the
+expected number of parts, or a RuntimeError. A p-bar-core is determined by its runner charges (Olsson
 1993), so these checks say exactly what barpart.abacus_core(lam, p) ==
 (gamma, w) says, without building, sorting and validating a core per label.
 
@@ -29,8 +29,10 @@ verify_ratio_chain decomposes a core once and walks each of its weight
 chains once, w = 1, 2, ...: every label is built, certified and given its
 bar products once, and those products are the w-1 side of the next step.
 _witness_pair alone picks the witness pair of a block (gamma, w), for the
-empty core too; principal_pair, compare_constructions (swept over every w
-of a core by the thm35 check of the CLI) and witness._build_witness read it.
+empty core too; compare_constructions, the one comparison of that pair
+(swept over every w of each nonempty core by the thm35 check of the CLI and
+over the empty core's w >= 2 by its prop36 check), and
+witness._build_witness read it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from fractions import Fraction
 from functools import partial
 
 from .barpart import (
-    EMPTY,
     BarPartition,
     _divisible_count,
     _residue_classes,
@@ -115,9 +116,9 @@ def _certify(lam, dec, w, expected_m):
     return lam
 
 
-def _check_w(w):
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
+def _check_w(w, least=1):
+    if w < least:
+        raise ValueError("w must be >= %d, got %d" % (least, w))
 
 
 def _check_class(dec, i):
@@ -153,14 +154,6 @@ def _grow_class(dec, i, w):
     gamma, p, ei = dec.gamma, dec.p, dec.e[i]
     parts = tuple(ei + p * w if a == ei else a for a in gamma.parts)
     return _certify(make_bar_partition(parts), dec, w, gamma.m)
-
-
-def principal_pair(p: int, w: int) -> tuple[BarPartition, BarPartition]:
-    """The labels (pw) and (pw-1, 1), both of empty core and weight w."""
-    dec = decompose_core(EMPTY, p)  # checks the prime
-    if w < 2:
-        raise ValueError("w must be >= 2, got %d" % w)
-    return _witness_pair(dec, w)[1:]
 
 
 EMPTY_CORE = "empty-core"
@@ -355,7 +348,11 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioRep
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Outcome of the strict bar-product comparison between two labels."""
+    """Outcome of the bar-product comparison of a block's witness pair.
+
+    Thm. 3.5 claims h_larger > h_smaller for a nonempty core; Prop. 3.6
+    claims the factor-2 gap h_larger > 2*h_smaller for the empty core.
+    """
 
     case: str
     gamma: BarPartition
@@ -368,43 +365,24 @@ class ComparisonResult:
 
     @property
     def verified(self) -> bool:
-        return self.h_larger > self.h_smaller
+        return self.h_larger > (2 if self.case == EMPTY_CORE else 1) * self.h_smaller
 
 
 def compare_constructions(gamma: BarPartition, p: int, w: int) -> ComparisonResult:
-    """Strict comparison of bar-length products for a nonempty core.
+    """Comparison of the bar-length products of the witness pair of (gamma, w).
 
-    With two or more occupied classes the labels grown from the two
-    classes with the largest top values are compared; with a unique
-    occupied class the grown label is compared against the added-part
-    label.  Comparison is an exact big-integer inequality.
+    The pair is _witness_pair's: (pw) against (pw-1, 1) for the empty core,
+    which needs w >= 2 (at p = 3, w = 1 the products tie: H(3) = H(2, 1) = 6);
+    the labels grown from the two classes with the largest top values, or the
+    grown label against the added-part label for a unique occupied class.
+    The comparison is an exact big-integer inequality.
     """
-    _check_nonempty(gamma)
-    _check_w(w)
-    return _compare_constructions(decompose_core(gamma, p), w)
+    dec = decompose_core(gamma, p)
+    _check_w(w, 1 if gamma.m else 2)
+    return _compare_constructions(dec, w)
 
 
 def _compare_constructions(dec, w):
     case, la, lb = _witness_pair(dec, w)
     return ComparisonResult(case, dec.gamma, dec.p, w, la, lb,
                             math.prod(bar_products(la)), math.prod(bar_products(lb)))
-
-
-@dataclass(frozen=True)
-class GapResult:
-    """Exact values behind H(pw) > 2*H(pw-1, 1) for the empty-core pair."""
-
-    p: int
-    w: int
-    h_single: int  # product of bar lengths of (pw)
-    h_split: int   # product of bar lengths of (pw-1, 1)
-
-    @property
-    def ok(self) -> bool:
-        return self.h_single > 2 * self.h_split
-
-
-def principal_gap_check(p: int, w: int) -> GapResult:
-    """Check the factor-2 gap between the empty-core pair's bar products."""
-    first, second = principal_pair(p, w)
-    return GapResult(p, w, math.prod(bar_products(first)), math.prod(bar_products(second)))

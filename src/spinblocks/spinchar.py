@@ -71,8 +71,7 @@ def spin_degree_sym(lam: BarPartition) -> int:
     lengths, taken from the parts by Schur's formula (bar_products); the
     division is asserted exact.
     """
-    if lam.n < 1:
-        raise ValueError("degree needs a nonempty partition")
+    sym(lam.n)  # the group's rule refuses n < 1
     num = (1 << ((lam.n - lam.m) // 2)) * math.factorial(lam.n)
     deg, rem = divmod(num, math.prod(bar_products(lam)))
     if rem:

@@ -3,10 +3,12 @@
 For every spin block of the alternating double cover with non-abelian
 defect (weight w >= p), a pair of labels is taken from the one case
 analysis on the residue classes of the core (constructions._witness_pair),
+the pair whose bar products constructions.compare_constructions compares,
 and every claimed property (same block, height zero, distinct degrees, the
 mod-p congruence of the p'-part of the bar product) is verified from
-scratch rather than trusted.  Block membership comes from the abacus core
-and the p'-residue from the parts, so
+scratch rather than trusted.  Block membership comes from the abacus core,
+degrees from spinchar.alt_degree (whose group rule alone says that a label
+on fewer than two letters has none) and the p'-residue from the parts, so
 certifying builds no bar table.  A certificate needs only its two labels:
 height zero is the defect-group minimum of the degree valuation
 (blocks.height_zero_valuation), so neither building nor verifying it builds
@@ -168,8 +170,13 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
             % (cert.label_a, core_a, w_a, cert.label_b, core_b, w_b)
         )
 
-    # the alternating double cover needs n >= 2: a smaller label has no degree
-    da, db = (alt_degree(lam) if lam.n >= 2 else None for lam in (cert.label_a, cert.label_b))
+    def degree(lam):  # None where the group rule of alt_degree refuses the label
+        try:
+            return alt_degree(lam)
+        except ValueError:
+            return None
+
+    da, db = degree(cert.label_a), degree(cert.label_b)
     va, vb = (None if d is None else valuation(d, p) for d in (da, db))
     low = height_zero_valuation(gamma.n + p * w, p, w)
     checks["both_height_zero"] = (

@@ -19,6 +19,7 @@ from spinblocks.barpart import (
 )
 from spinblocks.cli import main
 from spinblocks.constructions import (
+    EMPTY_CORE,
     TWO_CLASSES,
     UNIQUE_CLASS,
     RatioCheck,
@@ -35,8 +36,6 @@ from spinblocks.constructions import (
     grow_class,
     grow_class_ratio,
     grow_class_ratio_parts,
-    principal_gap_check,
-    principal_pair,
     verify_ratio_chain,
 )
 
@@ -120,10 +119,11 @@ class TestConstructions:
             grow_class(bp(1), 3, 2, 1)
 
     def test_principal_pair(self):
-        assert principal_pair(3, 3) == (bp(9), bp(8, 1))
-        assert principal_pair(5, 2) == (bp(10), bp(9, 1))
-        with pytest.raises(ValueError):
-            principal_pair(3, 1)
+        for p, w, pair in ((3, 3, (bp(9), bp(8, 1))), (5, 2, (bp(10), bp(9, 1)))):
+            res = compare_constructions(EMPTY, p, w)
+            assert (res.case, res.larger, res.smaller) == (EMPTY_CORE,) + pair
+        with pytest.raises(ValueError, match="w must be >= 2, got 1"):
+            compare_constructions(EMPTY, 3, 1)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_core_weight_and_length(self, p):
@@ -139,7 +139,8 @@ class TestConstructions:
                     assert bar_core_and_weight(mu, p) == (gamma, w)
                     assert mu.m == gamma.m
         for w in range(2, p + 2):
-            first, second = principal_pair(p, w)
+            res = compare_constructions(EMPTY, p, w)
+            first, second = res.larger, res.smaller
             assert bar_core_and_weight(first, p) == bar_core_and_weight(second, p) == (EMPTY, w)
             assert (first.m, second.m) == (1, 2)
 
@@ -343,8 +344,12 @@ class TestComparisons:
         assert res.verified
 
     def test_rejects_empty_core(self):
-        with pytest.raises(ValueError):
-            compare_constructions(EMPTY, 3, 2)
+        # Prop. 3.6 needs w >= 2: at p = 3, w = 1 the pair (3), (2, 1) ties
+        assert bars(bp(3)).h_total == bars(bp(2, 1)).h_total == 6
+        for p in (3, 5):
+            for w in (0, 1):
+                with pytest.raises(ValueError, match="w must be >= 2, got %d" % w):
+                    compare_constructions(EMPTY, p, w)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_sweep_strict(self, p):
@@ -364,17 +369,17 @@ class TestComparisons:
 
 class TestPrincipalGap:
     def test_values(self):
-        res = principal_gap_check(3, 2)
-        assert (res.h_single, res.h_split) == (720, 180)
-        assert res.ok
-        res = principal_gap_check(3, 3)
-        assert (res.h_single, res.h_split) == (362880, 51840)
-        assert res.ok
-        res = principal_gap_check(5, 2)
-        assert (res.h_single, res.h_split) == (3628800, 453600)
-        assert res.ok
+        for p, w, values in ((3, 2, (720, 180)), (3, 3, (362880, 51840)),
+                             (5, 2, (3628800, 453600))):
+            res = compare_constructions(EMPTY, p, w)
+            assert res.case == EMPTY_CORE
+            assert (res.h_larger, res.h_smaller) == values
+            assert res.verified
+        # the empty core's pair is judged by Prop. 3.6's gap, not by a strict inequality
+        assert not replace(res, h_larger=2 * res.h_smaller).verified
+        assert replace(res, case=TWO_CLASSES, h_larger=2 * res.h_smaller).verified
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sweep(self, p):
         for w in range(2, 11):
-            assert principal_gap_check(p, w).ok
+            assert compare_constructions(EMPTY, p, w).verified

@@ -141,3 +141,33 @@ def test_guard_finds_class_order_reads():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_witness_pair_has_one_owner(path):
     assert class_order_reads(path.read_text()) == []
+
+
+def prime_checks(source):
+    """Lines that import, call or otherwise read _check_odd_prime."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom)
+                and any(a.name == "_check_odd_prime" for a in node.names)
+                or isinstance(node, ast.Name) and node.id == "_check_odd_prime"
+                or isinstance(node, ast.Attribute) and node.attr == "_check_odd_prime"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_finds_prime_checks():
+    source = ("from .barpart import (\n"
+              "    EMPTY,\n"
+              "    _check_odd_prime as check,\n"
+              ")\n"
+              "_check_odd_prime(args.p)\n"
+              "barpart._check_odd_prime(args.p)\n"
+              "ws, v = weight_tower(lam, args.p)\n"
+              "check = barpart._check_odd_prime\n"
+              "is_odd_prime(args.p)\n")
+    assert prime_checks(source) == [1, 5, 6, 8]
+
+
+def test_cli_leaves_input_checks_to_the_library():
+    # each command's prime is checked by the library call it makes, before any work
+    assert prime_checks((SRC / "cli.py").read_text()) == []

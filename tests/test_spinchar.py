@@ -46,7 +46,8 @@ class TestDegree:
         assert spin_degree_sym(bp(2, 1)) == 1
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        # the symmetric cover's own rule refuses n < 1
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
             spin_degree_sym(EMPTY)
 
     def test_alternating_degree_rejects_one_letter(self):

@@ -85,18 +85,14 @@ class TestBuildWitness:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_pair_is_the_constructions_pair(self, p):
-        # the certificate carries the comparison's pair, or Prop. 3.6's for the empty core
+        # the certificate carries the comparison's pair, the empty core's included
         for core in bar_cores_up_to(40, p):
             for w in range((40 - core.n) // p + 1):
                 if not witness_eligible(core, p, w):
                     continue
                 cert = build_witness(core, p, w)
-                if core.m:
-                    res = constructions.compare_constructions(core, p, w)
-                    expected = (res.larger, res.smaller)
-                else:
-                    expected = constructions.principal_pair(p, w)
-                assert (cert.label_a, cert.label_b) == expected
+                res = constructions.compare_constructions(core, p, w)
+                assert (cert.label_a, cert.label_b) == (res.larger, res.smaller)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
