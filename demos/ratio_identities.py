@@ -9,6 +9,8 @@ Run: python3 demos/ratio_identities.py
 """
 
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from spinblocks import (
     add_part_pw,
@@ -38,10 +40,11 @@ for text, p, i in (("1", 3, 1), ("4,1", 3, 1), ("3,1", 5, 3)):
 print("Full sweep over every identity for a few (core, w) pairs:")
 for text, p in (("1", 3), ("4,1", 3), ("3,1", 5), ("2,1", 5)):
     gamma = parse_partition(text)
-    for report in verify_ratio_chain(gamma, p, 3):
+    for w, group in groupby(verify_ratio_chain(gamma, p, 3), key=attrgetter("w")):
+        checks = list(group)
         print(
             "  core %-4s p=%d w=%d: %2d identities, all ok: %s"
-            % (gamma, p, report.w, len(report.checks), report.all_ok)
+            % (gamma, p, w, len(checks), all(c.ok for c in checks))
         )
 
 print()

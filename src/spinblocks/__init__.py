@@ -46,11 +46,10 @@ from .blocks import (
 from .constructions import (
     ComparisonResult,
     CoreDecomposition,
-    RatioReport,
     add_part_pw,
     add_part_ratio,
     add_part_ratio_parts,
-    compare_constructions,
+    compare_chain,
     decompose_core,
     grow_class,
     grow_class_ratio,

@@ -422,11 +422,12 @@ def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
     A p-bar-core has nothing on runner 0 and, on each runner pair (j, p-j),
     the empty partition at some signed bead count c: the arithmetic run
     j, j+p, ..., j+(c-1)p for c > 0 and p-j, ..., p-j+(|c|-1)p for c < 0
-    (_core_run).
+    (_core_run). A nonzero charge on pair j puts a part >= j in the run, so
+    the pairs j > max_size hold charge 0 and are not walked.
     """
     _check_odd_prime(p)
     cores = [()] if max_size >= 0 else []
-    for j in range(1, (p + 1) // 2):
+    for j in range(1, min((p + 1) // 2, max_size + 1)):
         grown = []
         for parts in cores:
             grown.append(parts)

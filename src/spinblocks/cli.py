@@ -5,8 +5,11 @@ check or an internal invariant (a RuntimeError, reported as payload.error)
 failed, 2 usage or parse error or an --out file that cannot be written.
 Inputs are checked by the library calls the commands make, before any work,
 never by the CLI itself: bars --p has its prime checked by weight_tower before
-the bar table is built, and verify prop36 by decompose_core of the empty core
-before its bounds are judged.
+the bar table is built, and verify prop36 by compare_chain of the empty core
+before its bounds are judged. Each verify kind makes one public library walk
+per core (verify_ratio_chain for ratios, compare_chain for thm35 and prop36)
+and keeps only a count and the failures (and prop36's rows); the CLI reads no
+private name of the library.
 Integers that do not fit in a signed 64-bit word are serialized as decimal
 strings, exactly, however many digits they have.
 """
@@ -172,32 +175,26 @@ def cmd_blocks(args):
 
 
 def cmd_verify(args):
+    # stream one core's walk at a time: collecting every check first raises peak memory
     failures = []
     checked = 0
     if args.kind == "ratios":
-        reports = (
-            report
-            for gamma in bar_cores_up_to(args.max_core, args.p)
-            for report in constructions.verify_ratio_chain(gamma, args.p, args.max_w)
-        )
-        for report in reports:
-            for check in report.checks:
-                checked += 1
-                if not check.ok:
-                    failures.append({
-                        "core": report.gamma,
-                        "w": check.w,
-                        "identity": check.identity,
-                        "residue": check.residue,
-                        "closed_form": check.closed_form,
-                        "direct": check.direct,
-                    })
+        checks = ((gamma, check) for gamma in bar_cores_up_to(args.max_core, args.p)
+                  for check in constructions.verify_ratio_chain(gamma, args.p, args.max_w))
+        for gamma, check in checks:
+            checked += 1
+            if not check.ok:
+                failures.append({
+                    "core": gamma,
+                    "w": check.w,
+                    "identity": check.identity,
+                    "residue": check.residue,
+                    "closed_form": check.closed_form,
+                    "direct": check.direct,
+                })
     elif args.kind == "thm35":
-        # one decomposition per nonempty core, compared at every w
-        decs = (constructions.decompose_core(gamma, args.p)
-                for gamma in bar_cores_up_to(args.max_core, args.p) if gamma.m)
-        results = (constructions._compare_constructions(dec, w)
-                   for dec in decs for w in range(1, args.max_w + 1))
+        results = (res for gamma in bar_cores_up_to(args.max_core, args.p) if gamma.m
+                   for res in constructions.compare_chain(gamma, args.p, args.max_w))
         for res in results:
             checked += 1
             if not res.verified:
@@ -211,19 +208,15 @@ def cmd_verify(args):
                     "h_smaller": res.h_smaller,
                 })
     else:  # prop36: the empty core's pair (pw), (pw-1, 1) at every w >= 2
-        dec = constructions.decompose_core(EMPTY, args.p)  # checks the prime before the bounds
-        values = []
-        for w in range(2, args.max_w + 1):
-            res = constructions._compare_constructions(dec, w)
-            checked += 1
-            values.append({
-                "w": w,
-                "h_single": res.h_larger,
-                "h_split": res.h_smaller,
-                "ok": res.verified,
-            })
-            if not res.verified:
-                failures.append(values[-1])
+        # compare_chain checks the prime, by decompose_core, before the bounds
+        values = [{
+            "w": res.w,
+            "h_single": res.h_larger,
+            "h_split": res.h_smaller,
+            "ok": res.verified,
+        } for res in constructions.compare_chain(EMPTY, args.p, args.max_w)]
+        checked = len(values)
+        failures = [row for row in values if not row["ok"]]
     inputs = {"kind": args.kind, "p": args.p, "max_w": args.max_w}
     payload = {"kind": args.kind, "p": args.p, "checked": checked, "failures": failures}
     if args.kind == "prop36":

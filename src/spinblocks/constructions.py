@@ -23,16 +23,15 @@ products, taken from their parts by Schur's formula (barpart.bar_products),
 by cross-multiplying the two pairs: no Fraction, and so no gcd, is built
 unless a check fails and its values are read.
 
-Each public construction, ratio and comparison function checks its inputs,
-decomposes its core and calls a private function of the CoreDecomposition.
-verify_ratio_chain decomposes a core once and walks each of its weight
-chains once, w = 1, 2, ...: every label is built, certified and given its
-bar products once, and those products are the w-1 side of the next step.
-_witness_pair alone picks the witness pair of a block (gamma, w), for the
-empty core too; compare_constructions, the one comparison of that pair
-(swept over every w of each nonempty core by the thm35 check of the CLI and
-over the empty core's w >= 2 by its prop36 check), and
-witness._build_witness read it.
+Each public construction and ratio function checks its inputs, decomposes
+its core and calls a private function of the CoreDecomposition. The two
+walks decompose a core once and go up its weights w = 1, 2, ...:
+verify_ratio_chain walks each weight chain once, so every label is built,
+certified and given its bar products once, and those products are the w-1
+side of the next step; compare_chain compares the core's witness pair at
+every w. _witness_pair alone picks the witness pair of a block (gamma, w),
+for the empty core too; compare_chain (the thm35 and prop36 checks of the
+CLI) and witness._build_witness read it.
 """
 
 from __future__ import annotations
@@ -116,9 +115,9 @@ def _certify(lam, dec, w, expected_m):
     return lam
 
 
-def _check_w(w, least=1):
-    if w < least:
-        raise ValueError("w must be >= %d, got %d" % (least, w))
+def _check_w(w):
+    if w < 1:
+        raise ValueError("w must be >= 1, got %d" % w)
 
 
 def _check_class(dec, i):
@@ -294,23 +293,11 @@ class RatioCheck:
         return Fraction(*self.direct_pair)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    gamma: BarPartition
-    p: int
-    w: int
-    checks: tuple[RatioCheck, ...]
-    notes: tuple[str, ...]
+def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioCheck]:
+    """The RatioChecks of the core at w = 1..max_w, in order of w; [] for the
+    empty core, which has neither an occupied class nor an add-part form.
 
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioReport]:
-    """The RatioReports of the core at w = 1..max_w, in order.
-
-    Each report compares every applicable closed form of the step w-1 -> w
+    At each w every applicable closed form of the step w-1 -> w is compared
     with the direct quotient of the bar products (Schur's formula on the
     parts) of the constructed labels at weights w and w-1; equality is
     exact, by cross-multiplying integer pairs (RatioCheck). One walk up each
@@ -326,14 +313,9 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioRep
     if gamma.m:
         chains.append(("add-part", None, partial(_add_part_pw, dec),
                        partial(_add_part_ratio_parts, dec), partial(_add_part_ratio, dec)))
-        notes = ()
-    else:  # the empty core has no occupied class either
-        notes = ("empty core: add-part closed forms not applicable",
-                 "empty core: no occupied class, nothing to verify")
     prev = [bar_products(gamma)] * len(chains)
-    reports = []
+    checks = []
     for w in range(1, max_w + 1):
-        checks = []
         for k, (identity, residue, label, parts, total) in enumerate(chains):
             cur = bar_products(label(w))
             (ua, ma), (ub, mb) = cur, prev[k]
@@ -342,8 +324,7 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioRep
             checks += (RatioCheck(identity + "-unmixed", residue, w, cu, (ua, ub)),
                        RatioCheck(identity + "-mixed", residue, w, cm, (ma, mb)),
                        RatioCheck(identity + "-total", residue, w, total(w), (ua * ma, ub * mb)))
-        reports.append(RatioReport(gamma, p, w, tuple(checks), notes))
-    return reports
+    return checks
 
 
 @dataclass(frozen=True)
@@ -368,21 +349,21 @@ class ComparisonResult:
         return self.h_larger > (2 if self.case == EMPTY_CORE else 1) * self.h_smaller
 
 
-def compare_constructions(gamma: BarPartition, p: int, w: int) -> ComparisonResult:
-    """Comparison of the bar-length products of the witness pair of (gamma, w).
+def compare_chain(gamma: BarPartition, p: int, max_w: int) -> list[ComparisonResult]:
+    """The comparisons of the bar-length products of the witness pair of
+    (gamma, w), in order of w: w = 1..max_w for a nonempty core, 2..max_w
+    for the empty core (at p = 3, w = 1 its pair ties: H(3) = H(2, 1) = 6).
 
-    The pair is _witness_pair's: (pw) against (pw-1, 1) for the empty core,
-    which needs w >= 2 (at p = 3, w = 1 the products tie: H(3) = H(2, 1) = 6);
+    The pair is _witness_pair's: (pw) against (pw-1, 1) for the empty core;
     the labels grown from the two classes with the largest top values, or the
     grown label against the added-part label for a unique occupied class.
-    The comparison is an exact big-integer inequality.
+    The core is decomposed once, and each comparison is an exact big-integer
+    inequality.
     """
     dec = decompose_core(gamma, p)
-    _check_w(w, 1 if gamma.m else 2)
-    return _compare_constructions(dec, w)
-
-
-def _compare_constructions(dec, w):
-    case, la, lb = _witness_pair(dec, w)
-    return ComparisonResult(case, dec.gamma, dec.p, w, la, lb,
-                            math.prod(bar_products(la)), math.prod(bar_products(lb)))
+    results = []
+    for w in range(1 if gamma.m else 2, max_w + 1):
+        case, la, lb = _witness_pair(dec, w)
+        results.append(ComparisonResult(case, gamma, p, w, la, lb,
+                                        math.prod(bar_products(la)), math.prod(bar_products(lb))))
+    return results

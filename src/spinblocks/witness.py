@@ -3,7 +3,7 @@
 For every spin block of the alternating double cover with non-abelian
 defect (weight w >= p), a pair of labels is taken from the one case
 analysis on the residue classes of the core (constructions._witness_pair),
-the pair whose bar products constructions.compare_constructions compares,
+the pair whose bar products constructions.compare_chain compares,
 and every claimed property (same block, height zero, distinct degrees, the
 mod-p congruence of the p'-part of the bar product) is verified from
 scratch rather than trusted.  Block membership comes from the abacus core,

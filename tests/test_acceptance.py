@@ -23,7 +23,7 @@ from spinblocks.barpart import (
 from spinblocks.blocks import NON_ABELIAN, spin_blocks
 from spinblocks.constructions import (
     add_part_pw,
-    compare_constructions,
+    compare_chain,
     decompose_core,
     grow_class,
     verify_ratio_chain,
@@ -55,25 +55,25 @@ def test_ratio_identities_exact():
     bad = []
     for p in (3, 5):
         for gamma in cores_up_to(12, p):
-            for rep in verify_ratio_chain(gamma, p, 4):
-                checked += len(rep.checks)
-                bad.extend(c for c in rep.checks if not c.ok)
+            checks = verify_ratio_chain(gamma, p, 4)
+            checked += len(checks)
+            bad.extend(c for c in checks if not c.ok)
     report("ratio identities equal direct quotients",
            checked > 0 and not bad,
            "%d identities checked, %d mismatches" % (checked, len(bad)))
 
 
 def test_construction_comparisons_strict():
-    worked = compare_constructions(bp(3, 1), 5, 1)
+    (worked,) = compare_chain(bp(3, 1), 5, 1)
     ok = (worked.h_larger, worked.h_smaller) == (51840, 12960) and worked.verified
     checked = failures = 0
     for p in (3, 5):
         for gamma in cores_up_to(12, p):
             if gamma.m == 0:
                 continue
-            for w in range(1, 5):
+            for res in compare_chain(gamma, p, 4):
                 checked += 1
-                if not compare_constructions(gamma, p, w).verified:
+                if not res.verified:
                     failures += 1
     report("bar-product comparisons strict in every case",
            ok and failures == 0,
@@ -88,12 +88,11 @@ def test_principal_gap():
     ok = True
     checked = 0
     for p in (3, 5, 7):
-        for w in range(2, 11):
-            res = compare_constructions(EMPTY, p, w)
+        for res in compare_chain(EMPTY, p, 10):
             checked += 1
             ok = ok and res.verified
-            if (p, w) in instances:
-                ok = ok and (res.h_larger, res.h_smaller) == instances[(p, w)]
+            if (p, res.w) in instances:
+                ok = ok and (res.h_larger, res.h_smaller) == instances[(p, res.w)]
     report("factor-2 gap for the empty-core pair", ok,
            "%d (p, w) instances, including 720 > 2*180 and 362880 > 2*51840" % checked)
 

@@ -359,7 +359,7 @@ class TestLabelsWithCoreAndWeight:
 
 
 class TestBarCoresUpTo:
-    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
     def test_matches_filter(self, p):
         brute = [lam for n in range(26) for lam in enumerate_bar_partitions(n)
                  if is_bar_core(lam, p)]

@@ -31,7 +31,7 @@ from spinblocks.constructions import (
     add_part_pw,
     add_part_ratio,
     add_part_ratio_parts,
-    compare_constructions,
+    compare_chain,
     decompose_core,
     grow_class,
     grow_class_ratio,
@@ -120,10 +120,10 @@ class TestConstructions:
 
     def test_principal_pair(self):
         for p, w, pair in ((3, 3, (bp(9), bp(8, 1))), (5, 2, (bp(10), bp(9, 1)))):
-            res = compare_constructions(EMPTY, p, w)
-            assert (res.case, res.larger, res.smaller) == (EMPTY_CORE,) + pair
-        with pytest.raises(ValueError, match="w must be >= 2, got 1"):
-            compare_constructions(EMPTY, 3, 1)
+            res = compare_chain(EMPTY, p, w)[-1]
+            assert (res.w, res.case, res.larger, res.smaller) == (w, EMPTY_CORE) + pair
+        # the empty core's chain starts at w = 2
+        assert [res.w for res in compare_chain(EMPTY, 3, 3)] == [2, 3]
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_core_weight_and_length(self, p):
@@ -138,10 +138,12 @@ class TestConstructions:
                     mu = grow_class(gamma, p, i, w)
                     assert bar_core_and_weight(mu, p) == (gamma, w)
                     assert mu.m == gamma.m
-        for w in range(2, p + 2):
-            res = compare_constructions(EMPTY, p, w)
+        results = compare_chain(EMPTY, p, p + 1)
+        assert [res.w for res in results] == list(range(2, p + 2))
+        for res in results:
             first, second = res.larger, res.smaller
-            assert bar_core_and_weight(first, p) == bar_core_and_weight(second, p) == (EMPTY, w)
+            assert (bar_core_and_weight(first, p) == bar_core_and_weight(second, p)
+                    == (EMPTY, res.w))
             assert (first.m, second.m) == (1, 2)
 
     @pytest.mark.parametrize("p", [3, 5])
@@ -243,40 +245,38 @@ class TestRatioValues:
 
 class TestRatioIdentities:
     def test_report_structure(self):
-        (report,) = verify_ratio_chain(bp(1), 3, 1)
-        assert (report.gamma, report.p, report.w) == (bp(1), 3, 1)
-        assert report.all_ok
-        assert {c.identity for c in report.checks} == {
+        checks = verify_ratio_chain(bp(1), 3, 1)
+        assert [c.w for c in checks] == [1] * 6
+        assert all(c.ok for c in checks)
+        assert {c.identity for c in checks} == {
             "grow-class-unmixed", "grow-class-mixed", "grow-class-total",
             "add-part-unmixed", "add-part-mixed", "add-part-total",
         }
 
-    def test_empty_core_notes(self):
-        for report in verify_ratio_chain(EMPTY, 3, 2):
-            assert report.all_ok
-            assert report.checks == ()
-            assert report.notes == ("empty core: add-part closed forms not applicable",
-                                    "empty core: no occupied class, nothing to verify")
+    def test_empty_core_has_no_checks(self):
+        # no occupied class, and no add-part closed form for the empty core
+        assert verify_ratio_chain(EMPTY, 3, 2) == []
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_sweep(self, p):
         for gamma in cores_up_to(9, p):
-            reports = verify_ratio_chain(gamma, p, 3)
-            assert [r.w for r in reports] == [1, 2, 3]
-            assert all(r.all_ok for r in reports)
+            checks = verify_ratio_chain(gamma, p, 3)
+            # three checks per chain at each w, in order of w
+            chains = len(decompose_core(gamma, p).nonempty) + (gamma.m > 0)
+            assert [c.w for c in checks] == [w for w in (1, 2, 3) for _ in range(3 * chains)]
+            assert all(c.ok for c in checks)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_cross_multiplication_is_fraction_equality(self, p):
         for gamma in bar_cores_up_to(15, p):
             if not gamma.m:
                 continue
-            for report in verify_ratio_chain(gamma, p, 6):
-                for check in report.checks:
-                    assert check.closed_pair[1] > 0 and check.direct_pair[1] > 0
-                    assert check.ok == (check.closed_form == check.direct)
-                    assert check.ok
-                    a, b = check.closed_pair
-                    assert not replace(check, closed_pair=(a + 1, b)).ok
+            for check in verify_ratio_chain(gamma, p, 6):
+                assert check.closed_pair[1] > 0 and check.direct_pair[1] > 0
+                assert check.ok == (check.closed_form == check.direct)
+                assert check.ok
+                a, b = check.closed_pair
+                assert not replace(check, closed_pair=(a + 1, b)).ok
 
     def test_unequal_pairs_fail(self):
         check = RatioCheck("grow-class-total", 1, 1, (50, 2), (24, 1))
@@ -329,7 +329,7 @@ def test_thm35_decomposes_each_core_once(monkeypatch, capsys):
 
 class TestComparisons:
     def test_two_classes(self):
-        res = compare_constructions(bp(3, 1), 5, 1)
+        (res,) = compare_chain(bp(3, 1), 5, 1)
         assert res.case == TWO_CLASSES
         assert res.larger == bp(8, 1)
         assert res.smaller == bp(6, 3)
@@ -337,8 +337,8 @@ class TestComparisons:
         assert res.verified
 
     def test_unique_class(self):
-        res = compare_constructions(bp(1), 3, 3)
-        assert res.case == UNIQUE_CLASS
+        res = compare_chain(bp(1), 3, 3)[-1]
+        assert (res.w, res.case) == (3, UNIQUE_CLASS)
         assert res.larger == bp(10)
         assert res.smaller == bp(9, 1)
         assert res.verified
@@ -347,17 +347,18 @@ class TestComparisons:
         # Prop. 3.6 needs w >= 2: at p = 3, w = 1 the pair (3), (2, 1) ties
         assert bars(bp(3)).h_total == bars(bp(2, 1)).h_total == 6
         for p in (3, 5):
-            for w in (0, 1):
-                with pytest.raises(ValueError, match="w must be >= 2, got %d" % w):
-                    compare_constructions(EMPTY, p, w)
+            assert compare_chain(EMPTY, p, 1) == []
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_sweep_strict(self, p):
         for gamma in cores_up_to(9, p):
             if gamma.m == 0:
                 continue
-            for w in (1, 2, 3, 4):
-                assert compare_constructions(gamma, p, w).verified
+            results = compare_chain(gamma, p, 4)
+            assert [res.w for res in results] == [1, 2, 3, 4]
+            assert all(res.verified for res in results)
+        # no weight to compare below w = 1
+        assert compare_chain(bp(1), 3, 0) == []
 
     def test_monotone_in_w(self):
         # each step ratio exceeds 1, so the grown label's product grows with w
@@ -371,8 +372,8 @@ class TestPrincipalGap:
     def test_values(self):
         for p, w, values in ((3, 2, (720, 180)), (3, 3, (362880, 51840)),
                              (5, 2, (3628800, 453600))):
-            res = compare_constructions(EMPTY, p, w)
-            assert res.case == EMPTY_CORE
+            res = compare_chain(EMPTY, p, w)[-1]
+            assert (res.w, res.case) == (w, EMPTY_CORE)
             assert (res.h_larger, res.h_smaller) == values
             assert res.verified
         # the empty core's pair is judged by Prop. 3.6's gap, not by a strict inequality
@@ -381,5 +382,6 @@ class TestPrincipalGap:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sweep(self, p):
-        for w in range(2, 11):
-            assert compare_constructions(EMPTY, p, w).verified
+        results = compare_chain(EMPTY, p, 10)
+        assert [res.w for res in results] == list(range(2, 11))
+        assert all(res.verified for res in results)

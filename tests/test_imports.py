@@ -171,3 +171,45 @@ def test_guard_finds_prime_checks():
 def test_cli_leaves_input_checks_to_the_library():
     # each command's prime is checked by the library call it makes, before any work
     assert prime_checks((SRC / "cli.py").read_text()) == []
+
+
+def private_library_reads(source):
+    """Lines that import a _name from a package module, or read a _name
+    attribute of a package module the source imported; the source's own
+    _names and dunder names are exempt."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and not node.module
+               for a in node.names}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [a.name for a in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            names = [node.attr]
+        else:
+            continue
+        if any(name.startswith("_") and not name.startswith("__") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_finds_private_library_reads():
+    source = ("from . import barpart, constructions as c\n"
+              "from .barpart import (\n"
+              "    EMPTY,\n"
+              "    _check_odd_prime as check,\n"
+              ")\n"
+              "def _digits(x):\n"
+              "    return barpart.__name__, barpart.TYPE1, args._seen\n"
+              "c._compare_constructions(dec, w)\n"
+              "pair = barpart._core_run\n"
+              "_digits(c.compare_chain(EMPTY, 3, 4))\n"
+              "from .constructions import _witness_pair\n")
+    assert private_library_reads(source) == [2, 8, 9, 11]
+
+
+def test_cli_reads_no_private_library_name():
+    # each verify kind makes one public walk; the library's private helpers stay private
+    assert private_library_reads((SRC / "cli.py").read_text()) == []

@@ -87,11 +87,10 @@ class TestBuildWitness:
     def test_pair_is_the_constructions_pair(self, p):
         # the certificate carries the comparison's pair, the empty core's included
         for core in bar_cores_up_to(40, p):
-            for w in range((40 - core.n) // p + 1):
-                if not witness_eligible(core, p, w):
+            for res in constructions.compare_chain(core, p, (40 - core.n) // p):
+                if not witness_eligible(core, p, res.w):
                     continue
-                cert = build_witness(core, p, w)
-                res = constructions.compare_constructions(core, p, w)
+                cert = build_witness(core, p, res.w)
                 assert (cert.label_a, cert.label_b) == (res.larger, res.smaller)
 
     def test_preconditions(self):
