@@ -49,7 +49,7 @@ for text, p in (("1", 3), ("4,1", 3), ("3,1", 5), ("2,1", 5)):
 
 print()
 gamma = make_bar_partition([1])
-print("The added-part family for core %s, p = 3:" % gamma)
+print("The added-part family for core %s, p = 3:" % (gamma,))
 for w in (1, 2, 3):
     lam = add_part_pw(gamma, 3, w)
     print("  w=%d: %s with bar product %d" % (w, lam, bars(lam).h_total))

@@ -3,22 +3,16 @@ of the symmetric and alternating groups."""
 
 from .barpart import (
     EMPTY,
-    Bar,
     BarPartition,
-    BarTable,
     abacus_core,
-    bar_core_and_weight,
     bar_cores_up_to,
     bar_products,
-    bars,
     count_bar_lengths_divisible,
-    enumerate_bar_partitions,
     format_partition,
     is_bar_core,
     labels_with_core_and_weight,
     make_bar_partition,
     parse_partition,
-    remove_bar,
     valuation,
     weight_tower,
 )
@@ -67,3 +61,15 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+# the structural oracle (spinblocks.oracle), loaded when one of its names is first read
+_ORACLE_NAMES = frozenset(
+    ("Bar", "BarTable", "bar_core_and_weight", "bars", "enumerate_bar_partitions", "remove_bar"))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

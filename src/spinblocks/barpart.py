@@ -1,36 +1,52 @@
-"""Bar partitions (partitions into distinct parts), their bars and bar lengths.
+"""Bar partitions (partitions into distinct parts) and their bar lengths.
 
 All arithmetic is exact; products of bar lengths are plain Python ints.
 The partition text format used across the package is "a,b,c" with strictly
 decreasing positive parts, and "-" for the empty partition.
+
+Bar lengths are read off the parts: their products by Schur's formula
+(bar_products), the counts divisible by q from a residue histogram
+(count_bar_lengths_divisible), cores from the runner charges (abacus_core)
+and block labels from p-bar quotients (labels_with_core_and_weight). The
+structural oracle they are checked against (the bar table kept bar by bar,
+bar removal and full enumeration) lives in spinblocks.oracle. Records here
+and on every certification path are named tuples: immutable, compared,
+ordered and hashed as the tuple of their fields.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TYPE1 = 1  # (x, y): part y shrinks to the non-part value x, length y - x
 TYPE2 = 2  # (y,): part y is deleted, length y
 TYPE3 = 3  # "mixed" (i, j): parts at positions i < j are both deleted
 
 
-@dataclass(frozen=True, order=True)
-class BarPartition:
-    """A partition into strictly decreasing positive parts."""
-
+class _BarPartitionFields(NamedTuple):
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        for a in self.parts:
+
+class BarPartition(_BarPartitionFields):
+    """A partition into strictly decreasing positive parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts):
+        for a in parts:
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ValueError("parts must be positive integers, got %r" % (a,))
-        for a, b in zip(self.parts, self.parts[1:]):
+        for a, b in zip(parts, parts[1:]):
             if a == b:
-                raise ValueError("repeated part %d in %r" % (a, self.parts))
+                raise ValueError("repeated part %d in %r" % (a, parts))
             if a < b:
-                raise ValueError("parts must be strictly decreasing, got %r" % (self.parts,))
+                raise ValueError("parts must be strictly decreasing, got %r" % (parts,))
+        return tuple.__new__(cls, (parts,))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -68,63 +84,6 @@ def format_partition(lam: BarPartition) -> str:
     if not lam.parts:
         return "-"
     return ",".join(str(a) for a in lam.parts)
-
-
-@dataclass(frozen=True)
-class Bar:
-    """A single bar, kept structurally so its type is exact.
-
-    kind TYPE1: fields (x, y); kind TYPE2: field y; kind TYPE3: 1-based
-    positions (i, j) into the decreasing part list.
-    """
-
-    kind: int
-    length: int
-    x: int = 0
-    y: int = 0
-    i: int = 0
-    j: int = 0
-
-
-@dataclass(frozen=True)
-class BarTable:
-    """The full bar multiset of a partition with exact length products."""
-
-    bars: tuple[Bar, ...]
-    h_total: int
-    h_unmixed: int
-    h_mixed: int
-
-    def lengths(self) -> list[int]:
-        return sorted(b.length for b in self.bars)
-
-
-def bars(lam: BarPartition) -> BarTable:
-    """All bars of lam: each part a_i contributes exactly a_i bars.
-
-    Part a_i yields unmixed bars of lengths {1..a_i} minus the differences
-    a_i - a_j with smaller parts, plus mixed bars of lengths a_i + a_j.
-    The products and divisible counts alone come from bar_products and
-    count_bar_lengths_divisible, which the tests check against this table.
-    """
-    partset = set(lam.parts)
-    out = []
-    h_u = 1
-    h_m = 1
-    for idx, a in enumerate(lam.parts):
-        for x in range(a):
-            if x in partset:
-                continue
-            if x == 0:
-                out.append(Bar(TYPE2, a, y=a))
-            else:
-                out.append(Bar(TYPE1, a - x, x=x, y=a))
-            h_u *= a - x
-        for jdx in range(idx + 1, lam.m):
-            b = lam.parts[jdx]
-            out.append(Bar(TYPE3, a + b, i=idx + 1, j=jdx + 1))
-            h_m *= a + b
-    return BarTable(tuple(out), h_u * h_m, h_u, h_m)
 
 
 def bar_products(lam: BarPartition) -> tuple[int, int]:
@@ -178,37 +137,6 @@ def count_bar_lengths_divisible(lam: BarPartition, q: int) -> int:
     return _divisible_count(q, *_residue_classes(lam, q))
 
 
-def remove_bar(lam: BarPartition, bar: Bar) -> BarPartition:
-    """Remove a bar of lam; rejects bars that do not belong to lam."""
-    partset = set(lam.parts)
-    if bar.kind == TYPE2:
-        if bar.y not in partset:
-            raise ValueError("no part %d in %s" % (bar.y, lam))
-        if bar.length != bar.y:
-            raise ValueError("bad length %d for part-deletion bar %d" % (bar.length, bar.y))
-        new = [a for a in lam.parts if a != bar.y]
-    elif bar.kind == TYPE1:
-        if bar.y not in partset:
-            raise ValueError("no part %d in %s" % (bar.y, lam))
-        if not 0 < bar.x < bar.y:
-            raise ValueError("need 0 < x < y, got x=%d y=%d" % (bar.x, bar.y))
-        if bar.x in partset:
-            raise ValueError("x = %d is a part of %s" % (bar.x, lam))
-        if bar.length != bar.y - bar.x:
-            raise ValueError("bad length %d for bar (%d, %d)" % (bar.length, bar.x, bar.y))
-        new = [bar.x if a == bar.y else a for a in lam.parts]
-    elif bar.kind == TYPE3:
-        if not 1 <= bar.i < bar.j <= lam.m:
-            raise ValueError("bad positions (%d, %d) for %s" % (bar.i, bar.j, lam))
-        ai, aj = lam.parts[bar.i - 1], lam.parts[bar.j - 1]
-        if bar.length != ai + aj:
-            raise ValueError("bad length %d for mixed bar (%d, %d)" % (bar.length, ai, aj))
-        new = [a for k, a in enumerate(lam.parts) if k not in (bar.i - 1, bar.j - 1)]
-    else:
-        raise ValueError("unknown bar kind %r" % (bar.kind,))
-    return make_bar_partition(new)
-
-
 def is_odd_prime(p: int) -> bool:
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
@@ -223,43 +151,6 @@ def is_odd_prime(p: int) -> bool:
 def _check_odd_prime(p):
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
-
-
-def bar_core_and_weight(
-    lam: BarPartition, p: int, rng: random.Random | None = None
-) -> tuple[BarPartition, int]:
-    """Remove bars of length exactly p until no bar length is divisible by p.
-
-    Returns (core, w) where w is the number of removals.  The result does
-    not depend on which p-bar is removed at each step, so the first one
-    that bars() lists is taken; an optional rng picks one at random from
-    the same list instead (for order-independence tests).  Consistency with
-    the count of bar lengths divisible by p and with |lam| = |core| + p*w
-    is asserted.
-    """
-    _check_odd_prime(p)
-    table = bars(lam)
-    target_w = sum(1 for b in table.bars if b.length % p == 0)
-    cur = lam
-    w = 0
-    while any(b.length % p == 0 for b in table.bars):
-        removable = [b for b in table.bars if b.length == p]
-        if not removable:
-            raise RuntimeError(
-                "no removable bar of length %d in %s although some bar length"
-                " is divisible by %d" % (p, cur, p)
-            )
-        cur = remove_bar(cur, rng.choice(removable) if rng is not None else removable[0])
-        w += 1
-        table = bars(cur)
-    if w != target_w:
-        raise RuntimeError(
-            "removed %d bars from %s but %d bar lengths are divisible by %d"
-            % (w, lam, target_w, p)
-        )
-    if lam.n != cur.n + p * w:
-        raise RuntimeError("size mismatch: |%s| != |%s| + %d*%d" % (lam, cur, p, w))
-    return cur, w
 
 
 def is_bar_core(lam: BarPartition, p: int) -> bool:
@@ -314,13 +205,6 @@ def _gen_partitions(n: int, maxpart: int):
             yield (a,) + rest
 
 
-def enumerate_bar_partitions(n: int) -> list[BarPartition]:
-    """All partitions of n into distinct parts, in decreasing lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative, got %d" % n)
-    return [BarPartition(parts) for parts in _gen_distinct(n, n)]
-
-
 def _runner_charges(classes: dict[int, int], p: int) -> tuple[int, ...]:
     """c_j - c_{p-j} for j = 1..(p-1)/2, where c_j = classes[j] counts the
     parts = j mod p (classes from _residue_classes(lam, p))."""
@@ -360,7 +244,7 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     on every runner pair, so the core is one arithmetic run per runner pair
     (_core_run), read off the charges in O(m).
     Agreement of w with the count of bar lengths divisible by p and with
-    |lam| = |core| + p*w is asserted, as in bar_core_and_weight; the charges
+    |lam| = |core| + p*w is asserted, as in oracle.bar_core_and_weight; the charges
     and that count come from one residue histogram of the parts.
     """
     _check_odd_prime(p)

@@ -10,14 +10,12 @@ minimum valuation is also known in closed form: height_zero_valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barpart import (
     BarPartition,
     _check_odd_prime,
-    bar_core_and_weight,
     bar_cores_up_to,
-    enumerate_bar_partitions,
     labels_with_core_and_weight,
     valuation,
 )
@@ -34,8 +32,7 @@ def defect_class(p: int, w: int) -> str:
     return ABELIAN if w < p else NON_ABELIAN
 
 
-@dataclass(frozen=True)
-class SpinBlock:
+class SpinBlock(NamedTuple):
     p: int
     core: BarPartition
     w: int
@@ -88,8 +85,11 @@ def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
 
     Labels of n are grouped by bar core; weight-0 labels form singleton
     defect-zero blocks.  The prime and the group (so n) are checked before
-    any label is enumerated.
+    any label is enumerated. Every label of n is classified by the structural
+    oracle, loaded here on first use.
     """
+    from .oracle import bar_core_and_weight, enumerate_bar_partitions
+
     _check_odd_prime(p)
     group = as_group(group, n)
     by_core = {}

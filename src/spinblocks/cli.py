@@ -33,7 +33,6 @@ from .barpart import (
     BarPartition,
     abacus_core,
     bar_cores_up_to,
-    bars,
     format_partition,
     parse_partition,
     weight_tower,
@@ -127,6 +126,8 @@ def _bar_entry(bar):
 
 
 def cmd_bars(args):
+    from .oracle import bars  # the bar table kept bar by bar: loaded for this command only
+
     lam = parse_partition(args.partition)
     payload = {"partition": lam, "n": lam.n, "m": lam.m}
     if args.p is not None:  # weight_tower checks the prime, before the bar table is built

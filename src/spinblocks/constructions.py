@@ -37,9 +37,9 @@ CLI) and witness._build_witness read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .barpart import (
     BarPartition,
@@ -52,8 +52,7 @@ from .barpart import (
 )
 
 
-@dataclass(frozen=True)
-class CoreDecomposition:
+class CoreDecomposition(NamedTuple):
     """Residue-class data of a p-bar-core.
 
     classes[j] lists the parts congruent to j mod p (sorted increasing);
@@ -89,7 +88,7 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
     nonempty = tuple(j for j in range(p) if classes[j])
     top_order = tuple(sorted(nonempty, key=e.__getitem__, reverse=True))
     if len({e[j] for j in nonempty}) != len(nonempty):
-        raise RuntimeError("top class values are not pairwise distinct for %s" % gamma)
+        raise RuntimeError("top class values are not pairwise distinct for %s" % (gamma,))
     charges = _runner_charges(_residue_classes(gamma, p)[1], p)
     return CoreDecomposition(p, gamma, tuple(map(tuple, classes)), e, nonempty, top_order,
                              charges)
@@ -264,8 +263,7 @@ def _add_part_ratio(dec, w):
             math.prod(parts))
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(NamedTuple):
     """One closed form of a step against its direct quotient of bar products.
 
     Both sides are unreduced (numerator, denominator) pairs of integers with
@@ -327,8 +325,7 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioChe
     return checks
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Outcome of the bar-product comparison of a block's witness pair.
 
     Thm. 3.5 claims h_larger > h_smaller for a nonempty core; Prop. 3.6

@@ -9,25 +9,33 @@ degree via the splitting rules, never from an independent formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barpart import BarPartition, bar_products
 
 
-@dataclass(frozen=True)
-class GroupTag:
-    """The double cover of kind "S" or "A" on n >= 1 letters (n >= 2 for "A")."""
-
+class _GroupTagFields(NamedTuple):
     kind: str  # "S" or "A"
     n: int
 
-    def __post_init__(self):
-        if self.kind not in ("S", "A"):
-            raise ValueError("group kind must be 'S' or 'A', got %r" % (self.kind,))
-        if self.n < 1:
-            raise ValueError("n must be positive, got %d" % self.n)
-        if self.kind == "A" and self.n < 2:
-            raise ValueError("the alternating double cover needs n >= 2, got %d" % self.n)
+
+class GroupTag(_GroupTagFields):
+    """The double cover of kind "S" or "A" on n >= 1 letters (n >= 2 for "A")."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, n):
+        if kind not in ("S", "A"):
+            raise ValueError("group kind must be 'S' or 'A', got %r" % (kind,))
+        if n < 1:
+            raise ValueError("n must be positive, got %d" % n)
+        if kind == "A" and n < 2:
+            raise ValueError("the alternating double cover needs n >= 2, got %d" % n)
+        return tuple.__new__(cls, (kind, n))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace validates too
+        return cls(*fields)
 
     def __str__(self):
         return "2.%s_%d" % (self.kind, self.n)
@@ -50,8 +58,7 @@ def as_group(group, n: int) -> GroupTag:
     return GroupTag(group, n)
 
 
-@dataclass(frozen=True)
-class SpinCharacter:
+class SpinCharacter(NamedTuple):
     label: BarPartition
     group: GroupTag
     associate_index: int  # 0, or 1 for the second member of an associate pair
@@ -75,7 +82,7 @@ def spin_degree_sym(lam: BarPartition) -> int:
     num = (1 << ((lam.n - lam.m) // 2)) * math.factorial(lam.n)
     deg, rem = divmod(num, math.prod(bar_products(lam)))
     if rem:
-        raise RuntimeError("degree formula did not divide exactly for %s" % lam)
+        raise RuntimeError("degree formula did not divide exactly for %s" % (lam,))
     return deg
 
 

@@ -21,7 +21,7 @@ for scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .barpart import (
     BarPartition,
@@ -50,8 +50,7 @@ CASE_UNIQUE_ODD_P3_LARGE = "unique-class-odd-p3-large"
 CASE_UNIQUE_ODD_P3_SMALL = "unique-class-odd-p3-small"
 
 
-@dataclass
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     p: int
     core: BarPartition
     w: int
@@ -210,11 +209,10 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
                    target, p)
             )
 
-    return replace(cert, checks=checks, notes=tuple(notes))
+    return cert._replace(checks=checks, notes=tuple(notes))
 
 
-@dataclass
-class BlockReport:
+class BlockReport(NamedTuple):
     p: int
     n: int
     core: BarPartition
@@ -247,8 +245,7 @@ def check_conjecture(n: int, p: int) -> list[BlockReport]:
     return reports
 
 
-@dataclass
-class ScanSummary:
+class ScanSummary(NamedTuple):
     max_n: int
     primes: tuple[int, ...]
     block_counts: dict  # (p, defect_class) -> count

@@ -12,10 +12,7 @@ import pytest
 
 from spinblocks.barpart import (
     EMPTY,
-    bar_core_and_weight,
     bar_cores_up_to,
-    bars,
-    enumerate_bar_partitions,
     is_bar_core,
     make_bar_partition,
     valuation,
@@ -28,6 +25,7 @@ from spinblocks.constructions import (
     grow_class,
     verify_ratio_chain,
 )
+from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
 from spinblocks.spinchar import alt, characters_of_label, sym
 from spinblocks.witness import _pprime_residue, alt_degree, build_witness, scan
 

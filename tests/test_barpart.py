@@ -10,26 +10,22 @@ from spinblocks.barpart import (
     TYPE1,
     TYPE2,
     TYPE3,
-    Bar,
     BarPartition,
     _core_run,
     _runner_pair_parts,
     abacus_core,
-    bar_core_and_weight,
     bar_cores_up_to,
     bar_products,
-    bars,
     count_bar_lengths_divisible,
-    enumerate_bar_partitions,
     format_partition,
     is_bar_core,
     labels_with_core_and_weight,
     make_bar_partition,
     parse_partition,
-    remove_bar,
     valuation,
     weight_tower,
 )
+from spinblocks.oracle import Bar, bar_core_and_weight, bars, enumerate_bar_partitions, remove_bar
 
 bar_partitions = st.sets(st.integers(1, 28), max_size=6).map(
     lambda s: BarPartition(tuple(sorted(s, reverse=True)))
@@ -66,6 +62,26 @@ class TestConstruction:
             make_bar_partition([3, 0])
         with pytest.raises(ValueError):
             make_bar_partition([-1])
+
+    def test_named_tuple_contract(self):
+        lam = BarPartition(parts=(3, 1))
+        assert lam == bp(3, 1)
+        assert repr(lam) == "BarPartition(parts=(3, 1))"
+        assert hash(lam) == hash((lam.parts,))
+        with pytest.raises(AttributeError):
+            lam.parts = (4,)
+        with pytest.raises(AttributeError):
+            lam.weight = 0
+
+    def test_ordered_by_parts(self):
+        labels = [lam for n in range(13) for lam in enumerate_bar_partitions(n)]
+        random.Random(0).shuffle(labels)
+        assert [lam.parts for lam in sorted(labels)] == sorted(lam.parts for lam in labels)
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match=r"repeated part 1 in \(1, 1\)"):
+            bp(3, 1)._replace(parts=(1, 1))
+        assert bp(3, 1)._replace(parts=(4, 1)) == bp(4, 1)
 
     def test_text_roundtrip(self):
         assert parse_partition("8,1").parts == (8, 1)

@@ -1,9 +1,8 @@
 import pytest
 
-from spinblocks import blocks
+from spinblocks import blocks, oracle
 from spinblocks.barpart import (
     EMPTY,
-    enumerate_bar_partitions,
     labels_with_core_and_weight,
     make_bar_partition,
     valuation,
@@ -18,6 +17,7 @@ from spinblocks.blocks import (
     spin_block,
     spin_blocks,
 )
+from spinblocks.oracle import enumerate_bar_partitions
 from spinblocks.spinchar import alt
 
 
@@ -111,7 +111,7 @@ class TestRefusedBeforeLabels:
             raise AssertionError("generated labels")
 
         monkeypatch.setattr(blocks, "labels_with_core_and_weight", refuse)
-        monkeypatch.setattr(blocks, "enumerate_bar_partitions", refuse)
+        monkeypatch.setattr(oracle, "enumerate_bar_partitions", refuse)
         with pytest.raises(ValueError):
             call()
 

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinblocks import barpart, blocks, constructions, spinchar, witness
+from spinblocks import barpart, blocks, constructions, oracle, spinchar, witness
 from spinblocks.blocks import spin_blocks
 from spinblocks.cli import INT64_MAX, _witness_targets, jsonable, main, render
 
@@ -43,14 +42,14 @@ def refuse_bar_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a bar table or removed a bar")
 
-    monkeypatch.setattr(barpart, "BarTable", refuse)
+    monkeypatch.setattr(oracle, "BarTable", refuse)
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "spinblocks" and hasattr(module, "remove_bar"):
             monkeypatch.setattr(module, "remove_bar", refuse)
     with pytest.raises(AssertionError):
-        barpart.bars(barpart.BarPartition((3,)))
+        oracle.bars(barpart.BarPartition((3,)))
     with pytest.raises(AssertionError):
-        barpart.remove_bar(barpart.BarPartition((3,)), barpart.Bar(barpart.TYPE2, 3, y=3))
+        oracle.remove_bar(barpart.BarPartition((3,)), oracle.Bar(barpart.TYPE2, 3, y=3))
 
 
 def one_more(ratio):
@@ -300,8 +299,8 @@ class TestCheck:
         # a verified witness already proves the degrees unequal, so check
         # runs the equal-degree test only on a block whose witness failed
         build = witness._build_witness
-        monkeypatch.setattr(witness, "_build_witness", lambda dec, w: replace(
-            build(dec, w), checks={"same_block": False}, notes=("forced failure",)))
+        monkeypatch.setattr(witness, "_build_witness", lambda dec, w: build(dec, w)._replace(
+            checks={"same_block": False}, notes=("forced failure",)))
         if fault == "equal-degree":
             monkeypatch.setattr(witness, "equal_degree_test", lambda block: (True, []))
         rc, rec = run_json(capsys, "check", "--max-n", "10", "--primes", "3")

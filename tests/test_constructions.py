@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,10 +9,7 @@ from spinblocks.barpart import (
     TYPE1,
     TYPE2,
     abacus_core,
-    bar_core_and_weight,
     bar_cores_up_to,
-    bars,
-    enumerate_bar_partitions,
     is_bar_core,
     make_bar_partition,
 )
@@ -38,6 +34,7 @@ from spinblocks.constructions import (
     grow_class_ratio_parts,
     verify_ratio_chain,
 )
+from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
 
 
 def bp(*parts):
@@ -276,7 +273,7 @@ class TestRatioIdentities:
                 assert check.ok == (check.closed_form == check.direct)
                 assert check.ok
                 a, b = check.closed_pair
-                assert not replace(check, closed_pair=(a + 1, b)).ok
+                assert not check._replace(closed_pair=(a + 1, b)).ok
 
     def test_unequal_pairs_fail(self):
         check = RatioCheck("grow-class-total", 1, 1, (50, 2), (24, 1))
@@ -377,8 +374,8 @@ class TestPrincipalGap:
             assert (res.h_larger, res.h_smaller) == values
             assert res.verified
         # the empty core's pair is judged by Prop. 3.6's gap, not by a strict inequality
-        assert not replace(res, h_larger=2 * res.h_smaller).verified
-        assert replace(res, case=TWO_CLASSES, h_larger=2 * res.h_smaller).verified
+        assert not res._replace(h_larger=2 * res.h_smaller).verified
+        assert res._replace(case=TWO_CLASSES, h_larger=2 * res.h_smaller).verified
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sweep(self, p):

@@ -1,7 +1,12 @@
-"""Pinned output of fast CLI commands: the default output is byte-for-byte
-deterministic, so any change to it shows up here as a changed digest."""
+"""Pinned output of fast CLI commands and of the demos: the default output is
+byte-for-byte deterministic, so any change to it shows up here as a changed
+digest."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +70,23 @@ def test_parser_is_built_once(capsys):
         else:
             assert (rc, out.out) == (2, "")
             assert "usage: spinblocks" in out.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (demo script, SHA-256 of its stdout)
+DEMOS = [
+    ("explore_blocks.py", "2bda23984883089fe3e63579b03b96f73cf3044ca70565fcd9dd74199350e56c"),
+    ("ratio_identities.py", "fc804bb586113d3a488e1a8d5a624659497fe456146895e7c3300053d485fe61"),
+    ("witness_scan.py", "d7dddc6d93a8849f1b85d3eef0b719a4de32b6d1cf99bee39d2647c42ed2fb0b"),
+]
+
+
+@pytest.mark.parametrize("demo, digest", DEMOS, ids=[d[0] for d in DEMOS])
+def test_demo_digest(demo, digest):
+    # a record passed bare to "%" formats its fields, not its text: pinned here
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

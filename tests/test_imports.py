@@ -1,11 +1,18 @@
 """Guard against imports that a module of the package never uses and private
-names that the package never reads, such as those a deletion leaves behind;
+names that the package never reads, such as those a deletion leaves behind,
+and against loading the structural oracle where a run does not need it;
 the project depends on no linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import spinblocks
+from spinblocks import oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinblocks"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -213,3 +220,94 @@ def test_guard_finds_private_library_reads():
 def test_cli_reads_no_private_library_name():
     # each verify kind makes one public walk; the library's private helpers stay private
     assert private_library_reads((SRC / "cli.py").read_text()) == []
+
+
+LAZY = ("dataclasses", "inspect", "spinblocks.oracle")
+
+
+def lazy_modules_loaded(statement):
+    """The LAZY modules a fresh interpreter (no site, PYTHONPATH=src) holds
+    after running the statement."""
+    probe = "import sys\n%s\nprint(sorted(set(sys.modules) & set(%r)))" % (statement, LAZY)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_guard_finds_lazy_modules():
+    assert lazy_modules_loaded("import spinblocks.oracle") == sorted(LAZY)
+
+
+def test_cli_import_loads_no_oracle():
+    # every CLI call and benchmark round pays for this import
+    assert lazy_modules_loaded("import spinblocks.cli") == []
+
+
+def importers(source, module):
+    """Where the source imports the named package module (or the top-level
+    module of that name): the name of the enclosing function, or None at
+    module level, one entry per import."""
+    found = []
+
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name.rpartition(".")[2] for a in node.names]
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                return [node.module.rpartition(".")[2]]
+            return [a.name for a in node.names]
+        return []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if module in names(node):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_guard_finds_importers():
+    source = ("from . import barpart, oracle\n"
+              "import dataclasses\n"
+              "def cmd_bars(args):\n"
+              "    from .oracle import bars\n"
+              "    def inner():\n"
+              "        import spinblocks.oracle\n"
+              "def spin_blocks(n):\n"
+              "    from .barpart import oracle_like\n"
+              "class C:\n"
+              "    from spinblocks.oracle import Bar\n")
+    assert importers(source, "oracle") == [None, "cmd_bars", "inner", None]
+    assert importers(source, "dataclasses") == [None]
+
+
+ORACLE_IMPORTERS = {("cli.py", "cmd_bars"), ("blocks.py", "spin_blocks"),
+                    ("__init__.py", "__getattr__")}
+
+
+def test_oracle_loads_on_first_use():
+    # the structural oracle is imported inside these three functions only, never at load time
+    found = {(path.name, function) for path in SRC.glob("*.py")
+             for function in importers(path.read_text(), "oracle")}
+    assert found <= ORACLE_IMPORTERS
+
+
+def test_only_the_oracle_imports_dataclasses():
+    assert [path.name for path in SRC.glob("*.py")
+            if importers(path.read_text(), "dataclasses")] == ["oracle.py"]
+
+
+@pytest.mark.parametrize("name", ["Bar", "BarTable", "bar_core_and_weight", "bars",
+                                  "enumerate_bar_partitions", "remove_bar"])
+def test_oracle_names_resolve_through_the_package(name):
+    assert getattr(spinblocks, name) is getattr(oracle, name)
+
+
+def test_unknown_package_name_is_refused():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        spinblocks.no_such_name

@@ -2,15 +2,14 @@ import math
 
 import pytest
 
-from spinblocks import barpart
+from spinblocks import oracle, spinchar
 from spinblocks.barpart import (
     EMPTY,
-    bars,
-    enumerate_bar_partitions,
     make_bar_partition,
     valuation,
     weight_tower,
 )
+from spinblocks.oracle import bars, enumerate_bar_partitions
 from spinblocks.spinchar import (
     GroupTag,
     alt,
@@ -55,6 +54,11 @@ class TestDegree:
         with pytest.raises(ValueError, match="alternating double cover needs n >= 2, got 1"):
             alt_degree(bp(1))
 
+    def test_inexact_division_names_the_label(self, monkeypatch):
+        monkeypatch.setattr(spinchar, "bar_products", lambda lam: (5, 1))  # 5 does not divide 48
+        with pytest.raises(RuntimeError, match="for 3,1$"):
+            spin_degree_sym(bp(3, 1))
+
     def test_builds_no_bar_table(self, monkeypatch):
         labels = [bp(3), bp(8, 1), bp(6, 2, 1), bp(30, 17, 2), bp(25, 11, 7, 4, 1)]
         expected = [
@@ -65,7 +69,7 @@ class TestDegree:
         def refuse(*args):
             raise AssertionError("spin_degree_sym built a bar table")
 
-        monkeypatch.setattr(barpart, "BarTable", refuse)
+        monkeypatch.setattr(oracle, "BarTable", refuse)
         assert [spin_degree_sym(lam) for lam in labels] == expected
 
     def test_even_when_splitting(self):
@@ -120,6 +124,13 @@ class TestSplitting:
             characters_of_label(bp(1), alt(1))
         with pytest.raises(ValueError, match="n >= 2, got 1"):
             characters_of_label(bp(1), "A")
+
+    def test_replace_validates(self):
+        assert str(alt(3)._replace(n=5)) == "2.A_5"
+        with pytest.raises(ValueError, match="alternating double cover needs n >= 2, got 1"):
+            alt(3)._replace(n=1)
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            sym(3)._replace(n=0)
 
 
 class TestCharacterCounts:

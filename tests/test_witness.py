@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +8,6 @@ from spinblocks import constructions, witness
 from spinblocks.barpart import (
     EMPTY,
     bar_cores_up_to,
-    bars,
-    enumerate_bar_partitions,
     make_bar_partition,
     valuation,
 )
@@ -21,6 +18,7 @@ from spinblocks.blocks import (
     height_zero_valuation,
     spin_blocks,
 )
+from spinblocks.oracle import bars, enumerate_bar_partitions
 from spinblocks.witness import (
     CASE_EMPTY_CORE,
     CASE_TWO_CLASSES,
@@ -105,7 +103,7 @@ class TestBuildWitness:
 class TestVerifyWitness:
     def test_detects_tampering(self):
         cert = build_witness(EMPTY, 3, 3)
-        bad = verify_witness(replace(cert, label_a=bp(10, 2)))
+        bad = verify_witness(cert._replace(label_a=bp(10, 2)))
         assert bad.checks["same_block"] is False
         assert not bad.verified
         assert any("block membership" in note for note in bad.notes)
@@ -113,7 +111,7 @@ class TestVerifyWitness:
     def test_detects_positive_height(self):
         # (6, 2, 1) lies in the block of (9) and (8, 1) but has height 1
         cert = build_witness(EMPTY, 3, 3)
-        bad = verify_witness(replace(cert, label_a=bp(6, 2, 1), degree_a=alt_degree(bp(6, 2, 1))))
+        bad = verify_witness(cert._replace(label_a=bp(6, 2, 1), degree_a=alt_degree(bp(6, 2, 1))))
         assert bad.checks["same_block"] is True
         assert bad.checks["degrees_distinct"] is True
         assert bad.checks["both_height_zero"] is False
@@ -123,9 +121,17 @@ class TestVerifyWitness:
 
     def test_detects_degree_tampering(self):
         cert = build_witness(bp(1), 3, 3)
-        bad = verify_witness(replace(cert, degree_a=cert.degree_a + 1))
+        bad = verify_witness(cert._replace(degree_a=cert.degree_a + 1))
         assert bad.checks["degrees_distinct"] is False
         assert not bad.verified
+
+    def test_replace_round_trip_keeps_verified(self):
+        cert = build_witness(bp(1), 3, 3)
+        assert cert.verified
+        cleared = cert._replace(checks={}, notes=())
+        assert not cleared.verified
+        again = verify_witness(cleared)
+        assert again == cert and again.verified
 
     def test_detects_congruence_failure(self, monkeypatch):
         cert = build_witness(bp(1), 3, 3)
@@ -139,7 +145,7 @@ class TestVerifyWitness:
 class TestBlockMembership:
     def test_flags_label_outside_block(self):
         cert = build_witness(EMPTY, 3, 4)
-        bad = verify_witness(replace(cert, label_a=bp(7, 4, 1)))  # the core 7,4,1
+        bad = verify_witness(cert._replace(label_a=bp(7, 4, 1)))  # the core 7,4,1
         assert bad.checks["same_block"] is False
         assert bad.checks["both_height_zero"] is False
         assert bad.checks["degrees_distinct"] is False
@@ -151,7 +157,7 @@ class TestBlockMembership:
     def test_flags_label_without_degree(self, label):
         # no degree in the alternating double cover below two letters
         cert = build_witness(EMPTY, 3, 4)
-        bad = verify_witness(replace(cert, label_a=label))
+        bad = verify_witness(cert._replace(label_a=label))
         assert bad.checks["same_block"] is False
         assert bad.checks["both_height_zero"] is False
         assert bad.checks["degrees_distinct"] is False
@@ -160,7 +166,7 @@ class TestBlockMembership:
     @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
     def test_flags_block_of_wrong_core_or_weight(self, core, w):
         cert = build_witness(EMPTY, 3, 4)
-        bad = verify_witness(replace(cert, core=core, w=w))
+        bad = verify_witness(cert._replace(core=core, w=w))
         assert bad.checks["same_block"] is False
         assert bad.checks["both_height_zero"] is False
         assert not bad.verified
