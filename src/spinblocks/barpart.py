@@ -6,12 +6,14 @@ decreasing positive parts, and "-" for the empty partition.
 
 Bar lengths are read off the parts: their products by Schur's formula
 (bar_products), the counts divisible by q from a residue histogram
-(count_bar_lengths_divisible), cores from the runner charges (abacus_core)
-and block labels from p-bar quotients (labels_with_core_and_weight). The
-structural oracle they are checked against (the bar table kept bar by bar,
-bar removal and full enumeration) lives in spinblocks.oracle. Records here
-and on every certification path are named tuples: immutable, compared,
-ordered and hashed as the tuple of their fields.
+(count_bar_lengths_divisible), and the p-abacus by runner_charges alone,
+for cores (abacus_core) and block labels from p-bar quotients
+(labels_with_core_and_weight). The structural oracle they are checked
+against (the bar table kept bar by bar, bar removal and full enumeration)
+lives in spinblocks.oracle. Records here and on every certification path
+are named tuples, compared and ordered as the tuple of their fields; those
+holding a dict or a list (SpinBlock, WitnessCertificate, ScanSummary,
+BlockReport) do not hash.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class BarPartition(_BarPartitionFields):
     __slots__ = ()
 
     def __new__(cls, parts):
+        parts = tuple(parts)
         for a in parts:
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ValueError("parts must be positive integers, got %r" % (a,))
@@ -134,6 +137,8 @@ def count_bar_lengths_divisible(lam: BarPartition, q: int) -> int:
 
         sum a // q + sum_{0 < r < q - r} n_r n_{q-r} - sum_{2r != 0} C(n_r, 2).
     """
+    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+        raise ValueError("q must be a positive integer, got %r" % (q,))
     return _divisible_count(q, *_residue_classes(lam, q))
 
 
@@ -205,12 +210,6 @@ def _gen_partitions(n: int, maxpart: int):
             yield (a,) + rest
 
 
-def _runner_charges(classes: dict[int, int], p: int) -> tuple[int, ...]:
-    """c_j - c_{p-j} for j = 1..(p-1)/2, where c_j = classes[j] counts the
-    parts = j mod p (classes from _residue_classes(lam, p))."""
-    return tuple(classes.get(j, 0) - classes.get(p - j, 0) for j in range(1, (p + 1) // 2))
-
-
 def _runner_pair_parts(mu: tuple[int, ...], charge: int, j: int, p: int) -> list[int]:
     """Parts on runners j and p-j whose Maya diagram is mu at the given charge.
 
@@ -236,6 +235,16 @@ def _core_run(charge: int, j: int, p: int) -> range:
     return range(p - j - (charge + 1) * p, 0, -p)
 
 
+def runner_charges(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
+    """(charges, w) of lam from one residue histogram of its parts: the runner
+    charges c_j - c_{p-j}, j = 1..(p-1)/2, c_j counting the parts = j mod p,
+    and the number w of bar lengths divisible by p."""
+    _check_odd_prime(p)
+    quotients, classes = _residue_classes(lam, p)
+    charges = tuple(classes.get(j, 0) - classes.get(p - j, 0) for j in range(1, (p + 1) // 2))
+    return charges, _divisible_count(p, quotients, classes)
+
+
 def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     """(core, w) of lam from its residue-class abacus, without removing a bar.
 
@@ -245,18 +254,14 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     (_core_run), read off the charges in O(m).
     Agreement of w with the count of bar lengths divisible by p and with
     |lam| = |core| + p*w is asserted, as in oracle.bar_core_and_weight; the charges
-    and that count come from one residue histogram of the parts.
+    and that count come from runner_charges.
     """
-    _check_odd_prime(p)
-    quotients, classes = _residue_classes(lam, p)
-    parts = []
-    for j, charge in enumerate(_runner_charges(classes, p), start=1):
-        parts.extend(_core_run(charge, j, p))
-    core = make_bar_partition(parts)
+    charges, target_w = runner_charges(lam, p)
+    core = make_bar_partition(a for j, charge in enumerate(charges, start=1)
+                              for a in _core_run(charge, j, p))
     w, rest = divmod(lam.n - core.n, p)
     if rest:
         raise RuntimeError("size mismatch: |%s| - |%s| is not a multiple of %d" % (lam, core, p))
-    target_w = _divisible_count(p, quotients, classes)
     if w != target_w:
         raise RuntimeError(
             "abacus core %s of %s has weight %d but %d bar lengths are divisible by %d"
@@ -289,7 +294,7 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
     if w < 0:
         raise ValueError("w must be nonnegative, got %d" % w)
-    charges = _runner_charges(_residue_classes(gamma, p)[1], p)
+    charges = runner_charges(gamma, p)[0]
     out = []
     for quotient in _quotients(w, len(charges)):
         parts = [p * k for k in quotient[0]]
@@ -304,10 +309,9 @@ def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
     """All p-bar-cores of size <= max_size, by size, then decreasing lexicographic.
 
     A p-bar-core has nothing on runner 0 and, on each runner pair (j, p-j),
-    the empty partition at some signed bead count c: the arithmetic run
-    j, j+p, ..., j+(c-1)p for c > 0 and p-j, ..., p-j+(|c|-1)p for c < 0
-    (_core_run). A nonzero charge on pair j puts a part >= j in the run, so
-    the pairs j > max_size hold charge 0 and are not walked.
+    the empty partition at some signed bead count c, the run _core_run(c, j,
+    p). A nonzero charge on pair j puts a part >= j in the run, so the pairs
+    j > max_size hold charge 0 and are not walked.
     """
     _check_odd_prime(p)
     cores = [()] if max_size >= 0 else []

@@ -64,10 +64,9 @@ def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
     """(core, w) of every spin block of n, by decreasing core, without its labels.
 
     Every p-bar-core of size n - p*w, w >= 0, is the core of exactly one
-    block.  n must be positive: no group is built here to refuse it.
+    block.  n is checked by GroupTag's rules, as in spin_blocks.
     """
-    if n < 1:
-        raise ValueError("n must be positive, got %d" % n)
+    GroupTag("S", n)
     return sorted(((core, (n - core.n) // p) for core in bar_cores_up_to(n, p)
                    if (n - core.n) % p == 0), reverse=True)
 

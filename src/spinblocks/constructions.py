@@ -7,11 +7,12 @@ prescribed weight w are built:
 * grow_class: replace the top part e_i of the residue class i by e_i + p*w.
 
 Every built label, and both labels (pw), (pw-1, 1) of the empty core's
-witness pair, is certified by its runner charges (_certify): the same
+witness pair, is certified by barpart.runner_charges (_certify): the same
 charges as gamma, |gamma| + p*w boxes, w bar lengths divisible by p and the
-expected number of parts, or a RuntimeError. A p-bar-core is determined by its runner charges (Olsson
-1993), so these checks say exactly what barpart.abacus_core(lam, p) ==
-(gamma, w) says, without building, sorting and validating a core per label.
+expected number of parts, or a RuntimeError. A p-bar-core is determined by
+its runner charges (Olsson 1993), so these checks say exactly what
+barpart.abacus_core(lam, p) == (gamma, w) says, without building, sorting
+and validating a core per label.
 
 For each family the ratio of bar-length products between consecutive
 weights has an exact closed form, split into its unmixed and mixed factors.
@@ -43,28 +44,25 @@ from typing import NamedTuple
 
 from .barpart import (
     BarPartition,
-    _divisible_count,
-    _residue_classes,
-    _runner_charges,
     bar_products,
     is_bar_core,
     make_bar_partition,
+    runner_charges,
 )
 
 
 class CoreDecomposition(NamedTuple):
     """Residue-class data of a p-bar-core.
 
-    classes[j] lists the parts congruent to j mod p (sorted increasing);
-    e[j] = j + (|classes[j]| - 1)*p is the top value the class reaches;
-    nonempty lists the occupied classes in increasing order, top_order by
-    decreasing top value; charges are the runner charges c_j - c_{p-j},
-    j = 1..(p-1)/2, that determine gamma (barpart._runner_charges).
+    e[j] = j + (c_j - 1)*p is the top value that class j, holding the c_j
+    parts congruent to j mod p, reaches (j - p when it is empty); nonempty
+    lists the occupied classes in increasing order, top_order by decreasing
+    top value; charges are the runner charges c_j - c_{p-j}, j = 1..(p-1)/2,
+    that determine gamma (barpart.runner_charges).
     """
 
     p: int
     gamma: BarPartition
-    classes: tuple[tuple[int, ...], ...]
     e: tuple[int, ...]
     nonempty: tuple[int, ...]
     top_order: tuple[int, ...]
@@ -77,21 +75,19 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
     Whether gamma is a p-bar-core is decided by barpart.is_bar_core alone.
     A core has no part divisible by p, no two opposite residue classes both
     occupied, and every occupied class j is the gapless run {j, j+p, ...,
-    e_j}, so its classes and their sizes are all the data there is.
+    e_j}, so its runner charges are all the data there is: a charge c on
+    pair j means |c| parts in class j if c > 0, and in class p - j if c < 0.
     """
     if not is_bar_core(gamma, p):
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
-    classes = [[] for _ in range(p)]
-    for a in reversed(gamma.parts):
-        classes[a % p].append(a)
-    e = tuple(j + (len(cls) - 1) * p for j, cls in enumerate(classes))
-    nonempty = tuple(j for j in range(p) if classes[j])
+    charges = runner_charges(gamma, p)[0]
+    sizes = [0] * p
+    for j, charge in enumerate(charges, start=1):
+        sizes[j if charge > 0 else p - j] = abs(charge)
+    e = tuple(j + (size - 1) * p for j, size in enumerate(sizes))
+    nonempty = tuple(j for j in range(p) if sizes[j])
     top_order = tuple(sorted(nonempty, key=e.__getitem__, reverse=True))
-    if len({e[j] for j in nonempty}) != len(nonempty):
-        raise RuntimeError("top class values are not pairwise distinct for %s" % (gamma,))
-    charges = _runner_charges(_residue_classes(gamma, p)[1], p)
-    return CoreDecomposition(p, gamma, tuple(map(tuple, classes)), e, nonempty, top_order,
-                             charges)
+    return CoreDecomposition(p, gamma, e, nonempty, top_order, charges)
 
 
 def _certify(lam, dec, w, expected_m):
@@ -102,14 +98,12 @@ def _certify(lam, dec, w, expected_m):
     when its charges are dec.charges. Its weight is then (|lam| - |gamma|)/p,
     which must be w, as must the count of its bar lengths divisible by p.
     These are the checks of barpart.abacus_core(lam, p) == (gamma, w), with
-    no core rebuilt: the charges and the count come from one residue
-    histogram of the parts, and the prime was checked when dec was made.
+    no core rebuilt: the charges and the count come from
+    barpart.runner_charges.
     """
     gamma, p = dec.gamma, dec.p
-    quotients, classes = _residue_classes(lam, p)
     if (lam.m != expected_m or lam.n != gamma.n + p * w
-            or _runner_charges(classes, p) != dec.charges
-            or _divisible_count(p, quotients, classes) != w):
+            or runner_charges(lam, p) != (dec.charges, w)):
         raise RuntimeError("construction for %s, p=%d, w=%d produced %s" % (gamma, p, w, lam))
     return lam
 
@@ -120,7 +114,7 @@ def _check_w(w):
 
 
 def _check_class(dec, i):
-    if not 1 <= i <= dec.p - 1 or not dec.classes[i]:
+    if i not in dec.nonempty:
         raise ValueError("class %d of %s is empty" % (i, dec.gamma))
 
 
@@ -213,12 +207,12 @@ def grow_class_ratio(gamma, p, i, w) -> Fraction:
 
 
 def _grow_class_ratio(dec, i, w):
-    p, ei, e, classes = dec.p, dec.e[i], dec.e, dec.classes
+    p, ei, e, occupied = dec.p, dec.e[i], dec.e, dec.nonempty
     total = (p * w * (p * (w - 1) + 2 * ei)
              * math.prod(abs(p * (w - 1) + ei - e[j]) * (p * w + ei + e[j])
-                         for j in dec.nonempty if j != i)
+                         for j in occupied if j != i)
              * math.prod(abs(p * w + ei - k) for k in range(p)
-                         if not classes[k] and not classes[(p - k) % p]))
+                         if k not in occupied and p - k not in occupied))
     return total, 1
 
 

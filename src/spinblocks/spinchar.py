@@ -27,6 +27,8 @@ class GroupTag(_GroupTagFields):
     def __new__(cls, kind, n):
         if kind not in ("S", "A"):
             raise ValueError("group kind must be 'S' or 'A', got %r" % (kind,))
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError("n must be an integer, got %r" % (n,))
         if n < 1:
             raise ValueError("n must be positive, got %d" % n)
         if kind == "A" and n < 2:

@@ -22,6 +22,7 @@ from spinblocks.barpart import (
     labels_with_core_and_weight,
     make_bar_partition,
     parse_partition,
+    runner_charges,
     valuation,
     weight_tower,
 )
@@ -72,6 +73,15 @@ class TestConstruction:
             lam.parts = (4,)
         with pytest.raises(AttributeError):
             lam.weight = 0
+
+    def test_stores_a_tuple(self):
+        lam = BarPartition([3, 1])
+        assert lam.parts == (3, 1)
+        assert lam == BarPartition((3, 1))
+        assert hash(lam) == hash(BarPartition((3, 1)))
+        assert BarPartition(a for a in (3, 1)) == bp(3, 1)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            BarPartition(a for a in (1, 3))
 
     def test_ordered_by_parts(self):
         labels = [lam for n in range(13) for lam in enumerate_bar_partitions(n)]
@@ -203,6 +213,11 @@ class TestBarProductsFromParts:
         assert count_bar_lengths_divisible(bp(5, 1), 3) == 2
         assert count_bar_lengths_divisible(bp(5, 1), 2) == 2
 
+    def test_rejects_bad_divisor(self):
+        for q in (0, -3, 1.0, True, "3"):
+            with pytest.raises(ValueError, match="q must be a positive integer, got %r" % (q,)):
+                count_bar_lengths_divisible(bp(3, 1), q)
+
 
 class TestRemoveBar:
     def test_whole_part(self):
@@ -307,6 +322,29 @@ class TestAbacusCore:
         for p in (2, 4, 9, 1):
             with pytest.raises(ValueError):
                 abacus_core(bp(3), p)
+
+
+class TestRunnerCharges:
+    """The one reader of the p-abacus against bar removal, the structural oracle."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_partition_up_to_twenty(self, p):
+        for n in range(21):
+            for lam in enumerate_bar_partitions(n):
+                charges, w = runner_charges(lam, p)
+                core, removals = bar_core_and_weight(lam, p)
+                assert runner_charges(core, p) == (charges, 0)
+                assert w == removals
+
+    def test_examples(self):
+        assert runner_charges(EMPTY, 5) == ((0, 0), 0)
+        assert runner_charges(bp(4, 1), 3) == ((2,), 0)
+        assert runner_charges(bp(8, 1), 3) == ((0,), 3)
+        assert runner_charges(bp(3, 1), 5) == ((1, -1), 0)
+
+    def test_rejects_bad_p(self):
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            runner_charges(bp(3, 1), 9)
 
 
 class TestWeightTower:

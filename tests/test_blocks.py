@@ -70,6 +70,11 @@ class TestSpinBlocks:
         with pytest.raises(ValueError, match="n must be positive, got 0"):
             block_targets(0, 3)
 
+    def test_targets_refuse_non_integer_n(self):
+        for n in (5.5, True):
+            with pytest.raises(ValueError, match="n must be an integer, got %r" % (n,)):
+                block_targets(n, 3)
+
     def test_alternating_needs_two_letters(self):
         with pytest.raises(ValueError, match="n >= 2"):
             spin_blocks(1, 3, "A")

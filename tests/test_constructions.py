@@ -35,6 +35,7 @@ from spinblocks.constructions import (
     verify_ratio_chain,
 )
 from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
+from spinblocks.spinchar import alt, characters_of_label
 
 
 def bp(*parts):
@@ -48,25 +49,33 @@ def cores_up_to(size, p):
     return out
 
 
+def class_parts(dec, j):
+    """The parts of dec.gamma congruent to j mod p, increasing."""
+    return tuple(a for a in reversed(dec.gamma.parts) if a % dec.p == j)
+
+
 class TestDecompose:
     def test_single_part(self):
         dec = decompose_core(bp(1), 3)
-        assert dec.classes == ((), (1,), ())
+        assert [class_parts(dec, j) for j in range(3)] == [(), (1,), ()]
+        assert dec.charges == (1,)
         assert dec.e == (-3, 1, -1)
         assert dec.nonempty == (1,)
         assert dec.top_order == (1,)
 
     def test_two_classes(self):
         dec = decompose_core(bp(3, 1), 5)
-        assert dec.classes[1] == (1,)
-        assert dec.classes[3] == (3,)
+        assert class_parts(dec, 1) == (1,)
+        assert class_parts(dec, 3) == (3,)
+        assert dec.charges == (1, -1)
         assert dec.nonempty == (1, 3)
         assert dec.e[1] == 1 and dec.e[3] == 3
         assert dec.top_order == (3, 1)
 
     def test_stacked_class(self):
         dec = decompose_core(bp(4, 1), 3)
-        assert dec.classes[1] == (1, 4)
+        assert class_parts(dec, 1) == (1, 4)
+        assert dec.charges == (2,)
         assert dec.e[1] == 4
         assert dec.top_order == (1,)
 
@@ -83,10 +92,13 @@ class TestDecompose:
         # what makes is_bar_core the only check decompose_core needs
         for gamma in bar_cores_up_to(30, p):
             dec = decompose_core(gamma, p)
-            assert dec.classes[0] == ()
+            assert class_parts(dec, 0) == ()
             for j in range(1, p):
-                assert not (dec.classes[j] and dec.classes[p - j])
-                assert dec.classes[j] == tuple(range(j, dec.e[j] + 1, p))
+                assert not (class_parts(dec, j) and class_parts(dec, p - j))
+                assert class_parts(dec, j) == tuple(range(j, dec.e[j] + 1, p))
+                assert (j in dec.nonempty) == bool(class_parts(dec, j))
+            assert dec.charges == tuple(len(class_parts(dec, j)) - len(class_parts(dec, p - j))
+                                        for j in range(1, (p + 1) // 2))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_rejects_every_non_core(self, p):
@@ -382,3 +394,19 @@ class TestPrincipalGap:
         results = compare_chain(EMPTY, p, 10)
         assert [res.w for res in results] == list(range(2, 11))
         assert all(res.verified for res in results)
+
+
+@pytest.mark.parametrize("record", [
+    bp(3, 1),
+    alt(4),
+    characters_of_label(bp(3, 1), alt(4))[0],
+    decompose_core(bp(4, 1), 3),
+    verify_ratio_chain(bp(1), 3, 1)[0],
+    compare_chain(bp(1), 3, 1)[0],
+], ids=lambda record: type(record).__name__)
+def test_record_hashes_as_an_equal_copy(record):
+    # the records whose fields all hash; SpinBlock, WitnessCertificate,
+    # ScanSummary and BlockReport hold a dict or a list and do not
+    copy = record._replace()
+    assert copy == record and copy is not record
+    assert hash(copy) == hash(record)

@@ -150,16 +150,20 @@ def test_witness_pair_has_one_owner(path):
     assert class_order_reads(path.read_text()) == []
 
 
-def prime_checks(source):
-    """Lines that import, call or otherwise read _check_odd_prime."""
+def name_reads(source, names):
+    """Lines that import, call or otherwise read any of the names."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.ImportFrom)
-                and any(a.name == "_check_odd_prime" for a in node.names)
-                or isinstance(node, ast.Name) and node.id == "_check_odd_prime"
-                or isinstance(node, ast.Attribute) and node.attr == "_check_odd_prime"):
+        if (isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names):
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def prime_checks(source):
+    """Lines that import, call or otherwise read _check_odd_prime."""
+    return name_reads(source, ("_check_odd_prime",))
 
 
 def test_guard_finds_prime_checks():
@@ -220,6 +224,36 @@ def test_guard_finds_private_library_reads():
 def test_cli_reads_no_private_library_name():
     # each verify kind makes one public walk; the library's private helpers stay private
     assert private_library_reads((SRC / "cli.py").read_text()) == []
+
+
+def abacus_reads(source):
+    """Lines that import, call or otherwise read barpart's residue-histogram
+    helpers, which only runner_charges and count_bar_lengths_divisible use."""
+    return name_reads(source, ("_residue_classes", "_divisible_count"))
+
+
+def test_guard_finds_abacus_reads():
+    source = ("from .barpart import (\n"
+              "    runner_charges,\n"
+              "    _residue_classes as histogram,\n"
+              ")\n"
+              "q, classes = _residue_classes(lam, p)\n"
+              "w = barpart._divisible_count(p, q, classes)\n"
+              "charges, w = runner_charges(lam, p)\n"
+              "count = _divisible_count\n"
+              "_residue_classes_seen = 1\n")
+    assert abacus_reads(source) == [1, 5, 6, 8]
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
+                                  if path.name != "barpart.py"], ids=lambda path: path.name)
+def test_runner_charges_is_the_one_abacus_reader(path):
+    assert abacus_reads(path.read_text()) == []
+
+
+def test_constructions_reads_no_private_library_name():
+    # the core's classes and every label's certificate come from barpart.runner_charges
+    assert private_library_reads((SRC / "constructions.py").read_text()) == []
 
 
 LAZY = ("dataclasses", "inspect", "spinblocks.oracle")

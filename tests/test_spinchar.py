@@ -132,6 +132,11 @@ class TestSplitting:
         with pytest.raises(ValueError, match="n must be positive, got 0"):
             sym(3)._replace(n=0)
 
+    def test_rejects_non_integer_n(self):
+        for kind, n in (("A", 5.5), ("S", True), ("S", "4")):
+            with pytest.raises(ValueError, match="n must be an integer, got %r" % (n,)):
+                GroupTag(kind, n)
+
 
 class TestCharacterCounts:
     @pytest.mark.parametrize("n", range(1, 15))
