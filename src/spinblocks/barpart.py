@@ -104,6 +104,27 @@ def bar_products(lam: BarPartition) -> tuple[int, int]:
     return num // den, h_m
 
 
+def bar_product_quotient(lam: BarPartition, mu: BarPartition) -> tuple[int, int]:
+    """(num, den) with H(lam) / H(mu) = num / den, H the product of all bar lengths.
+
+    Schur's formula (bar_products) makes H the product of a! over the parts a
+    and of (a + b) / (a - b) over the pairs a > b of parts. The factors within
+    the parts lam and mu share cancel, so only the parts x of one label that
+    the other lacks are read: x!, and (x + y) / |x - y| against every other
+    part y of x's label, each pair counted once.
+    """
+    shared = set(lam.parts) & set(mu.parts)
+    terms = [1, 1]
+    for side, label in ((0, lam), (1, mu)):
+        own = [x for x in label.parts if x not in shared]
+        for idx, x in enumerate(own):
+            terms[side] *= math.factorial(x)
+            for y in [*shared, *own[idx + 1:]]:
+                terms[side] *= x + y
+                terms[1 - side] *= abs(x - y)
+    return terms[0], terms[1]
+
+
 def _residue_classes(lam: BarPartition, q: int) -> tuple[int, dict[int, int]]:
     """(sum of a // q, {r: n_r}) over the parts a of lam, n_r of them = r mod q."""
     quotients = 0
@@ -158,6 +179,11 @@ def _check_odd_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
 
 
+def _check_int(value, name):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 def is_bar_core(lam: BarPartition, p: int) -> bool:
     """True iff no bar length of lam is divisible by p."""
     _check_odd_prime(p)
@@ -167,15 +193,28 @@ def is_bar_core(lam: BarPartition, p: int) -> bool:
 def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
     """Counts w_k of bar lengths divisible by p**k, and their sum v.
 
-    v equals the p-adic valuation of the product of all bar lengths.
+    v equals the p-adic valuation of the product of all bar lengths. No bar
+    is longer than the two largest parts together, so the powers of p above
+    that length count none and are not read.
     """
     _check_odd_prime(p)
     ws = []
-    q = p
-    while count := count_bar_lengths_divisible(lam, q):
+    q, longest = p, sum(lam.parts[:2])
+    while q <= longest and (count := _divisible_count(q, *_residue_classes(lam, q))):
         ws.append(count)
         q *= p
     return tuple(ws), sum(ws)
+
+
+def factorial_valuation(k: int, p: int) -> int:
+    """v_p(k!) for k >= 0, by Legendre's formula: the sum of k // p**i, i >= 1."""
+    if k < 0:
+        raise ValueError("k! needs k >= 0, got %d" % k)
+    total = 0
+    while k:
+        k //= p
+        total += k
+    return total
 
 
 def valuation(x: int, p: int) -> int:
@@ -292,6 +331,7 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
     """
     if not is_bar_core(gamma, p):  # checks the prime too
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
+    _check_int(w, "w")
     if w < 0:
         raise ValueError("w must be nonnegative, got %d" % w)
     charges = runner_charges(gamma, p)[0]
@@ -314,6 +354,7 @@ def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
     j > max_size hold charge 0 and are not walked.
     """
     _check_odd_prime(p)
+    _check_int(max_size, "max_size")
     cores = [()] if max_size >= 0 else []
     for j in range(1, min((p + 1) // 2, max_size + 1)):
         grown = []

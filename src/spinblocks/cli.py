@@ -10,6 +10,10 @@ before its bounds are judged. Each verify kind makes one public library walk
 per core (verify_ratio_chain for ratios, compare_chain for thm35 and prop36)
 and keeps only a count and the failures (and prop36's rows); the CLI reads no
 private name of the library.
+One table (COMMANDS) declares each command once. A run builds the parser of
+the command it names alone, which prints the usage, help and errors of the
+full parser's subcommand; the full parser, built from the same table, parses
+what names no command and words the errors about tokens left over.
 Integers that do not fit in a signed 64-bit word are serialized as decimal
 strings, exactly, however many digits they have.
 """
@@ -317,69 +321,98 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
+def _bars_options(sub):
+    sub.add_argument("partition", help='partition text, e.g. "8,1" or "-" for empty')
+    sub.add_argument("--p", type=int, default=None, help="also report weights for this odd prime")
+
+
+def _core_options(sub):
+    sub.add_argument("partition")
+    sub.add_argument("--p", type=int, required=True)
+
+
+def _blocks_options(sub):
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--group", choices=("S", "A"), default="A")
+
+
+def _verify_options(sub):
+    sub.add_argument("kind", choices=("ratios", "thm35", "prop36"))
+    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--max-core", type=int, default=10)
+    sub.add_argument("--max-w", type=int, default=4)
+
+
+def _witness_options(sub):
+    sub.add_argument("--n", type=int, default=None)
+    sub.add_argument("--core", default=None)
+    sub.add_argument("--w", type=int, default=None)
+    sub.add_argument("--p", type=int, required=True)
+
+
+def _check_options(sub):
+    sub.add_argument("--max-n", type=int, required=True)
+    sub.add_argument("--primes", required=True, help="comma-separated odd primes")
+
+
+# name -> (help, command function, adder of the command's own options)
+COMMANDS = {
+    "bars": ("bar multiset and length products of a partition", cmd_bars, _bars_options),
+    "core": ("bar core and weight of a partition", cmd_core, _core_options),
+    "blocks": ("spin blocks with degrees, heights and defect class", cmd_blocks,
+               _blocks_options),
+    "verify": ("exact-identity and inequality sweeps", cmd_verify, _verify_options),
+    "witness": ("height-zero witness pair for a block; with --n, every block of"
+                " weight >= p qualifies, and the empty core already qualifies at"
+                " weight >= 2 (reported with status info while the defect is abelian)",
+                cmd_witness, _witness_options),
+    "check": ("scan all blocks up to max-n for witnesses", cmd_check, _check_options),
+}
+
+
 @functools.cache
-def build_parser():
-    """The CLI parser, built once per process: main only reads it."""
+def build_parser(command=None):
+    """The parser of one command, or with no command the full CLI parser.
+
+    Each is built once per process, and main only reads them. A command's
+    parser has the prog, options and defaults of the full parser's
+    subparser of that name, so it prints the same usage, help and errors.
+    """
+    if command is not None:
+        _help_text, func, add_options = COMMANDS[command]
+        parser = argparse.ArgumentParser(prog="spinblocks " + command)
+        add_options(parser)
+        _add_common(parser)
+        parser.set_defaults(func=func, cmd=command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="spinblocks",
         description="Exact bar-partition and spin-block computations for the"
                     " double covers of the symmetric and alternating groups.",
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
-
-    p_bars = subs.add_parser("bars", help="bar multiset and length products of a partition")
-    p_bars.add_argument("partition", help='partition text, e.g. "8,1" or "-" for empty')
-    p_bars.add_argument("--p", type=int, default=None, help="also report weights for this odd prime")
-    _add_common(p_bars)
-    p_bars.set_defaults(func=cmd_bars)
-
-    p_core = subs.add_parser("core", help="bar core and weight of a partition")
-    p_core.add_argument("partition")
-    p_core.add_argument("--p", type=int, required=True)
-    _add_common(p_core)
-    p_core.set_defaults(func=cmd_core)
-
-    p_blocks = subs.add_parser("blocks", help="spin blocks with degrees, heights and defect class")
-    p_blocks.add_argument("--n", type=int, required=True)
-    p_blocks.add_argument("--p", type=int, required=True)
-    p_blocks.add_argument("--group", choices=("S", "A"), default="A")
-    _add_common(p_blocks)
-    p_blocks.set_defaults(func=cmd_blocks)
-
-    p_verify = subs.add_parser("verify", help="exact-identity and inequality sweeps")
-    p_verify.add_argument("kind", choices=("ratios", "thm35", "prop36"))
-    p_verify.add_argument("--p", type=int, required=True)
-    p_verify.add_argument("--max-core", type=int, default=10)
-    p_verify.add_argument("--max-w", type=int, default=4)
-    _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_wit = subs.add_parser(
-        "witness",
-        help="height-zero witness pair for a block; with --n, every block of"
-             " weight >= p qualifies, and the empty core already qualifies at"
-             " weight >= 2 (reported with status info while the defect is abelian)",
-    )
-    p_wit.add_argument("--n", type=int, default=None)
-    p_wit.add_argument("--core", default=None)
-    p_wit.add_argument("--w", type=int, default=None)
-    p_wit.add_argument("--p", type=int, required=True)
-    _add_common(p_wit)
-    p_wit.set_defaults(func=cmd_witness)
-
-    p_check = subs.add_parser("check", help="scan all blocks up to max-n for witnesses")
-    p_check.add_argument("--max-n", type=int, required=True)
-    p_check.add_argument("--primes", required=True, help="comma-separated odd primes")
-    _add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
+    for name, (help_text, func, add_options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        add_options(sub)
+        _add_common(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
+def _parse(argv):
+    """Parse with the named command's parser alone; tokens it leaves over, and
+    any argv that names no command, go to the full parser for its messages."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -114,6 +114,8 @@ def _check_w(w):
 
 
 def _check_class(dec, i):
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError("i must be an integer, got %r" % (i,))
     if i not in dec.nonempty:
         raise ValueError("class %d of %s is empty" % (i, dec.gamma))
 

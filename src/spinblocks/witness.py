@@ -6,16 +6,20 @@ analysis on the residue classes of the core (constructions._witness_pair),
 the pair whose bar products constructions.compare_chain compares,
 and every claimed property (same block, height zero, distinct degrees, the
 mod-p congruence of the p'-part of the bar product) is verified from
-scratch rather than trusted.  Block membership comes from the abacus core,
-degrees from spinchar.alt_degree (whose group rule alone says that a label
-on fewer than two letters has none) and the p'-residue from the parts, so
-certifying builds no bar table.  A certificate needs only its two labels:
-height zero is the defect-group minimum of the degree valuation
-(blocks.height_zero_valuation), so neither building nor verifying it builds
-the block.  scan certifies every block from its (core, w) alone, walking
-each p-bar-core's weights once on one decomposition of the core;
-check_conjecture stays block-based as the descriptive report and the oracle
-for scan.
+scratch rather than trusted.  Block membership comes from the abacus core
+and the p'-residue from the parts, so certifying builds no bar table.  A
+certificate stores no degree and proves both degree facts from small
+integers: height zero is the count of bar lengths divisible by each power
+of p (barpart.weight_tower) against v_p((pw)!), the defect-group minimum,
+and distinct degrees are the quotient of the two bar products over the
+parts the labels do not share (barpart.bar_product_quotient) against the
+powers of 2 of the two degrees.  spinchar.alt_degree, whose group rule
+alone says that a label on fewer than two letters has none, runs only where
+a degree is printed or a check has failed.  Neither building nor verifying
+a certificate builds the block.  scan certifies every block from its
+(core, w) alone, walking each p-bar-core's weights once on one
+decomposition of the core; check_conjecture stays block-based as the
+descriptive report and the oracle for scan.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ from .barpart import (
     _check_odd_prime,
     abacus_core,
     bar_cores_up_to,
+    bar_product_quotient,
     bar_products,
+    factorial_valuation,
     valuation,
+    weight_tower,
 )
 from .blocks import (
     NON_ABELIAN,
@@ -40,7 +47,7 @@ from .blocks import (
     spin_blocks,
 )
 from .constructions import EMPTY_CORE, TWO_CLASSES, UNIQUE_CLASS, _witness_pair, decompose_core
-from .spinchar import alt_degree, sigma
+from .spinchar import alt, alt_degree, sigma
 
 CASE_EMPTY_CORE = EMPTY_CORE
 CASE_TWO_CLASSES = TWO_CLASSES
@@ -58,10 +65,17 @@ class WitnessCertificate(NamedTuple):
     case: str
     label_a: BarPartition
     label_b: BarPartition
-    degree_a: int  # degrees in the alternating double cover
-    degree_b: int
     checks: dict
     notes: tuple[str, ...] = ()
+
+    @property
+    def degree_a(self) -> int:
+        """The degree of label_a in the alternating double cover, computed on each read."""
+        return alt_degree(self.label_a)
+
+    @property
+    def degree_b(self) -> int:
+        return alt_degree(self.label_b)
 
     @property
     def verified(self) -> bool:
@@ -116,8 +130,6 @@ def _build_witness(dec, w):
         case=case,
         label_a=label_a,
         label_b=label_b,
-        degree_a=alt_degree(label_a),
-        degree_b=alt_degree(label_b),
         checks={},
     )
     return verify_witness(cert)
@@ -141,32 +153,66 @@ def _pprime_residue(lam: BarPartition, p: int) -> int:
     return r
 
 
+def _height_zero(lam: BarPartition, p: int, w: int) -> bool:
+    """Whether a label of a block of weight w has height zero.
+
+    p is odd, so the p-adic valuation of the degree 2**k n!/H of lam is
+    v_p(n!) - v_p(H), and it is the defect-group minimum v_p(n!) -
+    v_p((pw)!) exactly when v_p(H), the sum of lam's weight tower, is
+    v_p((pw)!). A label on fewer than two letters has no degree (the group
+    rule of alt_degree), so no height.
+    """
+    try:
+        alt(lam.n)
+    except ValueError:
+        return False
+    return weight_tower(lam, p)[1] == factorial_valuation(p * w, p)
+
+
+def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
+    """Whether two labels of one n differ in degree in the alternating double cover.
+
+    The degree is 2**k n!/H with k = floor((n - m)/2), less one where
+    sigma = +1 (n - m even) halves the "S" degree: k = floor((n - m - 1)/2).
+    So the degrees differ exactly when 2**k_lam H_mu != 2**k_mu H_lam,
+    cross-multiplied on the quotient of the bar products over the parts the
+    labels do not share.
+    """
+    num, den = bar_product_quotient(lam, mu)  # H_lam / H_mu
+    n = lam.n
+    shift = (n - lam.m - 1) // 2 - (n - mu.m - 1) // 2  # k_lam - k_mu
+    return den << max(shift, 0) != num << max(-shift, 0)
+
+
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its labels alone.
 
-    Both labels' cores and weights come from the abacus core and both degrees
-    from alt_degree, recomputed and compared with the stored ones.  A label
-    has height zero when it lies in the block (core, w) and its degree
-    valuation is the defect-group minimum v_p(n!) - v_p((pw)!); the block
+    Both labels' cores and weights come from the abacus core.  Height zero
+    (_height_zero) and distinct degrees (_degrees_differ, for labels of one
+    block only) are decided on small integers: the labels' weight towers
+    and the quotient of their bar products over the parts they do not
+    share.  No degree is computed unless a check fails, and the block
     itself is never built.  A failed check is recorded with the offending
-    values in the notes; nothing is ever silently passed.
+    values in the notes, degrees and their valuations included; nothing is
+    ever silently passed.
     """
     p, gamma, w = cert.p, cert.core, cert.w
+    label_a, label_b = cert.label_a, cert.label_b
     checks = {}
     notes = []
 
-    core_a, w_a = abacus_core(cert.label_a, p)
-    core_b, w_b = abacus_core(cert.label_b, p)
+    core_a, w_a = abacus_core(label_a, p)
+    core_b, w_b = abacus_core(label_b, p)
     checks["same_block"] = (
-        cert.label_a != cert.label_b
+        label_a != label_b
         and core_a == core_b == gamma
         and w_a == w_b == w
-        and cert.label_a.n == cert.label_b.n == cert.n
+        and label_a.n == label_b.n == cert.n
     )
     if not checks["same_block"]:
         notes.append(
             "block membership failed: %s has core %s weight %d, %s has core %s weight %d"
-            % (cert.label_a, core_a, w_a, cert.label_b, core_b, w_b)
+            % (label_a, core_a, w_a, label_b, core_b, w_b)
         )
 
     def degree(lam):  # None where the group rule of alt_degree refuses the label
@@ -175,22 +221,20 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
         except ValueError:
             return None
 
-    da, db = degree(cert.label_a), degree(cert.label_b)
-    va, vb = (None if d is None else valuation(d, p) for d in (da, db))
-    low = height_zero_valuation(gamma.n + p * w, p, w)
     checks["both_height_zero"] = (
-        (core_a, w_a) == (core_b, w_b) == (gamma, w) and va == vb == low
+        (core_a, w_a) == (core_b, w_b) == (gamma, w)
+        and _height_zero(label_a, p, w) and _height_zero(label_b, p, w)
     )
     if not checks["both_height_zero"]:
+        va, vb = (None if d is None else valuation(d, p) for d in map(degree, (label_a, label_b)))
         notes.append("height-zero check failed: degree valuations %s and %s,"
-                     " defect-group minimum %d" % (va, vb, low))
+                     " defect-group minimum %d"
+                     % (va, vb, height_zero_valuation(gamma.n + p * w, p, w)))
 
-    checks["degrees_distinct"] = (
-        da != db and cert.degree_a == da and cert.degree_b == db
-    )
+    checks["degrees_distinct"] = checks["same_block"] and _degrees_differ(label_a, label_b)
     if not checks["degrees_distinct"]:
-        notes.append("degree check failed: recomputed %s and %s, stored %d and %d"
-                     % (da, db, cert.degree_a, cert.degree_b))
+        notes.append("degree check failed: recomputed %s and %s"
+                     % (degree(label_a), degree(label_b)))
 
     if cert.case == CASE_EMPTY_CORE:
         checks["congruence_ok"] = None
@@ -199,13 +243,13 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
         target = math.prod(bar_products(gamma)) % p
         ok = all(
             _pprime_residue(lam, p) in (target, (-target) % p)
-            for lam in (cert.label_a, cert.label_b)
+            for lam in (label_a, label_b)
         )
         checks["congruence_ok"] = ok
         if not ok:
             notes.append(
                 "p'-part residues %d, %d not congruent to +-%d mod %d"
-                % (_pprime_residue(cert.label_a, p), _pprime_residue(cert.label_b, p),
+                % (_pprime_residue(label_a, p), _pprime_residue(label_b, p),
                    target, p)
             )
 

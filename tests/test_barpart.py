@@ -393,6 +393,12 @@ class TestLabelsWithCoreAndWeight:
         with pytest.raises(ValueError, match="w must be nonnegative, got -1"):
             labels_with_core_and_weight(EMPTY, 3, -1)
 
+    @pytest.mark.parametrize("w", [True, 1.0, "1"])
+    def test_rejects_non_int_weight(self, w):
+        # True was taken as w = 1
+        with pytest.raises(ValueError, match="w must be an integer, got %r" % (w,)):
+            labels_with_core_and_weight(EMPTY, 3, w)
+
     def test_generated_charge_runners(self):
         # 7-bar-core (9, 2) has charges +1 on pair (2, 5) and -1 on pair (1, 6)
         got = labels_with_core_and_weight(bp(9, 2), 7, 2)
@@ -426,6 +432,12 @@ class TestBarCoresUpTo:
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             bar_cores_up_to(5, 9)
+
+    @pytest.mark.parametrize("max_size", [5.5, True, "5"])
+    def test_rejects_non_int_size(self, max_size):
+        # 5.5 listed the cores of size <= 5
+        with pytest.raises(ValueError, match="max_size must be an integer, got %r" % (max_size,)):
+            bar_cores_up_to(max_size, 3)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_core_run_is_the_empty_quotient(self, p):

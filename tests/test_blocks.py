@@ -172,6 +172,13 @@ class TestHeightZeroCriterion:
         with pytest.raises(ValueError, match="weight 0 <= w <= n/p"):
             height_zero_valuation(n, 3, w)
 
+    @pytest.mark.parametrize("n, w, name, value", [(5.5, 1, "n", 5.5), (9, 1.0, "w", 1.0),
+                                                   (True, 0, "n", True), (9, False, "w", False)])
+    def test_closed_form_rejects_non_int(self, n, w, name, value):
+        # 5.5 gave the float 0.0
+        with pytest.raises(ValueError, match="%s must be an integer, got %r" % (name, value)):
+            height_zero_valuation(n, 3, w)
+
     @pytest.mark.parametrize("p", [1, 2, 9, -3])
     def test_closed_form_rejects_bad_prime(self, p):
         with pytest.raises(ValueError, match="odd prime"):

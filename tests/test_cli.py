@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from spinblocks import barpart, blocks, constructions, oracle, spinchar, witness
 from spinblocks.blocks import spin_blocks
-from spinblocks.cli import INT64_MAX, _witness_targets, jsonable, main, render
+from spinblocks.cli import INT64_MAX, _witness_targets, build_parser, jsonable, main, render
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -513,6 +513,45 @@ class TestOutput:
     def test_missing_subcommand(self, capsys):
         rc, _out, _err = run(capsys, )
         assert rc == 2
+
+
+# each command with valid arguments, and with one int option given "x"
+VALID = {
+    "bars": ["3,1"], "core": ["3,1", "--p", "3"], "blocks": ["--n", "9", "--p", "3"],
+    "verify": ["ratios", "--p", "3"], "witness": ["--p", "3"],
+    "check": ["--max-n", "16", "--primes", "3"],
+}
+BAD_INT = {
+    "bars": ["3,1", "--p", "x"], "core": ["3,1", "--p", "x"], "blocks": ["--n", "x", "--p", "3"],
+    "verify": ["ratios", "--p", "x"], "witness": ["--p", "x"],
+    "check": ["--max-n", "x", "--primes", "3"],
+}
+USAGE_ARGVS = [[], ["-h"], ["frobnicate"], ["frobnicate", "--p", "3"]] + [
+    argv for name in VALID
+    for argv in ([name, "-h"], [name], [name] + BAD_INT[name], [name] + VALID[name] + ["--bogus"],
+                 [name] + VALID[name] + ["extra", "-h"])
+]
+
+
+class TestParsers:
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+    def test_same_usage_as_the_full_parser(self, capsys, argv):
+        # a command's own parser prints the help, usage and errors of the full parser
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            expected = (exc.code, *capsys.readouterr())
+        else:
+            raise AssertionError("the full parser accepted %r" % (argv,))
+        assert run(capsys, *argv) == expected
+
+    def test_check_builds_only_its_parser(self, capsys):
+        build_parser.cache_clear()
+        rc, _out, _err = run(capsys, "check", "--max-n", "16", "--primes", "3")
+        assert rc == 0
+        assert build_parser.cache_info().currsize == 1
+        build_parser("check")
+        assert build_parser.cache_info().currsize == 1
 
 
 def roundtrip(value):

@@ -118,6 +118,13 @@ class TestConstructions:
         with pytest.raises(ValueError, match="w must be >= 1, got 0"):
             add_part_pw(bp(1), 3, 0)
 
+    @pytest.mark.parametrize("build", [grow_class, grow_class_ratio, grow_class_ratio_parts])
+    @pytest.mark.parametrize("i", [1.0, True])
+    def test_grow_class_rejects_non_int_class(self, build, i):
+        # 1.0 raised TypeError from the class tuple's index
+        with pytest.raises(ValueError, match="i must be an integer, got %r" % (i,)):
+            build(bp(1), 3, i, 1)
+
     def test_grow_class(self):
         assert grow_class(bp(1), 3, 1, 1) == bp(4)
         assert grow_class(bp(4, 1), 3, 1, 2) == bp(10, 1)

@@ -1,13 +1,17 @@
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinblocks import constructions, witness
+from spinblocks import constructions, spinchar, witness
 from spinblocks.barpart import (
     EMPTY,
     bar_cores_up_to,
+    bar_product_quotient,
+    bar_products,
+    labels_with_core_and_weight,
     make_bar_partition,
     valuation,
 )
@@ -24,6 +28,9 @@ from spinblocks.witness import (
     CASE_TWO_CLASSES,
     CASE_UNIQUE_ODD_P3_SMALL,
     ScanSummary,
+    WitnessCertificate,
+    _degrees_differ,
+    _height_zero,
     _pprime_residue,
     alt_degree,
     build_witness,
@@ -111,7 +118,7 @@ class TestVerifyWitness:
     def test_detects_positive_height(self):
         # (6, 2, 1) lies in the block of (9) and (8, 1) but has height 1
         cert = build_witness(EMPTY, 3, 3)
-        bad = verify_witness(cert._replace(label_a=bp(6, 2, 1), degree_a=alt_degree(bp(6, 2, 1))))
+        bad = verify_witness(cert._replace(label_a=bp(6, 2, 1)))
         assert bad.checks["same_block"] is True
         assert bad.checks["degrees_distinct"] is True
         assert bad.checks["both_height_zero"] is False
@@ -119,11 +126,18 @@ class TestVerifyWitness:
         assert any("height-zero check failed: degree valuations 1 and 0, defect-group minimum 0"
                    in note for note in bad.notes)
 
-    def test_detects_degree_tampering(self):
-        cert = build_witness(bp(1), 3, 3)
-        bad = verify_witness(cert._replace(degree_a=cert.degree_a + 1))
+    def test_detects_equal_degrees(self):
+        # (4) and (3, 1) share the block (core 1, w 1) at p = 3, both of
+        # height zero, with one degree 2 in the alternating double cover
+        cert = WitnessCertificate(p=3, core=bp(1), w=1, n=4, case=CASE_UNIQUE_ODD_P3_SMALL,
+                                  label_a=bp(4), label_b=bp(3, 1), checks={})
+        assert (cert.degree_a, cert.degree_b) == (2, 2)
+        bad = verify_witness(cert)
+        assert bad.checks["same_block"] is True
+        assert bad.checks["both_height_zero"] is True
         assert bad.checks["degrees_distinct"] is False
         assert not bad.verified
+        assert "degree check failed: recomputed 2 and 2" in bad.notes
 
     def test_replace_round_trip_keeps_verified(self):
         cert = build_witness(bp(1), 3, 3)
@@ -140,6 +154,72 @@ class TestVerifyWitness:
         assert bad.checks["congruence_ok"] is False
         assert not bad.verified
         assert "p'-part residues 0, 0 not congruent to +-1 mod 3" in bad.notes
+
+
+class TestSmallIntegerVerdicts:
+    """Height zero and distinct degrees from weight towers and unshared parts,
+    against the degrees themselves."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_match_degrees_in_every_block_to_thirty(self, p):
+        for n in range(2, 31):
+            for core, w in block_targets(n, p):
+                labels = labels_with_core_and_weight(core, p, w)
+                low = height_zero_valuation(n, p, w)
+                degree = {lam: alt_degree(lam) for lam in labels}
+                for lam in labels:
+                    assert _height_zero(lam, p, w) == (valuation(degree[lam], p) == low)
+                for a in labels:
+                    for b in labels:
+                        if a != b:
+                            assert _degrees_differ(a, b) == (degree[a] != degree[b])
+                for b in labels[1:]:  # the verifier's verdicts are these
+                    cert = verify_witness(WitnessCertificate(p, core, w, n, CASE_TWO_CLASSES,
+                                                             labels[0], b, {}))
+                    assert cert.checks["same_block"]
+                    assert cert.checks["both_height_zero"] == (
+                        valuation(degree[labels[0]], p) == valuation(degree[b], p) == low)
+                    assert cert.checks["degrees_distinct"] == (degree[labels[0]] != degree[b])
+
+    @given(st.lists(st.integers(1, 60), max_size=12), st.lists(st.integers(1, 60), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_unshared_quotient_is_the_bar_product_quotient(self, first, second):
+        lam = strict_from(first, 60)
+        mu = strict_from(second, lam.n, fill=True)
+        assert mu.n == lam.n
+        num, den = bar_product_quotient(lam, mu)
+        assert num * math.prod(bar_products(mu)) == den * math.prod(bar_products(lam))
+
+    def test_certificates_compute_no_degree(self, monkeypatch):
+        def refuse(lam):
+            raise AssertionError("a degree was computed for %s" % (lam,))
+
+        assert WitnessCertificate._fields == ("p", "core", "w", "n", "case", "label_a", "label_b",
+                                              "checks", "notes")
+        monkeypatch.setattr(witness, "alt_degree", refuse)
+        monkeypatch.setattr(spinchar, "spin_degree_sym", refuse)
+        summary = scan(60, (3, 5, 7))
+        assert summary.notes == ()
+        assert summary.witnesses_verified == sum(
+            count for (_p, dc), count in summary.block_counts.items() if dc == NON_ABELIAN)
+        assert build_witness(bp(3, 1), 5, 5).verified
+
+
+def strict_from(candidates, n, fill=False):
+    """A strict partition from the distinct candidates that fit in n; with
+    fill, the rest of n is added as a new part, or onto the largest part."""
+    parts = set()
+    for a in candidates:
+        if a not in parts and sum(parts) + a <= n:
+            parts.add(a)
+    rest = n - sum(parts)
+    if fill and rest:
+        if rest in parts:
+            top = max(parts)
+            parts.remove(top)
+            rest += top
+        parts.add(rest)
+    return make_bar_partition(parts)
 
 
 class TestBlockMembership:
@@ -162,6 +242,16 @@ class TestBlockMembership:
         assert bad.checks["both_height_zero"] is False
         assert bad.checks["degrees_distinct"] is False
         assert any("recomputed None and 160" in note for note in bad.notes)
+
+    @pytest.mark.parametrize("core", [EMPTY, bp(1)])
+    def test_no_height_zero_below_two_letters(self, core):
+        # the label is its own block of weight 0, with no degree to have a height
+        cert = WitnessCertificate(p=3, core=core, w=0, n=core.n, case=CASE_TWO_CLASSES,
+                                  label_a=core, label_b=core, checks={})
+        bad = verify_witness(cert)
+        assert bad.checks["both_height_zero"] is False
+        assert ("height-zero check failed: degree valuations None and None,"
+                " defect-group minimum 0") in bad.notes
 
     @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
     def test_flags_block_of_wrong_core_or_weight(self, core, w):
