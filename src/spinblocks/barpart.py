@@ -179,7 +179,8 @@ def _check_odd_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
 
 
-def _check_int(value, name):
+def check_int(value, name):
+    """Refuse a value that is not an int, a bool included, naming it."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
@@ -331,7 +332,7 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
     """
     if not is_bar_core(gamma, p):  # checks the prime too
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
-    _check_int(w, "w")
+    check_int(w, "w")
     if w < 0:
         raise ValueError("w must be nonnegative, got %d" % w)
     charges = runner_charges(gamma, p)[0]
@@ -354,7 +355,7 @@ def bar_cores_up_to(max_size: int, p: int) -> list[BarPartition]:
     j > max_size hold charge 0 and are not walked.
     """
     _check_odd_prime(p)
-    _check_int(max_size, "max_size")
+    check_int(max_size, "max_size")
     cores = [()] if max_size >= 0 else []
     for j in range(1, min((p + 1) // 2, max_size + 1)):
         grown = []

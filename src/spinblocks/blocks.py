@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 from .barpart import (
     BarPartition,
-    _check_int,
     _check_odd_prime,
     bar_cores_up_to,
+    check_int,
     factorial_valuation,
     labels_with_core_and_weight,
     valuation,
@@ -49,8 +49,8 @@ def height_zero_valuation(n: int, p: int, w: int) -> int:
     """v_p(n!) - v_p((pw)!): the degree valuation of the height-zero
     characters of a spin block of n with weight w, read off its defect group."""
     _check_odd_prime(p)
-    _check_int(n, "n")
-    _check_int(w, "w")
+    check_int(n, "n")
+    check_int(w, "w")
     if not 0 <= p * w <= n:
         raise ValueError("a block of n = %d has weight 0 <= w <= n/p, got w = %d" % (n, w))
     return factorial_valuation(n, p) - factorial_valuation(p * w, p)

@@ -15,10 +15,13 @@ barpart.abacus_core(lam, p) == (gamma, w) says, without building, sorting
 and validating a core per label.
 
 For each family the ratio of bar-length products between consecutive
-weights has an exact closed form, split into its unmixed and mixed factors.
-Privately each is an unreduced (numerator, denominator) pair of integer
-products with a positive denominator; the public ratio functions return it
-reduced, as a Fraction. Every closed form here is checked (in tests and via
+weights, w-1 -> w, is a product of factors linear in pw. _forms holds its
+unmixed factor, its mixed factor and their total, once per chain, as pairs
+(c, d) of constant lists; _step reads each at w as the unreduced integer
+pair (prod |pw + c|, prod (pw + d)), and corrects the unmixed and mixed
+pairs of the add-part step to w = 1 by prod parts(gamma). A total has no
+denominator. The public ratio functions return the pairs reduced, as
+Fractions. Every closed form here is checked (in tests and via
 verify_ratio_chain) against the direct quotient of the two labels' bar
 products, taken from their parts by Schur's formula (barpart.bar_products),
 by cross-multiplying the two pairs: no Fraction, and so no gcd, is built
@@ -45,6 +48,7 @@ from typing import NamedTuple
 from .barpart import (
     BarPartition,
     bar_products,
+    check_int,
     is_bar_core,
     make_bar_partition,
     runner_charges,
@@ -109,13 +113,13 @@ def _certify(lam, dec, w, expected_m):
 
 
 def _check_w(w):
+    check_int(w, "w")
     if w < 1:
         raise ValueError("w must be >= 1, got %d" % w)
 
 
 def _check_class(dec, i):
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValueError("i must be an integer, got %r" % (i,))
+    check_int(i, "i")
     if i not in dec.nonempty:
         raise ValueError("class %d of %s is empty" % (i, dec.gamma))
 
@@ -169,94 +173,89 @@ def _witness_pair(dec, w):
     return UNIQUE_CLASS, _grow_class(dec, order[0], w), _add_part_pw(dec, w)
 
 
-def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:
-    """Closed forms for the unmixed and mixed ratio of the grow_class step.
+def _forms(dec, i):
+    """The (unmixed, mixed, total) forms of the step w-1 -> w of the chain
+    grow_class of class i, or add_part_pw when i is None.
 
-    Unmixed: p*w times the product over j != i of |p(w-1) + e_i - e_j|.
-    Mixed: product over occupied j != i of (e_i + e_j + pw)/(e_i + p(w-1) + j),
-    times (2e_i + p(w-1))/(e_i + p(w-1) + i) for the pairs between the moved
-    part and the rest of its own class (that factor is 1 when the class is a
-    singleton, i.e. e_i = i).
+    Each form is a pair (num, den) of constant lists, read at weight w by
+    _step as prod |pw + c| / prod (pw + d). A total form has no denominator.
+    """
+    p, e, occupied = dec.p, dec.e, dec.nonempty
+    if i is None:
+        unmixed = [0] + [-p - e[j] for j in range(1, p)]
+        mixed = [e[j] for j in occupied], [j - p for j in occupied]
+        total = ([0] + [c for j in occupied for c in (-p - e[j], e[j])]
+                 + [-j for j in range(1, p) if j not in occupied and p - j not in occupied])
+    else:
+        ei = e[i]
+        others = [j for j in occupied if j != i]
+        unmixed = [0] + [ei - e[j] - p for j in range(p) if j != i]
+        mixed = [2 * ei - p] + [ei + e[j] for j in others], [ei - p + j for j in occupied]
+        total = ([0, 2 * ei - p] + [c for j in others for c in (ei - e[j] - p, ei + e[j])]
+                 + [ei - k for k in range(p) if k not in occupied and p - k not in occupied])
+    return (unmixed, []), mixed, (total, [])
+
+
+def _step(dec, i, w, forms=None):
+    """The (unmixed, mixed, total) ratios of a chain's step w-1 -> w: the forms
+    of _forms(dec, i) at pw, as unreduced (numerator, denominator) int pairs.
+    The w-1 side of the add-part step to w = 1 is the core, which has no part
+    0, so its unmixed denominator and mixed numerator gain prod parts(gamma).
+    """
+    pw = dec.p * w
+    unmixed, mixed, total = ((math.prod(abs(pw + c) for c in num), math.prod(pw + d for d in den))
+                             for num, den in forms or _forms(dec, i))
+    if i is None and w == 1:
+        parts = math.prod(dec.gamma.parts)
+        unmixed, mixed = (unmixed[0], unmixed[1] * parts), (mixed[0] * parts, mixed[1])
+    return unmixed, mixed, total
+
+
+def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:
+    """The unmixed and mixed ratios of the grow_class step w-1 -> w.
+
+    Unmixed: pw times, over j != i, |p(w-1) + e_i - e_j|. Mixed: (2e_i +
+    p(w-1)) times, over occupied j != i, (pw + e_i + e_j), over the product
+    of (p(w-1) + e_i + j) for occupied j.
     """
     dec = decompose_core(gamma, p)
     _check_class(dec, i)
     _check_w(w)
-    return tuple(Fraction(*pair) for pair in _grow_class_ratio_parts(dec, i, w))
-
-
-def _grow_class_ratio_parts(dec, i, w):
-    p, ei, e = dec.p, dec.e[i], dec.e
-    unmixed = p * w * math.prod(abs(p * (w - 1) + ei - e[j]) for j in range(p) if j != i)
-    others = [j for j in dec.nonempty if j != i]
-    mixed = ((2 * ei + p * (w - 1)) * math.prod(ei + e[j] + p * w for j in others),
-             (ei + p * (w - 1) + i) * math.prod(ei + p * (w - 1) + j for j in others))
-    return (unmixed, 1), mixed
+    return tuple(Fraction(*pair) for pair in _step(dec, i, w)[:2])
 
 
 def grow_class_ratio(gamma, p, i, w) -> Fraction:
-    """Total ratio of the grow_class step as a single product.
-
-    Equals pw(p(w-1)+2e_i) times, over occupied j != i,
-    |p(w-1)+e_i-e_j| (pw+e_i+e_j), times, over residues k with classes k
-    and p-k both empty, (pw + e_i - k).  The leading factor carries the
-    intra-class mixed pairs and reduces to p(w-1)+e_i+i for a singleton
-    class.
-    """
+    """The total ratio of the grow_class step: pw(p(w-1) + 2e_i) times, over
+    occupied j != i, |p(w-1) + e_i - e_j| (pw + e_i + e_j), times, over k
+    with classes k and p-k both empty, (pw + e_i - k)."""
     dec = decompose_core(gamma, p)
     _check_class(dec, i)
     _check_w(w)
-    return Fraction(*_grow_class_ratio(dec, i, w))
-
-
-def _grow_class_ratio(dec, i, w):
-    p, ei, e, occupied = dec.p, dec.e[i], dec.e, dec.nonempty
-    total = (p * w * (p * (w - 1) + 2 * ei)
-             * math.prod(abs(p * (w - 1) + ei - e[j]) * (p * w + ei + e[j])
-                         for j in occupied if j != i)
-             * math.prod(abs(p * w + ei - k) for k in range(p)
-                         if k not in occupied and p - k not in occupied))
-    return total, 1
+    return Fraction(*_step(dec, i, w)[2])
 
 
 def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
-    """Closed forms for the unmixed and mixed ratio of the add_part_pw step.
+    """The unmixed and mixed ratios of the add_part_pw step w-1 -> w.
 
-    The w = 1 step leaves the core itself as denominator and is a
-    structurally different formula, hence the explicit branch.
+    Unmixed: pw times, over j = 1..p-1, |p(w-1) - e_j|. Mixed: the product
+    of (pw + e_j) over that of (p(w-1) + j), over occupied j. The step to
+    w = 1 reads the same forms, with prod parts(gamma) added to the unmixed
+    denominator and the mixed numerator: its w-1 side is the core, which has
+    no part 0.
     """
     dec = decompose_core(gamma, p)
     _check_nonempty(gamma)
     _check_w(w)
-    return tuple(Fraction(*pair) for pair in _add_part_ratio_parts(dec, w))
-
-
-def _add_part_ratio_parts(dec, w):
-    parts, p, e = dec.gamma.parts, dec.p, dec.e
-    if w > 1:
-        unmixed = p * w * math.prod(abs(p * (w - 1) - e[j]) for j in range(1, p))
-        mixed = (math.prod(e[j] + p * w for j in dec.nonempty),
-                 math.prod(p * (w - 1) + j for j in dec.nonempty))
-        return (unmixed, 1), mixed
-    unmixed = (p * math.prod(abs(e[j]) for j in range(1, p)), math.prod(parts))
-    return unmixed, (math.prod(a + p for a in parts), 1)
+    return tuple(Fraction(*pair) for pair in _step(dec, None, w)[:2])
 
 
 def add_part_ratio(gamma, p, w) -> Fraction:
-    """Total ratio of the add_part_pw step as a single product."""
+    """The total ratio of the add_part_pw step: pw times, over occupied j,
+    |p(w-1) - e_j| (pw + e_j), times, over j with j and p-j both empty, (pw - j)."""
     dec = decompose_core(gamma, p)
     _check_nonempty(gamma)
     _check_w(w)
-    return Fraction(*_add_part_ratio(dec, w))
-
-
-def _add_part_ratio(dec, w):
-    parts, p, e = dec.gamma.parts, dec.p, dec.e
-    if w > 1:
-        # empty classes contribute a factor 1 to the quotient
-        return (p * w * math.prod(abs(p * (w - 1) - e[j]) * (p * w + e[j]) for j in range(1, p)),
-                math.prod(p * (w - 1) + j for j in range(1, p)))
-    return (p * math.prod(abs(e[j]) for j in range(1, p)) * math.prod(a + p for a in parts),
-            math.prod(parts))
+    return Fraction(*_step(dec, None, w)[2])
 
 
 class RatioCheck(NamedTuple):
@@ -299,25 +298,24 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioChe
     bar products once, and those products serve both steps it belongs to.
     The w-1 side of the step to w = 1 is the core itself.
     """
+    check_int(max_w, "max_w")
     dec = decompose_core(gamma, p)
-    # (identity, residue, label, closed-form part pairs, total pair), each a function of w
-    chains = [("grow-class", i, partial(_grow_class, dec, i),
-               partial(_grow_class_ratio_parts, dec, i), partial(_grow_class_ratio, dec, i))
+    # (identity, residue, label as a function of w, closed forms of the step)
+    chains = [("grow-class", i, partial(_grow_class, dec, i), _forms(dec, i))
               for i in dec.nonempty]
     if gamma.m:
-        chains.append(("add-part", None, partial(_add_part_pw, dec),
-                       partial(_add_part_ratio_parts, dec), partial(_add_part_ratio, dec)))
+        chains.append(("add-part", None, partial(_add_part_pw, dec), _forms(dec, None)))
     prev = [bar_products(gamma)] * len(chains)
     checks = []
     for w in range(1, max_w + 1):
-        for k, (identity, residue, label, parts, total) in enumerate(chains):
+        for k, (identity, residue, label, forms) in enumerate(chains):
             cur = bar_products(label(w))
             (ua, ma), (ub, mb) = cur, prev[k]
             prev[k] = cur
-            cu, cm = parts(w)
+            cu, cm, ct = _step(dec, residue, w, forms)
             checks += (RatioCheck(identity + "-unmixed", residue, w, cu, (ua, ub)),
                        RatioCheck(identity + "-mixed", residue, w, cm, (ma, mb)),
-                       RatioCheck(identity + "-total", residue, w, total(w), (ua * ma, ub * mb)))
+                       RatioCheck(identity + "-total", residue, w, ct, (ua * ma, ub * mb)))
     return checks
 
 
@@ -353,6 +351,7 @@ def compare_chain(gamma: BarPartition, p: int, max_w: int) -> list[ComparisonRes
     The core is decomposed once, and each comparison is an exact big-integer
     inequality.
     """
+    check_int(max_w, "max_w")
     dec = decompose_core(gamma, p)
     results = []
     for w in range(1 if gamma.m else 2, max_w + 1):

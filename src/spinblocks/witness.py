@@ -34,6 +34,7 @@ from .barpart import (
     bar_cores_up_to,
     bar_product_quotient,
     bar_products,
+    check_int,
     factorial_valuation,
     valuation,
     weight_tower,
@@ -100,6 +101,7 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
     (the empty core is always one).
     """
     _check_odd_prime(p)
+    check_int(w, "w")
     if not witness_eligible(gamma, p, w):
         raise ValueError(
             "block (core %s, w=%d) has no witness pair: only the empty core"

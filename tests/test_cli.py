@@ -52,11 +52,11 @@ def refuse_bar_work(monkeypatch):
         oracle.remove_bar(barpart.BarPartition((3,)), oracle.Bar(barpart.TYPE2, 3, y=3))
 
 
-def one_more(ratio):
-    """ratio, a function returning a (numerator, denominator) pair, raised by 1."""
-    def patched(*args):
-        num, den = ratio(*args)
-        return num + den, den
+def grow_total_one_more(step):
+    """step, returning (unmixed, mixed, total) pairs, with grow_class totals raised by 1."""
+    def patched(dec, i, w, forms=None):
+        unmixed, mixed, (num, den) = step(dec, i, w, forms)
+        return unmixed, mixed, (num + den if i is not None else num, den)
 
     return patched
 
@@ -203,7 +203,7 @@ class TestVerify:
     @pytest.mark.parametrize("kind, fault, first", [
         # a grow_class total one too large: grow (1) -> (4) at p=3, w=1 has ratio 24
         ("ratios",
-         lambda real: ("_grow_class_ratio", one_more(real._grow_class_ratio)),
+         lambda real: ("_step", grow_total_one_more(real._step)),
          {"core": "1", "w": 1, "identity": "grow-class-total", "residue": 1,
           "closed_form": "25", "direct": "24"}),
         # bar products replaced by (1, number of parts): the grown label never wins

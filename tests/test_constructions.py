@@ -12,6 +12,7 @@ from spinblocks.barpart import (
     bar_cores_up_to,
     is_bar_core,
     make_bar_partition,
+    valuation,
 )
 from spinblocks.cli import main
 from spinblocks.constructions import (
@@ -19,11 +20,9 @@ from spinblocks.constructions import (
     TWO_CLASSES,
     UNIQUE_CLASS,
     RatioCheck,
-    _add_part_ratio,
-    _add_part_ratio_parts,
     _certify,
-    _grow_class_ratio,
-    _grow_class_ratio_parts,
+    _forms,
+    _step,
     add_part_pw,
     add_part_ratio,
     add_part_ratio_parts,
@@ -251,12 +250,36 @@ class TestRatioValues:
             dec = decompose_core(gamma, p)
             for w in range(1, 7):
                 for i in dec.nonempty:
-                    assert Fraction(*_grow_class_ratio(dec, i, w)) == grow_class_ratio(gamma, p, i, w)
-                    assert (tuple(Fraction(*pair) for pair in _grow_class_ratio_parts(dec, i, w))
+                    *parts, total = _step(dec, i, w)
+                    assert Fraction(*total) == grow_class_ratio(gamma, p, i, w)
+                    assert (tuple(Fraction(*pair) for pair in parts)
                             == grow_class_ratio_parts(gamma, p, i, w))
-                assert Fraction(*_add_part_ratio(dec, w)) == add_part_ratio(gamma, p, w)
-                assert (tuple(Fraction(*pair) for pair in _add_part_ratio_parts(dec, w))
+                *parts, total = _step(dec, None, w)
+                assert Fraction(*total) == add_part_ratio(gamma, p, w)
+                assert (tuple(Fraction(*pair) for pair in parts)
                         == add_part_ratio_parts(gamma, p, w))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_forms_give_total_valuation_one_plus_vp_w(self, p):
+        # every step total is pw times factors prime to p, so v_p(total) = 1 + v_p(w)
+        for gamma in bar_cores_up_to(25, p):
+            dec = decompose_core(gamma, p)
+            for i in dec.nonempty + ((None,) if gamma.m else ()):
+                forms = _forms(dec, i)
+                total, total_den = forms[2]
+                assert total_den == [] and total.count(0) == 1
+                for num, den in forms:
+                    assert all(c % p for c in num if c) and all(d % p for d in den)
+                for w in (1, 2, p, 2 * p, p * p):
+                    num, den = _step(dec, i, w, forms)[2]
+                    assert den == 1 and valuation(num, p) == 1 + valuation(w, p)
+
+    @pytest.mark.parametrize("ratio, args", [(grow_class_ratio, (1,)), (add_part_ratio, ())])
+    @pytest.mark.parametrize("w", [2.0, True])
+    def test_ratio_rejects_non_int_w(self, ratio, args, w):
+        # True was read as w = 1, and 2.0 raised TypeError from Fraction
+        with pytest.raises(ValueError, match="w must be an integer, got %r" % (w,)):
+            ratio(bp(1), 3, *args, w)
 
 
 class TestRatioIdentities:
@@ -375,6 +398,13 @@ class TestComparisons:
             assert all(res.verified for res in results)
         # no weight to compare below w = 1
         assert compare_chain(bp(1), 3, 0) == []
+
+    @pytest.mark.parametrize("walk", [compare_chain, verify_ratio_chain])
+    @pytest.mark.parametrize("max_w", [2.0, True])
+    def test_walk_rejects_non_int_max_w(self, walk, max_w):
+        # 2.0 raised TypeError from range
+        with pytest.raises(ValueError, match="max_w must be an integer, got %r" % (max_w,)):
+            walk(bp(1), 3, max_w)
 
     def test_monotone_in_w(self):
         # each step ratio exceeds 1, so the grown label's product grows with w

@@ -106,6 +106,12 @@ class TestBuildWitness:
         with pytest.raises(ValueError):
             build_witness(bp(3), 3, 3)  # not a core
 
+    @pytest.mark.parametrize("w", [3.0, True])
+    def test_rejects_non_int_w(self, w):
+        # 3.0 was refused only by the label it built: "parts must be positive integers, got 10.0"
+        with pytest.raises(ValueError, match="w must be an integer, got %r" % (w,)):
+            build_witness(bp(1), 3, w)
+
 
 class TestVerifyWitness:
     def test_detects_tampering(self):
