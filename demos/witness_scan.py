@@ -7,20 +7,20 @@ the certificate for each such block and summarizes the scan.
 Run: python3 demos/witness_scan.py
 """
 
-from spinblocks import NON_ABELIAN, check_conjecture, scan
+from spinblocks import NON_ABELIAN, build_witness, equal_degree_test, scan, spin_blocks
 
 print("Blocks of the alternating double cover, p = 3, n = 9 .. 15:")
 for n in range(9, 16):
-    for rep in check_conjecture(n, 3):
-        line = "  n=%2d core %-5s w=%d %-11s" % (n, rep.core, rep.w, rep.defect_class)
-        if rep.defect_class == NON_ABELIAN:
-            cert = rep.certificate
+    for block in spin_blocks(n, 3, "A"):
+        line = "  n=%2d core %-5s w=%d %-11s" % (n, block.core, block.w, block.defect_class)
+        if block.defect_class == NON_ABELIAN:
+            cert = build_witness(block.core, 3, block.w)
             line += " witness %s/%s degrees %d/%d case %s verified=%s" % (
                 cert.label_a, cert.label_b, cert.degree_a, cert.degree_b,
                 cert.case, cert.verified,
             )
         else:
-            line += " height-zero degrees %s" % (rep.height_zero_degrees,)
+            line += " height-zero degrees %s" % (equal_degree_test(block)[1],)
         print(line)
 
 print()

@@ -42,20 +42,16 @@ from .constructions import (
     CoreDecomposition,
     add_part_pw,
     add_part_ratio,
-    add_part_ratio_parts,
     compare_chain,
     decompose_core,
     grow_class,
     grow_class_ratio,
-    grow_class_ratio_parts,
     verify_ratio_chain,
 )
 from .witness import (
-    BlockReport,
     ScanSummary,
     WitnessCertificate,
     build_witness,
-    check_conjecture,
     scan,
     verify_witness,
 )

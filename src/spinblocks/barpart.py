@@ -12,8 +12,7 @@ for cores (abacus_core) and block labels from p-bar quotients
 against (the bar table kept bar by bar, bar removal and full enumeration)
 lives in spinblocks.oracle. Records here and on every certification path
 are named tuples, compared and ordered as the tuple of their fields; those
-holding a dict or a list (SpinBlock, WitnessCertificate, ScanSummary,
-BlockReport) do not hash.
+holding a dict (SpinBlock, WitnessCertificate, ScanSummary) do not hash.
 """
 
 from __future__ import annotations
@@ -208,7 +207,10 @@ def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
 
 
 def factorial_valuation(k: int, p: int) -> int:
-    """v_p(k!) for k >= 0, by Legendre's formula: the sum of k // p**i, i >= 1."""
+    """v_p(k!) for an int k >= 0 and an odd prime p, by Legendre's formula:
+    the sum of k // p**i, i >= 1."""
+    _check_odd_prime(p)
+    check_int(k, "k")
     if k < 0:
         raise ValueError("k! needs k >= 0, got %d" % k)
     total = 0

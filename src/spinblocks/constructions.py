@@ -20,8 +20,8 @@ unmixed factor, its mixed factor and their total, once per chain, as pairs
 (c, d) of constant lists; _step reads each at w as the unreduced integer
 pair (prod |pw + c|, prod (pw + d)), and corrects the unmixed and mixed
 pairs of the add-part step to w = 1 by prod parts(gamma). A total has no
-denominator. The public ratio functions return the pairs reduced, as
-Fractions. Every closed form here is checked (in tests and via
+denominator. grow_class_ratio and add_part_ratio return the total, reduced,
+as a Fraction. Every closed form here is checked (in tests and via
 verify_ratio_chain) against the direct quotient of the two labels' bar
 products, taken from their parts by Schur's formula (barpart.bar_products),
 by cross-multiplying the two pairs: no Fraction, and so no gcd, is built
@@ -179,6 +179,11 @@ def _forms(dec, i):
 
     Each form is a pair (num, den) of constant lists, read at weight w by
     _step as prod |pw + c| / prod (pw + d). A total form has no denominator.
+    grow_class: unmixed is pw times, over j != i, |p(w-1) + e_i - e_j|; mixed
+    is (2e_i + p(w-1)) times, over occupied j != i, (pw + e_i + e_j), over
+    the product of (p(w-1) + e_i + j), occupied j. add_part_pw: unmixed is pw
+    times, over j = 1..p-1, |p(w-1) - e_j|; mixed is the product of (pw +
+    e_j) over that of (p(w-1) + j), occupied j.
     """
     p, e, occupied = dec.p, dec.e, dec.nonempty
     if i is None:
@@ -211,19 +216,6 @@ def _step(dec, i, w, forms=None):
     return unmixed, mixed, total
 
 
-def grow_class_ratio_parts(gamma, p, i, w) -> tuple[Fraction, Fraction]:
-    """The unmixed and mixed ratios of the grow_class step w-1 -> w.
-
-    Unmixed: pw times, over j != i, |p(w-1) + e_i - e_j|. Mixed: (2e_i +
-    p(w-1)) times, over occupied j != i, (pw + e_i + e_j), over the product
-    of (p(w-1) + e_i + j) for occupied j.
-    """
-    dec = decompose_core(gamma, p)
-    _check_class(dec, i)
-    _check_w(w)
-    return tuple(Fraction(*pair) for pair in _step(dec, i, w)[:2])
-
-
 def grow_class_ratio(gamma, p, i, w) -> Fraction:
     """The total ratio of the grow_class step: pw(p(w-1) + 2e_i) times, over
     occupied j != i, |p(w-1) + e_i - e_j| (pw + e_i + e_j), times, over k
@@ -232,21 +224,6 @@ def grow_class_ratio(gamma, p, i, w) -> Fraction:
     _check_class(dec, i)
     _check_w(w)
     return Fraction(*_step(dec, i, w)[2])
-
-
-def add_part_ratio_parts(gamma, p, w) -> tuple[Fraction, Fraction]:
-    """The unmixed and mixed ratios of the add_part_pw step w-1 -> w.
-
-    Unmixed: pw times, over j = 1..p-1, |p(w-1) - e_j|. Mixed: the product
-    of (pw + e_j) over that of (p(w-1) + j), over occupied j. The step to
-    w = 1 reads the same forms, with prod parts(gamma) added to the unmixed
-    denominator and the mixed numerator: its w-1 side is the core, which has
-    no part 0.
-    """
-    dec = decompose_core(gamma, p)
-    _check_nonempty(gamma)
-    _check_w(w)
-    return tuple(Fraction(*pair) for pair in _step(dec, None, w)[:2])
 
 
 def add_part_ratio(gamma, p, w) -> Fraction:

@@ -16,10 +16,9 @@ parts the labels do not share (barpart.bar_product_quotient) against the
 powers of 2 of the two degrees.  spinchar.alt_degree, whose group rule
 alone says that a label on fewer than two letters has none, runs only where
 a degree is printed or a check has failed.  Neither building nor verifying
-a certificate builds the block.  scan certifies every block from its
-(core, w) alone, walking each p-bar-core's weights once on one
-decomposition of the core; check_conjecture stays block-based as the
-descriptive report and the oracle for scan.
+a certificate builds the block.  scan, the one certification walk,
+certifies every block from its (core, w) alone, walking each
+p-bar-core's weights once on one decomposition of the core.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .blocks import (
     equal_degree_test,
     height_zero_valuation,
     spin_block,
-    spin_blocks,
 )
 from .constructions import EMPTY_CORE, TWO_CLASSES, UNIQUE_CLASS, _witness_pair, decompose_core
 from .spinchar import alt, alt_degree, sigma
@@ -258,39 +256,6 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     return cert._replace(checks=checks, notes=tuple(notes))
 
 
-class BlockReport(NamedTuple):
-    p: int
-    n: int
-    core: BarPartition
-    w: int
-    defect_class: str
-    equal_degree: bool
-    height_zero_degrees: list[int]
-    certificate: WitnessCertificate | None
-
-
-def check_conjecture(n: int, p: int) -> list[BlockReport]:
-    """Per-block report for the alternating double cover on n letters.
-
-    Every non-abelian block should carry a verified witness (and hence fail
-    the equal-degree test); a block that does not is reported as it is,
-    never raised.  Abelian and defect-zero blocks are reported
-    descriptively, with no nilpotency verdict attached.
-    """
-    if n < 4:
-        raise ValueError("n must be >= 4, got %d" % n)
-    reports = []
-    for block in spin_blocks(n, p, "A"):
-        flag, degrees = equal_degree_test(block)
-        cert = None
-        if block.defect_class == NON_ABELIAN:
-            cert = build_witness(block.core, p, block.w)
-        reports.append(
-            BlockReport(p, n, block.core, block.w, block.defect_class, flag, degrees, cert)
-        )
-    return reports
-
-
 class ScanSummary(NamedTuple):
     max_n: int
     primes: tuple[int, ...]
@@ -313,6 +278,7 @@ def scan(max_n: int, primes) -> ScanSummary:
     nothing, and so is a prime given twice, since it would count every block
     twice.
     """
+    check_int(max_n, "max_n")
     if max_n < 4:
         raise ValueError("max_n must be >= 4, got %d" % max_n)
     primes = tuple(primes)

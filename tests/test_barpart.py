@@ -17,6 +17,7 @@ from spinblocks.barpart import (
     bar_cores_up_to,
     bar_products,
     count_bar_lengths_divisible,
+    factorial_valuation,
     format_partition,
     is_bar_core,
     labels_with_core_and_weight,
@@ -374,6 +375,34 @@ class TestWeightTower:
                 ws, _ = weight_tower(lam, 3)
                 w1 = ws[0] if ws else 0
                 assert bar_core_and_weight(lam, 3)[1] == w1
+
+
+class TestFactorialValuation:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_valuation_of_factorial(self, p):
+        assert factorial_valuation(0, p) == 0
+        for k in range(1, 80):
+            assert factorial_valuation(k, p) == valuation(math.factorial(k), p)
+
+    @pytest.mark.parametrize("p", [1, -2, 0, 2, 9, 3.0, True])
+    def test_rejects_p_not_an_odd_prime_before_the_loop(self, p):
+        # p = 1 looped forever, -2 gave -3 and 0 raised ZeroDivisionError
+        class Unread(int):
+            def __floordiv__(self, other):
+                raise AssertionError("k was divided")
+
+        with pytest.raises(ValueError, match="p must be an odd prime, got %r" % (p,)):
+            factorial_valuation(Unread(10), p)
+
+    @pytest.mark.parametrize("k", [5.5, "5", True])
+    def test_rejects_non_int_k(self, k):
+        # 5.5 returned 1.0
+        with pytest.raises(ValueError, match="k must be an integer, got %r" % (k,)):
+            factorial_valuation(k, 3)
+
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="k! needs k >= 0, got -1"):
+            factorial_valuation(-1, 3)
 
 
 class TestLabelsWithCoreAndWeight:

@@ -318,7 +318,6 @@ class TestCheck:
         def refuse(*args):
             raise AssertionError("check built a block")
 
-        monkeypatch.setattr(witness, "spin_blocks", refuse)
         monkeypatch.setattr(witness, "spin_block", refuse)
         rc, rec = run_json(capsys, "check", "--max-n", "30", "--primes", "3,5")
         assert rc == 0

@@ -25,12 +25,10 @@ from spinblocks.constructions import (
     _step,
     add_part_pw,
     add_part_ratio,
-    add_part_ratio_parts,
     compare_chain,
     decompose_core,
     grow_class,
     grow_class_ratio,
-    grow_class_ratio_parts,
     verify_ratio_chain,
 )
 from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
@@ -117,7 +115,7 @@ class TestConstructions:
         with pytest.raises(ValueError, match="w must be >= 1, got 0"):
             add_part_pw(bp(1), 3, 0)
 
-    @pytest.mark.parametrize("build", [grow_class, grow_class_ratio, grow_class_ratio_parts])
+    @pytest.mark.parametrize("build", [grow_class, grow_class_ratio])
     @pytest.mark.parametrize("i", [1.0, True])
     def test_grow_class_rejects_non_int_class(self, build, i):
         # 1.0 raised TypeError from the class tuple's index
@@ -223,20 +221,21 @@ class TestRatioValues:
         assert Fraction(bars(bp(7, 1)).h_total, bars(bp(4, 1)).h_total) == 168
 
     def test_add_part_examples(self):
-        assert add_part_ratio_parts(bp(1), 3, 1) == (3, 4)
-        assert add_part_ratio_parts(bp(1), 3, 2) == (48, Fraction(7, 4))
-        assert add_part_ratio_parts(bp(4, 1), 3, 1)[1] == 28
+        def unmixed_mixed(gamma, w):
+            return tuple(Fraction(*pair) for pair in _step(decompose_core(gamma, 3), None, w)[:2])
+
+        assert unmixed_mixed(bp(1), 1) == (3, 4)
+        assert unmixed_mixed(bp(1), 2) == (48, Fraction(7, 4))
+        assert unmixed_mixed(bp(4, 1), 1)[1] == 28
         assert add_part_ratio(bp(1), 3, 1) == 12
 
     def test_parts_multiply_to_total(self):
         for gamma, p in ((bp(1), 3), (bp(4, 1), 3), (bp(3, 1), 5)):
             dec = decompose_core(gamma, p)
             for w in (1, 2, 3):
-                for i in dec.nonempty:
-                    u, m = grow_class_ratio_parts(gamma, p, i, w)
-                    assert u * m == grow_class_ratio(gamma, p, i, w)
-                u, m = add_part_ratio_parts(gamma, p, w)
-                assert u * m == add_part_ratio(gamma, p, w)
+                for i in dec.nonempty + (None,):
+                    (ua, ub), (ma, mb), (ta, tb) = _step(dec, i, w)
+                    assert ua * ma * tb == ta * ub * mb
 
     def test_rejects_empty_core_add_part(self):
         with pytest.raises(ValueError):
@@ -250,14 +249,8 @@ class TestRatioValues:
             dec = decompose_core(gamma, p)
             for w in range(1, 7):
                 for i in dec.nonempty:
-                    *parts, total = _step(dec, i, w)
-                    assert Fraction(*total) == grow_class_ratio(gamma, p, i, w)
-                    assert (tuple(Fraction(*pair) for pair in parts)
-                            == grow_class_ratio_parts(gamma, p, i, w))
-                *parts, total = _step(dec, None, w)
-                assert Fraction(*total) == add_part_ratio(gamma, p, w)
-                assert (tuple(Fraction(*pair) for pair in parts)
-                        == add_part_ratio_parts(gamma, p, w))
+                    assert Fraction(*_step(dec, i, w)[2]) == grow_class_ratio(gamma, p, i, w)
+                assert Fraction(*_step(dec, None, w)[2]) == add_part_ratio(gamma, p, w)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_forms_give_total_valuation_one_plus_vp_w(self, p):
@@ -442,8 +435,8 @@ class TestPrincipalGap:
     compare_chain(bp(1), 3, 1)[0],
 ], ids=lambda record: type(record).__name__)
 def test_record_hashes_as_an_equal_copy(record):
-    # the records whose fields all hash; SpinBlock, WitnessCertificate,
-    # ScanSummary and BlockReport hold a dict or a list and do not
+    # the records whose fields all hash; SpinBlock, WitnessCertificate
+    # and ScanSummary hold a dict and do not
     copy = record._replace()
     assert copy == record and copy is not record
     assert hash(copy) == hash(record)

@@ -251,6 +251,43 @@ def test_runner_charges_is_the_one_abacus_reader(path):
     assert abacus_reads(path.read_text()) == []
 
 
+def spin_blocks_reads(source):
+    """Lines that import, call or otherwise read spin_blocks, the block
+    builder backed by the structural oracle."""
+    return name_reads(source, ("spin_blocks",))
+
+
+def test_guard_finds_spin_blocks_reads():
+    source = ("from .blocks import (\n"
+              "    spin_block,\n"
+              "    spin_blocks as build,\n"
+              ")\n"
+              "for block in spin_blocks(n, p, 'A'):\n"
+              "    blocks.spin_blocks(n, p, 'S')\n"
+              "block = spin_block(core, p, w, 'A')\n"
+              "build = blocks.spin_blocks\n"
+              "def spin_blocks(n, p, group):\n"
+              "    'spin_blocks'\n")
+    assert spin_blocks_reads(source) == [1, 5, 6, 8]
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
+                                  if path.name not in ("blocks.py", "cli.py", "__init__.py")],
+                         ids=lambda path: path.name)
+def test_no_certification_path_builds_every_block(path):
+    # scan certifies from (core, w) alone; every block of n is built for the
+    # blocks command only
+    assert spin_blocks_reads(path.read_text()) == []
+
+
+def test_cli_reads_spin_blocks_in_cmd_blocks_only():
+    source = (SRC / "cli.py").read_text()
+    (command,) = [node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "cmd_blocks"]
+    lines = spin_blocks_reads(source)
+    assert lines and all(command.lineno <= line <= command.end_lineno for line in lines)
+
+
 def test_constructions_reads_no_private_library_name():
     # the core's classes and every label's certificate come from barpart.runner_charges
     assert private_library_reads((SRC / "constructions.py").read_text()) == []

@@ -19,6 +19,7 @@ from spinblocks.blocks import (
     NON_ABELIAN,
     block_targets,
     defect_class,
+    equal_degree_test,
     height_zero_valuation,
     spin_blocks,
 )
@@ -34,7 +35,6 @@ from spinblocks.witness import (
     _pprime_residue,
     alt_degree,
     build_witness,
-    check_conjecture,
     scan,
     verify_witness,
     witness_eligible,
@@ -302,25 +302,6 @@ class TestPprimeResidue:
             assert _pprime_residue(bp(a), p) == residue_from_bars(bp(a), p)
 
 
-class TestCheckConjecture:
-    def test_nine(self):
-        reports = check_conjecture(9, 3)
-        (non_ab,) = [r for r in reports if r.defect_class == NON_ABELIAN]
-        assert non_ab.core == EMPTY and non_ab.w == 3
-        assert non_ab.equal_degree is False
-        assert non_ab.certificate.verified
-
-    def test_small_n(self):
-        # no non-abelian blocks yet: only descriptive reports, no certificates
-        for n in (4, 5):
-            reports = check_conjecture(n, 3)
-            assert all(r.certificate is None for r in reports)
-
-    def test_rejects_tiny_n(self):
-        with pytest.raises(ValueError):
-            check_conjecture(3, 3)
-
-
 class TestScan:
     def test_up_to_twelve(self):
         summary = scan(12, [3])
@@ -346,6 +327,12 @@ class TestScan:
     def test_rejects_empty_prime_list(self):
         with pytest.raises(ValueError, match="at least one prime"):
             scan(12, [])
+
+    @pytest.mark.parametrize("max_n", [30.5, "30", True])
+    def test_rejects_non_int_max_n(self, max_n):
+        # 30.5 was named max_size by a later check, and "30" raised TypeError
+        with pytest.raises(ValueError, match="max_n must be an integer, got %r" % (max_n,)):
+            scan(max_n, [3])
 
     def test_builds_no_comparison(self, monkeypatch):
         # a certificate needs the pair, not the two bar products a comparison computes
@@ -373,41 +360,32 @@ class TestScan:
         assert summary.block_counts == Counter((p, defect_class(p, w)) for _core, w in targets)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_matches_block_based_check(self, monkeypatch, p):
-        # scan lists (core, w) and builds no block; check_conjecture builds
-        # every block of n, which makes it the oracle for scan
-        built = []
-
-        def recording(n, q, group):
-            blocks = spin_blocks(n, q, group)
-            built.append((n, blocks))
-            return blocks
-
-        monkeypatch.setattr(witness, "spin_blocks", recording)
+    def test_matches_block_based_check(self, p):
+        # scan lists (core, w) and builds no block; spin_blocks builds every
+        # block of n from the structural oracle, which makes it the oracle for scan
         max_n = 30
         counts, verified, equal, notes = {}, 0, 0, []
         for n in range(4, max_n + 1):
-            for rep in check_conjecture(n, p):
-                counts[(p, rep.defect_class)] = counts.get((p, rep.defect_class), 0) + 1
-                if rep.defect_class != NON_ABELIAN:
-                    continue
-                cert = rep.certificate
-                verified += cert.verified
-                equal += rep.equal_degree
-                if rep.equal_degree or not cert.verified:
-                    notes.append(
-                        "non-abelian block p=%d n=%d core %s w=%d: witness %s, equal"
-                        " degrees %s; certificate notes: %s"
-                        % (p, n, rep.core, rep.w,
-                           "verified" if cert.verified else "not verified",
-                           "yes" if rep.equal_degree else "no", "; ".join(cert.notes)))
-        if not counts.get((p, NON_ABELIAN)):
-            notes.append("no non-abelian blocks for p=%d with n <= %d" % (p, max_n))
-        expected = ScanSummary(max_n, (p,), counts, verified, equal, tuple(notes))
-        assert scan(max_n, [p]) == expected
-
-        for n, blocks in built:
+            blocks = spin_blocks(n, p, "A")
             assert block_targets(n, p) == [(b.core, b.w) for b in blocks]
             for b in blocks:
                 low = min(valuation(chi.degree, p) for chi in b.characters)
                 assert low == height_zero_valuation(n, p, b.w)
+                counts[(p, b.defect_class)] = counts.get((p, b.defect_class), 0) + 1
+                if b.defect_class != NON_ABELIAN:
+                    continue
+                flag, _ = equal_degree_test(b)
+                cert = build_witness(b.core, p, b.w)
+                verified += cert.verified
+                equal += flag
+                if flag or not cert.verified:
+                    notes.append(
+                        "non-abelian block p=%d n=%d core %s w=%d: witness %s, equal"
+                        " degrees %s; certificate notes: %s"
+                        % (p, n, b.core, b.w,
+                           "verified" if cert.verified else "not verified",
+                           "yes" if flag else "no", "; ".join(cert.notes)))
+        if not counts.get((p, NON_ABELIAN)):
+            notes.append("no non-abelian blocks for p=%d with n <= %d" % (p, max_n))
+        expected = ScanSummary(max_n, (p,), counts, verified, equal, tuple(notes))
+        assert scan(max_n, [p]) == expected
