@@ -15,6 +15,7 @@ from .barpart import (
     parse_partition,
     valuation,
     weight_tower,
+    with_part,
 )
 from .spinchar import (
     GroupTag,

@@ -17,7 +17,9 @@ holding a dict (SpinBlock, WitnessCertificate, ScanSummary) do not hash.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from typing import NamedTuple
 
 TYPE1 = 1  # (x, y): part y shrinks to the non-part value x, length y - x
@@ -68,6 +70,29 @@ EMPTY = BarPartition(())
 def make_bar_partition(parts) -> BarPartition:
     """Canonically order a list of parts; BarPartition validates them."""
     return BarPartition(tuple(sorted(parts, reverse=True)))
+
+
+def with_part(lam: BarPartition, new: int, old: int | None = None) -> BarPartition:
+    """lam with the part old removed (when given) and the part new added.
+
+    Only new is checked: a positive int, not a bool, and none of the parts
+    kept. Those are lam's, already positive and strictly decreasing, so new
+    is placed by bisection and BarPartition's loops over every part are
+    skipped. A missing old is refused too.
+    """
+    if not isinstance(new, int) or isinstance(new, bool) or new < 1:
+        raise ValueError("parts must be positive integers, got %r" % (new,))
+    parts = lam.parts
+    if old is not None:
+        try:
+            k = parts.index(old)
+        except ValueError:
+            raise ValueError("%r is not a part of %s" % (old, lam)) from None
+        parts = parts[:k] + parts[k + 1:]
+    k = bisect.bisect_left(parts, -new, key=operator.neg)
+    if k < len(parts) and parts[k] == new:
+        raise ValueError("repeated part %d in %r" % (new, parts))
+    return tuple.__new__(BarPartition, (parts[:k] + (new,) + parts[k:],))
 
 
 def parse_partition(text: str) -> BarPartition:

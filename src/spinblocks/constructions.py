@@ -6,13 +6,17 @@ prescribed weight w are built:
 * add_part_pw: adjoin the new part p*w (works for the empty core too);
 * grow_class: replace the top part e_i of the residue class i by e_i + p*w.
 
-Every built label, and both labels (pw), (pw-1, 1) of the empty core's
-witness pair, is certified by barpart.runner_charges (_certify): the same
-charges as gamma, |gamma| + p*w boxes, w bar lengths divisible by p and the
-expected number of parts, or a RuntimeError. A p-bar-core is determined by
-its runner charges (Olsson 1993), so these checks say exactly what
-barpart.abacus_core(lam, p) == (gamma, w) says, without building, sorting
-and validating a core per label.
+Each built label is gamma with one part inserted by barpart.with_part:
+p*w for add_part_pw, e_i + p*w in place of e_i for grow_class. with_part
+checks only the inserted part (a positive int not already a part) and
+places it by bisection; the other parts are the validated core's, so they
+are not checked again. Every built label, and both labels (pw), (pw-1, 1)
+of the empty core's witness pair, is certified by barpart.runner_charges
+(_certify): the same charges as gamma, |gamma| + p*w boxes, w bar lengths
+divisible by p and the expected number of parts, or a RuntimeError. A
+p-bar-core is determined by its runner charges (Olsson 1993), so these
+checks say exactly what barpart.abacus_core(lam, p) == (gamma, w) says,
+without building, sorting and validating a core per label.
 
 For each family the ratio of bar-length products between consecutive
 weights, w-1 -> w, is a product of factors linear in pw. _forms holds its
@@ -50,8 +54,8 @@ from .barpart import (
     bar_products,
     check_int,
     is_bar_core,
-    make_bar_partition,
     runner_charges,
+    with_part,
 )
 
 
@@ -136,8 +140,7 @@ def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
 
 
 def _add_part_pw(dec, w):
-    gamma = dec.gamma
-    return _certify(make_bar_partition(gamma.parts + (dec.p * w,)), dec, w, gamma.m + 1)
+    return _certify(with_part(dec.gamma, dec.p * w), dec, w, dec.gamma.m + 1)
 
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
@@ -149,9 +152,8 @@ def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
 
 
 def _grow_class(dec, i, w):
-    gamma, p, ei = dec.gamma, dec.p, dec.e[i]
-    parts = tuple(ei + p * w if a == ei else a for a in gamma.parts)
-    return _certify(make_bar_partition(parts), dec, w, gamma.m)
+    ei = dec.e[i]
+    return _certify(with_part(dec.gamma, ei + dec.p * w, ei), dec, w, dec.gamma.m)
 
 
 EMPTY_CORE = "empty-core"
@@ -208,8 +210,15 @@ def _step(dec, i, w, forms=None):
     0, so its unmixed denominator and mixed numerator gain prod parts(gamma).
     """
     pw = dec.p * w
-    unmixed, mixed, total = ((math.prod(abs(pw + c) for c in num), math.prod(pw + d for d in den))
-                             for num, den in forms or _forms(dec, i))
+    pairs = []
+    for num, den in forms or _forms(dec, i):
+        a = b = 1
+        for c in num:
+            a *= abs(pw + c)
+        for d in den:
+            b *= pw + d
+        pairs.append((a, b))
+    unmixed, mixed, total = pairs
     if i is None and w == 1:
         parts = math.prod(dec.gamma.parts)
         unmixed, mixed = (unmixed[0], unmixed[1] * parts), (mixed[0] * parts, mixed[1])
@@ -277,22 +286,23 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioChe
     """
     check_int(max_w, "max_w")
     dec = decompose_core(gamma, p)
-    # (identity, residue, label as a function of w, closed forms of the step)
-    chains = [("grow-class", i, partial(_grow_class, dec, i), _forms(dec, i))
-              for i in dec.nonempty]
+    # (its three identities, residue, label as a function of w, closed forms of the step)
+    grow = ("grow-class-unmixed", "grow-class-mixed", "grow-class-total")
+    chains = [(grow, i, partial(_grow_class, dec, i), _forms(dec, i)) for i in dec.nonempty]
     if gamma.m:
-        chains.append(("add-part", None, partial(_add_part_pw, dec), _forms(dec, None)))
+        add = ("add-part-unmixed", "add-part-mixed", "add-part-total")
+        chains.append((add, None, partial(_add_part_pw, dec), _forms(dec, None)))
     prev = [bar_products(gamma)] * len(chains)
     checks = []
     for w in range(1, max_w + 1):
-        for k, (identity, residue, label, forms) in enumerate(chains):
+        for k, ((unmixed, mixed, total), residue, label, forms) in enumerate(chains):
             cur = bar_products(label(w))
             (ua, ma), (ub, mb) = cur, prev[k]
             prev[k] = cur
             cu, cm, ct = _step(dec, residue, w, forms)
-            checks += (RatioCheck(identity + "-unmixed", residue, w, cu, (ua, ub)),
-                       RatioCheck(identity + "-mixed", residue, w, cm, (ma, mb)),
-                       RatioCheck(identity + "-total", residue, w, ct, (ua * ma, ub * mb)))
+            checks += (RatioCheck(unmixed, residue, w, cu, (ua, ub)),
+                       RatioCheck(mixed, residue, w, cm, (ma, mb)),
+                       RatioCheck(total, residue, w, ct, (ua * ma, ub * mb)))
     return checks
 
 

@@ -141,16 +141,18 @@ def _pprime_residue(lam: BarPartition, p: int) -> int:
     Part a has the unmixed lengths {1..a} less the differences a - b with
     smaller parts b, and the mixed lengths a + b.  The product of the k <= a
     coprime to p is (-1)^(a // p) * (a mod p)! mod p by Wilson's theorem.
+    The differences coprime to p are multiplied into one product mod p,
+    inverted once.
     """
-    r = 1
+    r = den = 1
     for idx, a in enumerate(lam.parts):
         r = r * (-1) ** (a // p) * math.factorial(a % p) % p
         for b in lam.parts[idx + 1:]:
             if (a - b) % p:
-                r = r * pow(a - b, -1, p) % p
+                den = den * (a - b) % p
             if (a + b) % p:
                 r = r * (a + b) % p
-    return r
+    return r * pow(den, -1, p) % p
 
 
 def _height_zero(lam: BarPartition, p: int, w: int) -> bool:

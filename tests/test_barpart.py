@@ -26,6 +26,7 @@ from spinblocks.barpart import (
     runner_charges,
     valuation,
     weight_tower,
+    with_part,
 )
 from spinblocks.oracle import Bar, bar_core_and_weight, bars, enumerate_bar_partitions, remove_bar
 
@@ -36,6 +37,37 @@ bar_partitions = st.sets(st.integers(1, 28), max_size=6).map(
 
 def bp(*parts):
     return make_bar_partition(parts)
+
+
+class TestWithPart:
+    @given(bar_partitions, st.integers(1, 40), st.data())
+    def test_equals_make_bar_partition(self, lam, new, data):
+        old = data.draw(st.sampled_from((None,) + lam.parts))
+        rest = [a for a in lam.parts if a != old]
+        if new in rest:
+            with pytest.raises(ValueError, match="repeated part %d" % new):
+                with_part(lam, new, old)
+        else:
+            built = with_part(lam, new, old)
+            assert built == make_bar_partition(rest + [new])
+            assert type(built) is BarPartition and type(built.parts) is tuple
+
+    def test_examples(self):
+        assert with_part(EMPTY, 3) == bp(3)
+        assert with_part(bp(4, 1), 2) == bp(4, 2, 1)
+        assert with_part(bp(4, 1), 7, 4) == bp(7, 1)
+        assert with_part(bp(4, 1), 4, 4) == bp(4, 1)
+        assert with_part(bp(7, 4, 1), 2, 7) == bp(4, 2, 1)
+
+    @pytest.mark.parametrize("new", [4, 1, 0, -3, True, False, 2.0, "5", None])
+    def test_refuses_bad_part(self, new):
+        with pytest.raises(ValueError):
+            with_part(bp(4, 1), new)
+
+    @pytest.mark.parametrize("lam, new, old", [(bp(4, 1), 5, 3), (EMPTY, 5, 1), (bp(4, 1), 5, 0)])
+    def test_refuses_missing_old(self, lam, new, old):
+        with pytest.raises(ValueError, match="%d is not a part of %s" % (old, lam)):
+            with_part(lam, new, old)
 
 
 class TestConstruction:

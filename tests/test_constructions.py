@@ -176,6 +176,20 @@ class TestConstructions:
                 assert set(kinds) <= {TYPE1, TYPE2}
 
 
+class TestLabelBuild:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_labels_equal_the_sorted_build(self, p):
+        # with_part's bisection against sorting every part, for every core of size <= 30
+        for gamma in bar_cores_up_to(30, p):
+            dec = decompose_core(gamma, p)
+            for w in range(1, 11):
+                for i in dec.nonempty:
+                    ei = dec.e[i]
+                    assert constructions._grow_class(dec, i, w) == bp(
+                        *(a + p * w if a == ei else a for a in gamma.parts))
+                assert constructions._add_part_pw(dec, w) == bp(*gamma.parts, p * w)
+
+
 class TestCertify:
     @pytest.mark.parametrize("lam, gamma, p, w, expected_m", [
         # (5, 4) has 5-bar-core (4) and weight 1; (3, 1) is a 5-bar-core of the same size

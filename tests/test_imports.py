@@ -116,6 +116,39 @@ def test_part_order_has_one_owner(path):
     assert sorting_bar_partitions(path.read_text()) == []
 
 
+def names_bar_partition(node):
+    return (isinstance(node, ast.Name) and node.id == "BarPartition"
+            or isinstance(node, ast.Attribute) and node.attr == "BarPartition")
+
+
+def unchecked_bar_partitions(source):
+    """Lines that build a BarPartition past its constructor: a call of a
+    __new__ other than BarPartition's own, with BarPartition as its first
+    argument, which skips the validation of the parts."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__new__" and node.args
+                  and names_bar_partition(node.args[0])
+                  and not names_bar_partition(node.func.value))
+
+
+def test_guard_finds_unchecked_bar_partitions():
+    source = ("a = tuple.__new__(BarPartition, ((3, 3),))\n"
+              "b = barpart._BarPartitionFields.__new__(barpart.BarPartition, (1,))\n"
+              "c = BarPartition.__new__(BarPartition, (2, 1))\n"
+              "d = tuple.__new__(Other, ((1,),))\n"
+              "e = BarPartition((2, 1))\n"
+              "f = [object.__new__(BarPartition) for _ in xs]\n")
+    assert unchecked_bar_partitions(source) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
+                                  if path.name != "barpart.py"], ids=lambda path: path.name)
+def test_only_barpart_skips_the_part_checks(path):
+    # barpart.with_part checks the one part it adds; every other label goes through BarPartition
+    assert unchecked_bar_partitions(path.read_text()) == []
+
+
 def class_order_reads(source):
     """Lines that read the top_order field of a CoreDecomposition: which two
     labels witness a block is decided by _witness_pair alone, which is exempt."""

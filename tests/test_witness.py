@@ -276,8 +276,29 @@ def residue_from_bars(lam, p):
     return r
 
 
+def residue_per_difference(lam, p):
+    """The p'-residue from the parts with one inverse mod p per difference of parts."""
+    r = 1
+    for idx, a in enumerate(lam.parts):
+        r = r * (-1) ** (a // p) * math.factorial(a % p) % p
+        for b in lam.parts[idx + 1:]:
+            if (a - b) % p:
+                r = r * pow(a - b, -1, p) % p
+            if (a + b) % p:
+                r = r * (a + b) % p
+    return r
+
+
 class TestPprimeResidue:
     """The p'-residue from the parts against the product over the bar table."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_one_inverse_matches_one_per_difference(self, p):
+        # every label of every block with n <= 30
+        for core in bar_cores_up_to(30, p):
+            for w in range((30 - core.n) // p + 1):
+                for lam in labels_with_core_and_weight(core, p, w):
+                    assert _pprime_residue(lam, p) == residue_per_difference(lam, p)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_every_partition_up_to_thirty(self, p):
