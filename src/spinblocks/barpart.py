@@ -308,8 +308,13 @@ def runner_charges(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
     and the number w of bar lengths divisible by p."""
     _check_odd_prime(p)
     quotients, classes = _residue_classes(lam, p)
-    charges = tuple(classes.get(j, 0) - classes.get(p - j, 0) for j in range(1, (p + 1) // 2))
-    return charges, _divisible_count(p, quotients, classes)
+    charges = [0] * (p // 2)
+    for r, n_r in classes.items():
+        if 2 * r > p:
+            charges[p - r - 1] -= n_r
+        elif r:
+            charges[r - 1] += n_r
+    return tuple(charges), _divisible_count(p, quotients, classes)
 
 
 def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
@@ -318,14 +323,20 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     Removing a p-bar never changes the runner-pair charges c_j - c_{p-j}
     (Olsson 1993), and a p-bar-core is the empty partition at those charges
     on every runner pair, so the core is one arithmetic run per runner pair
-    (_core_run), read off the charges in O(m).
+    (_core_run), read off the charges in O(m). Each run is distinct positive
+    parts of one residue, j or p - j mod p, so the runs' parts, sorted, are
+    a strict partition, built without BarPartition's loops over every part,
+    as with_part builds one.
     Agreement of w with the count of bar lengths divisible by p and with
     |lam| = |core| + p*w is asserted, as in oracle.bar_core_and_weight; the charges
     and that count come from runner_charges.
     """
     charges, target_w = runner_charges(lam, p)
-    core = make_bar_partition(a for j, charge in enumerate(charges, start=1)
-                              for a in _core_run(charge, j, p))
+    parts = []
+    for j, charge in enumerate(charges, start=1):
+        parts.extend(_core_run(charge, j, p))
+    parts.sort(reverse=True)
+    core = tuple.__new__(BarPartition, (tuple(parts),))
     w, rest = divmod(lam.n - core.n, p)
     if rest:
         raise RuntimeError("size mismatch: |%s| - |%s| is not a multiple of %d" % (lam, core, p))

@@ -6,19 +6,22 @@ analysis on the residue classes of the core (constructions._witness_pair),
 the pair whose bar products constructions.compare_chain compares,
 and every claimed property (same block, height zero, distinct degrees, the
 mod-p congruence of the p'-part of the bar product) is verified from
-scratch rather than trusted.  Block membership comes from the abacus core
-and the p'-residue from the parts, so certifying builds no bar table.  A
-certificate stores no degree and proves both degree facts from small
-integers: height zero is the count of bar lengths divisible by each power
-of p (barpart.weight_tower) against v_p((pw)!), the defect-group minimum,
-and distinct degrees are the quotient of the two bar products over the
-parts the labels do not share (barpart.bar_product_quotient) against the
-powers of 2 of the two degrees.  spinchar.alt_degree, whose group rule
-alone says that a label on fewer than two letters has none, runs only where
-a degree is printed or a check has failed.  Neither building nor verifying
-a certificate builds the block.  scan, the one certification walk,
-certifies every block from its (core, w) alone, walking each
-p-bar-core's weights once on one decomposition of the core.
+scratch rather than trusted.  Block membership comes from the abacus core,
+and each label's p'-residue and v_p(H), H the product of its bar lengths,
+from one loop over its parts and their pairs (_residue_and_valuation), so
+certifying builds no bar table.  A certificate stores no degree and proves
+both degree facts from small integers: height zero is v_p(H) = sum of
+v_p(a!) over the parts a and of v_p(a + b) - v_p(a - b) over the pairs
+a > b (Schur's formula, Legendre's formula) against v_p((pw)!), the
+defect-group minimum, and distinct degrees are the quotient of the two bar
+products over the parts the labels do not share
+(barpart.bar_product_quotient) against the powers of 2 of the two degrees.
+spinchar.alt_degree, whose group rule alone says that a label on fewer than
+two letters has none, runs only where a degree is printed or a check has
+failed.  Neither building nor verifying a certificate builds the block.
+scan, the one certification walk, certifies every block from its (core, w)
+alone, walking each p-bar-core's weights once on one decomposition of the
+core.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .barpart import (
     check_int,
     factorial_valuation,
     valuation,
-    weight_tower,
 )
 from .blocks import (
     NON_ABELIAN,
@@ -100,6 +102,8 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
     """
     _check_odd_prime(p)
     check_int(w, "w")
+    if w < 0:
+        raise ValueError("w must be nonnegative, got %d" % w)
     if not witness_eligible(gamma, p, w):
         raise ValueError(
             "block (core %s, w=%d) has no witness pair: only the empty core"
@@ -135,40 +139,61 @@ def _build_witness(dec, w):
     return verify_witness(cert)
 
 
-def _pprime_residue(lam: BarPartition, p: int) -> int:
-    """Product of the bar lengths coprime to p, reduced mod p, from the parts.
+def _residue_and_valuation(lam: BarPartition, p: int) -> tuple[int, int]:
+    """(r, v): the product r of lam's bar lengths coprime to p, reduced mod p,
+    and v = v_p(H(lam)), H the product of all its bar lengths, in one loop
+    over the parts and their pairs.
 
     Part a has the unmixed lengths {1..a} less the differences a - b with
-    smaller parts b, and the mixed lengths a + b.  The product of the k <= a
-    coprime to p is (-1)^(a // p) * (a mod p)! mod p by Wilson's theorem.
-    The differences coprime to p are multiplied into one product mod p,
-    inverted once.
+    smaller parts b, and the mixed lengths a + b (Schur's formula).  The
+    product of the k <= a coprime to p is (-1)^(a // p) * (a mod p)! mod p by
+    Wilson's theorem.  The differences coprime to p are multiplied into one
+    product mod p, inverted once.  By Legendre's formula v is the sum of
+    v_p(a!) over the parts and of v_p(a + b) - v_p(a - b) over the pairs.
     """
     r = den = 1
-    for idx, a in enumerate(lam.parts):
-        r = r * (-1) ** (a // p) * math.factorial(a % p) % p
-        for b in lam.parts[idx + 1:]:
-            if (a - b) % p:
-                den = den * (a - b) % p
-            if (a + b) % p:
-                r = r * (a + b) % p
-    return r * pow(den, -1, p) % p
+    v = 0
+    parts = lam.parts
+    for idx, a in enumerate(parts):
+        q = a // p
+        if q & 1:
+            r = -r
+        r = r * math.factorial(a % p) % p
+        while q:
+            v += q
+            q //= p
+        for b in parts[idx + 1:]:
+            d = a - b
+            if d % p:
+                den = den * d % p
+            else:
+                while not d % p:
+                    d //= p
+                    v -= 1
+            s = a + b
+            if s % p:
+                r = r * s % p
+            else:
+                while not s % p:
+                    s //= p
+                    v += 1
+    return r * pow(den, -1, p) % p, v
 
 
-def _height_zero(lam: BarPartition, p: int, w: int) -> bool:
-    """Whether a label of a block of weight w has height zero.
+def _height_zero(lam: BarPartition, v: int, p: int, w: int) -> bool:
+    """Whether a label of a block of weight w, with v = v_p(H(lam)), has height zero.
 
     p is odd, so the p-adic valuation of the degree 2**k n!/H of lam is
     v_p(n!) - v_p(H), and it is the defect-group minimum v_p(n!) -
-    v_p((pw)!) exactly when v_p(H), the sum of lam's weight tower, is
-    v_p((pw)!). A label on fewer than two letters has no degree (the group
-    rule of alt_degree), so no height.
+    v_p((pw)!) exactly when v_p(H), read off the parts and their pairs by
+    _residue_and_valuation, is v_p((pw)!). A label on fewer than two
+    letters has no degree (the group rule of alt_degree), so no height.
     """
     try:
         alt(lam.n)
     except ValueError:
         return False
-    return weight_tower(lam, p)[1] == factorial_valuation(p * w, p)
+    return v == factorial_valuation(p * w, p)
 
 
 def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
@@ -189,14 +214,16 @@ def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its labels alone.
 
-    Both labels' cores and weights come from the abacus core.  Height zero
-    (_height_zero) and distinct degrees (_degrees_differ, for labels of one
-    block only) are decided on small integers: the labels' weight towers
-    and the quotient of their bar products over the parts they do not
-    share.  No degree is computed unless a check fails, and the block
-    itself is never built.  A failed check is recorded with the offending
-    values in the notes, degrees and their valuations included; nothing is
-    ever silently passed.
+    Both labels' cores and weights come from the abacus core.  One loop over
+    each label's parts and pairs (_residue_and_valuation) gives its p'-residue,
+    for the congruence, and v_p(H), for height zero (_height_zero).  Height
+    zero and distinct degrees (_degrees_differ, for labels of one block
+    only) are decided on small integers: v_p(H) against v_p((pw)!), and the
+    quotient of the bar products over the parts the labels do not share.
+    No degree is computed unless a check fails, and the block itself is
+    never built.  A failed check is recorded with the offending values in
+    the notes, degrees and their valuations included; nothing is ever
+    silently passed.
     """
     p, gamma, w = cert.p, cert.core, cert.w
     label_a, label_b = cert.label_a, cert.label_b
@@ -223,9 +250,11 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
         except ValueError:
             return None
 
+    res_a, val_a = _residue_and_valuation(label_a, p)
+    res_b, val_b = _residue_and_valuation(label_b, p)
     checks["both_height_zero"] = (
         (core_a, w_a) == (core_b, w_b) == (gamma, w)
-        and _height_zero(label_a, p, w) and _height_zero(label_b, p, w)
+        and _height_zero(label_a, val_a, p, w) and _height_zero(label_b, val_b, p, w)
     )
     if not checks["both_height_zero"]:
         va, vb = (None if d is None else valuation(d, p) for d in map(degree, (label_a, label_b)))
@@ -243,17 +272,12 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
         notes.append("congruence check not applicable for the empty core")
     else:
         target = math.prod(bar_products(gamma)) % p
-        ok = all(
-            _pprime_residue(lam, p) in (target, (-target) % p)
-            for lam in (label_a, label_b)
-        )
+        allowed = (target, (-target) % p)
+        ok = res_a in allowed and res_b in allowed
         checks["congruence_ok"] = ok
         if not ok:
-            notes.append(
-                "p'-part residues %d, %d not congruent to +-%d mod %d"
-                % (_pprime_residue(label_a, p), _pprime_residue(label_b, p),
-                   target, p)
-            )
+            notes.append("p'-part residues %d, %d not congruent to +-%d mod %d"
+                         % (res_a, res_b, target, p))
 
     return cert._replace(checks=checks, notes=tuple(notes))
 
@@ -296,9 +320,9 @@ def scan(max_n: int, primes) -> ScanSummary:
     notes = []
     for p in primes:
         for core in bar_cores_up_to(max_n, p):
-            dec = None
-            for w in range((max_n - core.n) // p + 1):
-                n = core.n + p * w
+            dec, size = None, core.n
+            for w in range((max_n - size) // p + 1):
+                n = size + p * w
                 if n < 4:
                     continue
                 dc = defect_class(p, w)

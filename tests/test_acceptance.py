@@ -27,7 +27,7 @@ from spinblocks.constructions import (
 )
 from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
 from spinblocks.spinchar import alt, characters_of_label, sym
-from spinblocks.witness import _pprime_residue, alt_degree, build_witness, scan
+from spinblocks.witness import _residue_and_valuation, alt_degree, build_witness, scan
 
 
 def bp(*parts):
@@ -210,7 +210,7 @@ def test_congruence_of_constructed_labels():
                 labels += [grow_class(gamma, p, i, w) for i in dec.nonempty]
                 for lam in labels:
                     checked += 1
-                    if _pprime_residue(lam, p) not in (target, (-target) % p):
+                    if _residue_and_valuation(lam, p)[0] not in (target, (-target) % p):
                         failures += 1
     report("p'-part of the bar product is congruent to +-H(core) mod p",
            checked > 0 and failures == 0,

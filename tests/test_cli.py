@@ -421,6 +421,11 @@ class TestRefusals:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_names_a_negative_weight(self, capsys):
+        rc, out, err = run(capsys, "witness", "--core", "1", "--w", "-1", "--p", "3")
+        assert (rc, out) == (2, "")
+        assert err == "error: w must be nonnegative, got -1\n"
+
     @pytest.mark.parametrize("argv", BAD_PRIME, ids=" ".join)
     def test_names_the_bad_prime(self, capsys, argv):
         rc, _out, err = run(capsys, *argv)

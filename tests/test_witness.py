@@ -14,6 +14,7 @@ from spinblocks.barpart import (
     labels_with_core_and_weight,
     make_bar_partition,
     valuation,
+    weight_tower,
 )
 from spinblocks.blocks import (
     NON_ABELIAN,
@@ -32,7 +33,7 @@ from spinblocks.witness import (
     WitnessCertificate,
     _degrees_differ,
     _height_zero,
-    _pprime_residue,
+    _residue_and_valuation,
     alt_degree,
     build_witness,
     scan,
@@ -106,6 +107,12 @@ class TestBuildWitness:
         with pytest.raises(ValueError):
             build_witness(bp(3), 3, 3)  # not a core
 
+    @pytest.mark.parametrize("core", [EMPTY, bp(1)])
+    def test_rejects_negative_w(self, core):
+        # was "has no witness pair ... only the empty core with w >= 2 is accepted below w = p"
+        with pytest.raises(ValueError, match="^w must be nonnegative, got -1$"):
+            build_witness(core, 3, -1)
+
     @pytest.mark.parametrize("w", [3.0, True])
     def test_rejects_non_int_w(self, w):
         # 3.0 was refused only by the label it built: "parts must be positive integers, got 10.0"
@@ -155,7 +162,8 @@ class TestVerifyWitness:
 
     def test_detects_congruence_failure(self, monkeypatch):
         cert = build_witness(bp(1), 3, 3)
-        monkeypatch.setattr(witness, "_pprime_residue", lambda lam, p: 0)
+        real = witness._residue_and_valuation
+        monkeypatch.setattr(witness, "_residue_and_valuation", lambda lam, p: (0, real(lam, p)[1]))
         bad = verify_witness(cert)
         assert bad.checks["congruence_ok"] is False
         assert not bad.verified
@@ -163,8 +171,8 @@ class TestVerifyWitness:
 
 
 class TestSmallIntegerVerdicts:
-    """Height zero and distinct degrees from weight towers and unshared parts,
-    against the degrees themselves."""
+    """Height zero and distinct degrees from v_p(H) over parts and pairs and
+    from unshared parts, against the degrees themselves."""
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_match_degrees_in_every_block_to_thirty(self, p):
@@ -174,7 +182,8 @@ class TestSmallIntegerVerdicts:
                 low = height_zero_valuation(n, p, w)
                 degree = {lam: alt_degree(lam) for lam in labels}
                 for lam in labels:
-                    assert _height_zero(lam, p, w) == (valuation(degree[lam], p) == low)
+                    v = _residue_and_valuation(lam, p)[1]
+                    assert _height_zero(lam, v, p, w) == (valuation(degree[lam], p) == low)
                 for a in labels:
                     for b in labels:
                         if a != b:
@@ -289,6 +298,30 @@ def residue_per_difference(lam, p):
     return r
 
 
+def pprime_residue(lam, p):
+    return _residue_and_valuation(lam, p)[0]
+
+
+class TestResidueAndValuation:
+    """v_p(H) from the parts and their pairs against the weight tower and the
+    bar table, and the p'-residue of the same pass against the bar table."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_partition_up_to_thirty(self, p):
+        for n in range(31):
+            for lam in enumerate_bar_partitions(n):
+                v = _residue_and_valuation(lam, p)[1]
+                assert v == weight_tower(lam, p)[1] == valuation(bars(lam).h_total, p)
+
+    @given(st.sets(st.integers(1, 200), max_size=12), st.sampled_from([3, 5, 7, 11, 13]))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_with_parts_up_to_two_hundred(self, parts, p):
+        lam = make_bar_partition(parts)
+        r, v = _residue_and_valuation(lam, p)
+        assert v == weight_tower(lam, p)[1] == valuation(bars(lam).h_total, p)
+        assert r == residue_from_bars(lam, p)
+
+
 class TestPprimeResidue:
     """The p'-residue from the parts against the product over the bar table."""
 
@@ -298,13 +331,13 @@ class TestPprimeResidue:
         for core in bar_cores_up_to(30, p):
             for w in range((30 - core.n) // p + 1):
                 for lam in labels_with_core_and_weight(core, p, w):
-                    assert _pprime_residue(lam, p) == residue_per_difference(lam, p)
+                    assert pprime_residue(lam, p) == residue_per_difference(lam, p)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_every_partition_up_to_thirty(self, p):
         for n in range(31):
             for lam in enumerate_bar_partitions(n):
-                assert _pprime_residue(lam, p) == residue_from_bars(lam, p)
+                assert pprime_residue(lam, p) == residue_from_bars(lam, p)
 
     @given(st.lists(st.integers(1, 80), max_size=16), st.sampled_from([3, 5, 7, 11, 13]))
     @settings(max_examples=60, deadline=None)
@@ -314,13 +347,13 @@ class TestPprimeResidue:
             if a not in parts and sum(parts) + a <= 80:
                 parts.add(a)
         lam = make_bar_partition(parts)
-        assert _pprime_residue(lam, p) == residue_from_bars(lam, p)
+        assert pprime_residue(lam, p) == residue_from_bars(lam, p)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_empty_and_single_parts(self, p):
-        assert _pprime_residue(EMPTY, p) == 1
+        assert pprime_residue(EMPTY, p) == 1
         for a in range(1, 4 * p + 2):
-            assert _pprime_residue(bp(a), p) == residue_from_bars(bp(a), p)
+            assert pprime_residue(bp(a), p) == residue_from_bars(bp(a), p)
 
 
 class TestScan:
