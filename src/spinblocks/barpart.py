@@ -22,11 +22,6 @@ import math
 import operator
 from typing import NamedTuple
 
-TYPE1 = 1  # (x, y): part y shrinks to the non-part value x, length y - x
-TYPE2 = 2  # (y,): part y is deleted, length y
-TYPE3 = 3  # "mixed" (i, j): parts at positions i < j are both deleted
-
-
 class _BarPartitionFields(NamedTuple):
     parts: tuple[int, ...]
 
@@ -209,6 +204,13 @@ def check_int(value, name):
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def _check_weight(w):
+    """Refuse a block weight that is not an int >= 0."""
+    check_int(w, "w")
+    if w < 0:
+        raise ValueError("w must be nonnegative, got %d" % w)
+
+
 def is_bar_core(lam: BarPartition, p: int) -> bool:
     """True iff no bar length of lam is divisible by p."""
     _check_odd_prime(p)
@@ -370,9 +372,7 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
     """
     if not is_bar_core(gamma, p):  # checks the prime too
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
-    check_int(w, "w")
-    if w < 0:
-        raise ValueError("w must be nonnegative, got %d" % w)
+    _check_weight(w)
     charges = runner_charges(gamma, p)[0]
     out = []
     for quotient in _quotients(w, len(charges)):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
 
-from . import barpart, blocks, constructions, witness
+from . import blocks, constructions, witness
 from .barpart import (
     EMPTY,
     BarPartition,
@@ -44,8 +44,6 @@ from .barpart import (
 
 SCHEMA_VERSION = "1"
 INT64_MAX = 2**63 - 1
-
-_BAR_KIND_NAMES = {barpart.TYPE1: "type1", barpart.TYPE2: "type2", barpart.TYPE3: "type3"}
 
 
 def _digits(x):
@@ -118,19 +116,16 @@ def emit(args, command, inputs, payload, status):
         sys.stdout.write(text)
 
 
-def _bar_entry(bar):
-    entry = {"kind": _BAR_KIND_NAMES[bar.kind], "length": bar.length}
-    if bar.kind == barpart.TYPE1:
-        entry.update(x=bar.x, y=bar.y)
-    elif bar.kind == barpart.TYPE2:
-        entry.update(y=bar.y)
-    else:
-        entry.update(i=bar.i, j=bar.j)
-    return entry
-
-
 def cmd_bars(args):
-    from .oracle import bars  # the bar table kept bar by bar: loaded for this command only
+    # the bar table kept bar by bar, and its kinds: loaded for this command only
+    from .oracle import TYPE1, TYPE2, bars
+
+    def entry(bar):
+        if bar.kind == TYPE1:
+            return {"kind": "type1", "length": bar.length, "x": bar.x, "y": bar.y}
+        if bar.kind == TYPE2:
+            return {"kind": "type2", "length": bar.length, "y": bar.y}
+        return {"kind": "type3", "length": bar.length, "i": bar.i, "j": bar.j}
 
     lam = parse_partition(args.partition)
     payload = {"partition": lam, "n": lam.n, "m": lam.m}
@@ -138,7 +133,7 @@ def cmd_bars(args):
         ws, v = weight_tower(lam, args.p)
         payload.update(p=args.p, weights=list(ws), valuation=v)
     table = bars(lam)
-    payload.update(bars=[_bar_entry(b) for b in table.bars], lengths=table.lengths(),
+    payload.update(bars=[entry(b) for b in table.bars], lengths=table.lengths(),
                    h_total=table.h_total, h_unmixed=table.h_unmixed, h_mixed=table.h_mixed)
     emit(args, "bars", {"partition": args.partition, "p": args.p}, payload, "info")
     return 0

@@ -6,12 +6,13 @@ prescribed weight w are built:
 * add_part_pw: adjoin the new part p*w (works for the empty core too);
 * grow_class: replace the top part e_i of the residue class i by e_i + p*w.
 
-Each built label is gamma with one part inserted by barpart.with_part:
-p*w for add_part_pw, e_i + p*w in place of e_i for grow_class. with_part
-checks only the inserted part (a positive int not already a part) and
-places it by bisection; the other parts are the validated core's, so they
-are not checked again. Every built label, and both labels (pw), (pw-1, 1)
-of the empty core's witness pair, is certified by barpart.runner_charges
+Both families are weight chains named by a residue, class i for grow_class
+and None for add_part_pw; _chain_label(dec, i, w) builds each of their
+labels as gamma with one part inserted by barpart.with_part: p*w, or e_i +
+p*w in place of e_i. with_part checks only the inserted part (a positive
+int not already a part) and places it by bisection; the other parts are the
+validated core's, so they are not checked again. Every built label, and
+both labels (pw), (pw-1, 1) of the empty core's witness pair, is certified by barpart.runner_charges
 (_certify): the same charges as gamma, |gamma| + p*w boxes, w bar lengths
 divisible by p and the expected number of parts, or a RuntimeError. A
 p-bar-core is determined by its runner charges (Olsson 1993), so these
@@ -32,21 +33,24 @@ by cross-multiplying the two pairs: no Fraction, and so no gcd, is built
 unless a check fails and its values are read.
 
 Each public construction and ratio function checks its inputs, decomposes
-its core and calls a private function of the CoreDecomposition. The two
-walks decompose a core once and go up its weights w = 1, 2, ...:
-verify_ratio_chain walks each weight chain once, so every label is built,
-certified and given its bar products once, and those products are the w-1
-side of the next step; compare_chain compares the core's witness pair at
-every w. _witness_pair alone picks the witness pair of a block (gamma, w),
-for the empty core too; compare_chain (the thm35 and prop36 checks of the
-CLI) and witness._build_witness read it.
+its core and calls a private function of the CoreDecomposition. A chain is
+named by its residue throughout: _chain_label builds its labels, _forms and
+_step read its steps, RatioCheck.residue records it. The two walks
+decompose a core once and go up its weights w = 1, 2, ...:
+verify_ratio_chain walks each chain of a nonempty core (residues [*nonempty,
+None]) once, so every label is built, certified and given its bar products
+once, and those products are the w-1 side of the next step; compare_chain
+compares the core's witness pair at every w. _witness_pair alone picks the
+witness pair of a block (gamma, w): the labels on the chains of the two
+classes of largest top value, or of a unique class and None; for the empty
+core, its add-part label (pw) and (pw-1, 1). compare_chain (the thm35 and
+prop36 checks of the CLI) and witness._build_witness read it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .barpart import (
@@ -136,11 +140,7 @@ def _check_nonempty(gamma):
 def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
     """Adjoin the part p*w to the core gamma (core gamma, weight w)."""
     _check_w(w)
-    return _add_part_pw(decompose_core(gamma, p), w)
-
-
-def _add_part_pw(dec, w):
-    return _certify(with_part(dec.gamma, dec.p * w), dec, w, dec.gamma.m + 1)
+    return _chain_label(decompose_core(gamma, p), None, w)
 
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
@@ -148,12 +148,15 @@ def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
     _check_w(w)
     dec = decompose_core(gamma, p)
     _check_class(dec, i)
-    return _grow_class(dec, i, w)
+    return _chain_label(dec, i, w)
 
 
-def _grow_class(dec, i, w):
-    ei = dec.e[i]
-    return _certify(with_part(dec.gamma, ei + dec.p * w, ei), dec, w, dec.gamma.m)
+def _chain_label(dec, i, w):
+    """The certified label of weight w on the chain of class i: gamma with e_i
+    replaced by e_i + pw, or with the part pw added when i is None."""
+    old = None if i is None else dec.e[i]
+    new = dec.p * w if old is None else old + dec.p * w
+    return _certify(with_part(dec.gamma, new, old), dec, w, dec.gamma.m + (old is None))
 
 
 EMPTY_CORE = "empty-core"
@@ -163,16 +166,15 @@ UNIQUE_CLASS = "unique-class"
 
 def _witness_pair(dec, w):
     """(case, larger, smaller) for the block (dec.gamma, w): (pw), (pw-1, 1) for the
-    empty core (Prop. 3.6), else the labels grown from the two classes of largest
-    top value, or grown and added-part for a unique class (Thm. 3.5)."""
+    empty core (Prop. 3.6), else the labels on the chains of the two classes of
+    largest top value, or of a unique class and the add-part chain (Thm. 3.5)."""
     order = dec.top_order
     if not order:
-        pw = dec.p * w
-        return (EMPTY_CORE, _certify(BarPartition((pw,)), dec, w, 1),
-                _certify(BarPartition((pw - 1, 1)), dec, w, 2))
-    if len(order) >= 2:
-        return TWO_CLASSES, _grow_class(dec, order[0], w), _grow_class(dec, order[1], w)
-    return UNIQUE_CLASS, _grow_class(dec, order[0], w), _add_part_pw(dec, w)
+        return (EMPTY_CORE, _chain_label(dec, None, w),
+                _certify(BarPartition((dec.p * w - 1, 1)), dec, w, 2))
+    second = order[1] if len(order) >= 2 else None
+    return (UNIQUE_CLASS if second is None else TWO_CLASSES,
+            _chain_label(dec, order[0], w), _chain_label(dec, second, w))
 
 
 def _forms(dec, i):
@@ -286,23 +288,20 @@ def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioChe
     """
     check_int(max_w, "max_w")
     dec = decompose_core(gamma, p)
-    # (its three identities, residue, label as a function of w, closed forms of the step)
-    grow = ("grow-class-unmixed", "grow-class-mixed", "grow-class-total")
-    chains = [(grow, i, partial(_grow_class, dec, i), _forms(dec, i)) for i in dec.nonempty]
-    if gamma.m:
-        add = ("add-part-unmixed", "add-part-mixed", "add-part-total")
-        chains.append((add, None, partial(_add_part_pw, dec), _forms(dec, None)))
+    residues = [*dec.nonempty, None] if gamma.m else []  # occupied classes, then add-part
+    chains = [(i, _forms(dec, i), [("add-part-" if i is None else "grow-class-") + form
+                                  for form in ("unmixed", "mixed", "total")]) for i in residues]
     prev = [bar_products(gamma)] * len(chains)
     checks = []
     for w in range(1, max_w + 1):
-        for k, ((unmixed, mixed, total), residue, label, forms) in enumerate(chains):
-            cur = bar_products(label(w))
+        for k, (i, forms, (unmixed, mixed, total)) in enumerate(chains):
+            cur = bar_products(_chain_label(dec, i, w))
             (ua, ma), (ub, mb) = cur, prev[k]
             prev[k] = cur
-            cu, cm, ct = _step(dec, residue, w, forms)
-            checks += (RatioCheck(unmixed, residue, w, cu, (ua, ub)),
-                       RatioCheck(mixed, residue, w, cm, (ma, mb)),
-                       RatioCheck(total, residue, w, ct, (ua * ma, ub * mb)))
+            cu, cm, ct = _step(dec, i, w, forms)
+            checks += (RatioCheck(unmixed, i, w, cu, (ua, ub)),
+                       RatioCheck(mixed, i, w, cm, (ma, mb)),
+                       RatioCheck(total, i, w, ct, (ua * ma, ub * mb)))
     return checks
 
 

@@ -19,15 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .barpart import (
-    TYPE1,
-    TYPE2,
-    TYPE3,
-    BarPartition,
-    _check_odd_prime,
-    _gen_distinct,
-    make_bar_partition,
-)
+from .barpart import BarPartition, _check_odd_prime, _gen_distinct, make_bar_partition
+
+TYPE1 = 1  # (x, y): part y shrinks to the non-part value x, length y - x
+TYPE2 = 2  # (y,): part y is deleted, length y
+TYPE3 = 3  # "mixed" (i, j): parts at positions i < j are both deleted
 
 
 @dataclass(frozen=True)

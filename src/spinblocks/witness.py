@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .barpart import (
     BarPartition,
     _check_odd_prime,
+    _check_weight,
     abacus_core,
     bar_cores_up_to,
     bar_product_quotient,
@@ -101,9 +102,7 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
     (the empty core is always one).
     """
     _check_odd_prime(p)
-    check_int(w, "w")
-    if w < 0:
-        raise ValueError("w must be nonnegative, got %d" % w)
+    _check_weight(w)
     if not witness_eligible(gamma, p, w):
         raise ValueError(
             "block (core %s, w=%d) has no witness pair: only the empty core"
@@ -180,20 +179,21 @@ def _residue_and_valuation(lam: BarPartition, p: int) -> tuple[int, int]:
     return r * pow(den, -1, p) % p, v
 
 
-def _height_zero(lam: BarPartition, v: int, p: int, w: int) -> bool:
-    """Whether a label of a block of weight w, with v = v_p(H(lam)), has height zero.
+def _height_zero(lam: BarPartition, v: int, low: int) -> bool:
+    """Whether a label with v = v_p(H(lam)) has height zero in a block of
+    weight w, given low = v_p((pw)!).
 
     p is odd, so the p-adic valuation of the degree 2**k n!/H of lam is
     v_p(n!) - v_p(H), and it is the defect-group minimum v_p(n!) -
     v_p((pw)!) exactly when v_p(H), read off the parts and their pairs by
-    _residue_and_valuation, is v_p((pw)!). A label on fewer than two
-    letters has no degree (the group rule of alt_degree), so no height.
+    _residue_and_valuation, is low. A label on fewer than two letters has
+    no degree (the group rule of alt_degree), so no height.
     """
     try:
         alt(lam.n)
     except ValueError:
         return False
-    return v == factorial_valuation(p * w, p)
+    return v == low
 
 
 def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
@@ -214,18 +214,20 @@ def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its labels alone.
 
-    Both labels' cores and weights come from the abacus core.  One loop over
-    each label's parts and pairs (_residue_and_valuation) gives its p'-residue,
-    for the congruence, and v_p(H), for height zero (_height_zero).  Height
-    zero and distinct degrees (_degrees_differ, for labels of one block
-    only) are decided on small integers: v_p(H) against v_p((pw)!), and the
-    quotient of the bar products over the parts the labels do not share.
-    No degree is computed unless a check fails, and the block itself is
-    never built.  A failed check is recorded with the offending values in
-    the notes, degrees and their valuations included; nothing is ever
-    silently passed.
+    A weight that is not an int >= 0 is refused first, as build_witness
+    refuses it.  Both labels' cores and weights come from the abacus core.
+    One loop over each label's parts and pairs (_residue_and_valuation) gives
+    its p'-residue, for the congruence, and v_p(H), for height zero
+    (_height_zero).  Height zero and distinct degrees (_degrees_differ, for
+    labels of one block only) are decided on small integers: v_p(H) against
+    v_p((pw)!), computed once per certificate, and the quotient of the bar
+    products over the parts the labels do not share.  No degree is computed
+    unless a check fails, and the block itself is never built.  A failed
+    check is recorded with the offending values in the notes, degrees and
+    their valuations included; nothing is ever silently passed.
     """
     p, gamma, w = cert.p, cert.core, cert.w
+    _check_weight(w)
     label_a, label_b = cert.label_a, cert.label_b
     checks = {}
     notes = []
@@ -252,9 +254,10 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
 
     res_a, val_a = _residue_and_valuation(label_a, p)
     res_b, val_b = _residue_and_valuation(label_b, p)
+    low = factorial_valuation(p * w, p)  # v_p((pw)!), one number per block
     checks["both_height_zero"] = (
         (core_a, w_a) == (core_b, w_b) == (gamma, w)
-        and _height_zero(label_a, val_a, p, w) and _height_zero(label_b, val_b, p, w)
+        and _height_zero(label_a, val_a, low) and _height_zero(label_b, val_b, low)
     )
     if not checks["both_height_zero"]:
         va, vb = (None if d is None else valuation(d, p) for d in map(degree, (label_a, label_b)))

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from spinblocks.barpart import (
     EMPTY,
-    TYPE1,
-    TYPE2,
-    TYPE3,
     BarPartition,
     _core_run,
     _runner_pair_parts,
@@ -28,7 +25,16 @@ from spinblocks.barpart import (
     weight_tower,
     with_part,
 )
-from spinblocks.oracle import Bar, bar_core_and_weight, bars, enumerate_bar_partitions, remove_bar
+from spinblocks.oracle import (
+    TYPE1,
+    TYPE2,
+    TYPE3,
+    Bar,
+    bar_core_and_weight,
+    bars,
+    enumerate_bar_partitions,
+    remove_bar,
+)
 
 bar_partitions = st.sets(st.integers(1, 28), max_size=6).map(
     lambda s: BarPartition(tuple(sorted(s, reverse=True)))

@@ -49,7 +49,7 @@ def refuse_bar_work(monkeypatch):
     with pytest.raises(AssertionError):
         oracle.bars(barpart.BarPartition((3,)))
     with pytest.raises(AssertionError):
-        oracle.remove_bar(barpart.BarPartition((3,)), oracle.Bar(barpart.TYPE2, 3, y=3))
+        oracle.remove_bar(barpart.BarPartition((3,)), oracle.Bar(oracle.TYPE2, 3, y=3))
 
 
 def grow_total_one_more(step):

@@ -6,8 +6,6 @@ import pytest
 from spinblocks import constructions
 from spinblocks.barpart import (
     EMPTY,
-    TYPE1,
-    TYPE2,
     abacus_core,
     bar_cores_up_to,
     is_bar_core,
@@ -31,7 +29,7 @@ from spinblocks.constructions import (
     grow_class_ratio,
     verify_ratio_chain,
 )
-from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
+from spinblocks.oracle import TYPE1, TYPE2, bar_core_and_weight, bars, enumerate_bar_partitions
 from spinblocks.spinchar import alt, characters_of_label
 
 
@@ -185,9 +183,9 @@ class TestLabelBuild:
             for w in range(1, 11):
                 for i in dec.nonempty:
                     ei = dec.e[i]
-                    assert constructions._grow_class(dec, i, w) == bp(
+                    assert constructions._chain_label(dec, i, w) == bp(
                         *(a + p * w if a == ei else a for a in gamma.parts))
-                assert constructions._add_part_pw(dec, w) == bp(*gamma.parts, p * w)
+                assert constructions._chain_label(dec, None, w) == bp(*gamma.parts, p * w)
 
 
 class TestCertify:

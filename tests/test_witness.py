@@ -11,6 +11,7 @@ from spinblocks.barpart import (
     bar_cores_up_to,
     bar_product_quotient,
     bar_products,
+    factorial_valuation,
     labels_with_core_and_weight,
     make_bar_partition,
     valuation,
@@ -152,6 +153,16 @@ class TestVerifyWitness:
         assert not bad.verified
         assert "degree check failed: recomputed 2 and 2" in bad.notes
 
+    @pytest.mark.parametrize("w, message", [
+        (-1, "^w must be nonnegative, got -1$"),
+        (3.0, "^w must be an integer, got 3.0$"),
+    ], ids=["negative", "non-int"])
+    def test_refuses_bad_weight_up_front(self, w, message):
+        # -1 was refused by the failure note's defect-group minimum, for a block
+        # of n = -2 that nobody asked for
+        with pytest.raises(ValueError, match=message):
+            verify_witness(build_witness(bp(1), 3, 3)._replace(w=w))
+
     def test_replace_round_trip_keeps_verified(self):
         cert = build_witness(bp(1), 3, 3)
         assert cert.verified
@@ -183,7 +194,8 @@ class TestSmallIntegerVerdicts:
                 degree = {lam: alt_degree(lam) for lam in labels}
                 for lam in labels:
                     v = _residue_and_valuation(lam, p)[1]
-                    assert _height_zero(lam, v, p, w) == (valuation(degree[lam], p) == low)
+                    assert (_height_zero(lam, v, factorial_valuation(p * w, p))
+                            == (valuation(degree[lam], p) == low))
                 for a in labels:
                     for b in labels:
                         if a != b:
