@@ -6,22 +6,25 @@ analysis on the residue classes of the core (constructions._witness_pair),
 the pair whose bar products constructions.compare_chain compares,
 and every claimed property (same block, height zero, distinct degrees, the
 mod-p congruence of the p'-part of the bar product) is verified from
-scratch rather than trusted.  Block membership comes from the abacus core,
-and each label's p'-residue and v_p(H), H the product of its bar lengths,
-from one loop over its parts and their pairs (_residue_and_valuation), so
-certifying builds no bar table.  A certificate stores no degree and proves
-both degree facts from small integers: height zero is v_p(H) = sum of
-v_p(a!) over the parts a and of v_p(a + b) - v_p(a - b) over the pairs
-a > b (Schur's formula, Legendre's formula) against v_p((pw)!), the
-defect-group minimum, and distinct degrees are the quotient of the two bar
-products over the parts the labels do not share
-(barpart.bar_product_quotient) against the powers of 2 of the two degrees.
-spinchar.alt_degree, whose group rule alone says that a label on fewer than
-two letters has none, runs only where a degree is printed or a check has
-failed.  Neither building nor verifying a certificate builds the block.
-scan, the one certification walk, certifies every block from its (core, w)
-alone, walking each p-bar-core's weights once on one decomposition of the
-core.
+scratch rather than trusted.  A certificate's checks read five inputs
+alone: p, core, w and the two labels.  Its n is derived (|core| + p*w),
+and its case names the builder's construction without being read by any
+check.  Block membership, decided once from the abacus core, gates the
+height-zero and degree checks, and the congruence applies to a nonempty
+core.  Each label's p'-residue and v_p(H), H the product of its bar
+lengths, come from one loop over its parts and their pairs
+(_residue_and_valuation), so certifying builds no bar table.  A
+certificate stores no degree and proves both degree facts from small
+integers: height zero is v_p(H) = sum of v_p(a!) over the parts a and of
+v_p(a + b) - v_p(a - b) over the pairs a > b (Schur's formula, Legendre's
+formula) against v_p((pw)!), the defect-group minimum, and distinct
+degrees are the quotient of the two bar products over the parts the
+labels do not share (barpart.bar_product_quotient) against the powers of
+2 of the two degrees.  spinchar.alt_degree runs only where a degree is
+printed or a check has failed.  Neither building nor verifying a
+certificate builds the block.  scan, the one certification walk,
+certifies every block from its (core, w) alone, walking each
+p-bar-core's weights once on one decomposition of the core.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .blocks import (
     spin_block,
 )
 from .constructions import EMPTY_CORE, TWO_CLASSES, UNIQUE_CLASS, _witness_pair, decompose_core
-from .spinchar import alt, alt_degree, sigma
+from .spinchar import alt_degree, sigma
 
 CASE_EMPTY_CORE = EMPTY_CORE
 CASE_TWO_CLASSES = TWO_CLASSES
@@ -63,12 +66,16 @@ class WitnessCertificate(NamedTuple):
     p: int
     core: BarPartition
     w: int
-    n: int
-    case: str
+    case: str  # the builder's label for its construction; no check reads it
     label_a: BarPartition
     label_b: BarPartition
     checks: dict
     notes: tuple[str, ...] = ()
+
+    @property
+    def n(self) -> int:
+        """The size |core| + p*w of the block's labels."""
+        return self.core.n + self.p * self.w
 
     @property
     def degree_a(self) -> int:
@@ -129,7 +136,6 @@ def _build_witness(dec, w):
         p=p,
         core=gamma,
         w=w,
-        n=gamma.n + p * w,
         case=case,
         label_a=label_a,
         label_b=label_b,
@@ -179,23 +185,6 @@ def _residue_and_valuation(lam: BarPartition, p: int) -> tuple[int, int]:
     return r * pow(den, -1, p) % p, v
 
 
-def _height_zero(lam: BarPartition, v: int, low: int) -> bool:
-    """Whether a label with v = v_p(H(lam)) has height zero in a block of
-    weight w, given low = v_p((pw)!).
-
-    p is odd, so the p-adic valuation of the degree 2**k n!/H of lam is
-    v_p(n!) - v_p(H), and it is the defect-group minimum v_p(n!) -
-    v_p((pw)!) exactly when v_p(H), read off the parts and their pairs by
-    _residue_and_valuation, is low. A label on fewer than two letters has
-    no degree (the group rule of alt_degree), so no height.
-    """
-    try:
-        alt(lam.n)
-    except ValueError:
-        return False
-    return v == low
-
-
 def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
     """Whether two labels of one n differ in degree in the alternating double cover.
 
@@ -212,16 +201,20 @@ def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
 
 
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
-    """Re-evaluate every check of a certificate from its labels alone.
+    """Re-evaluate every check of a certificate from its five inputs alone:
+    p, core, w, label_a and label_b; the derived n and the informational
+    case are not read.
 
     A weight that is not an int >= 0 is refused first, as build_witness
-    refuses it.  Both labels' cores and weights come from the abacus core.
-    One loop over each label's parts and pairs (_residue_and_valuation) gives
-    its p'-residue, for the congruence, and v_p(H), for height zero
-    (_height_zero).  Height zero and distinct degrees (_degrees_differ, for
-    labels of one block only) are decided on small integers: v_p(H) against
-    v_p((pw)!), computed once per certificate, and the quotient of the bar
-    products over the parts the labels do not share.  No degree is computed
+    refuses it.  same_block, decided once, asks that the labels differ and
+    that the abacus core give both the certificate's core and weight (and so
+    its n).  It gates height zero and distinct degrees: two labels of one
+    block have w >= 1, so n >= p >= 3 and both have a degree.  p is odd, so
+    a degree 2**k n!/H is of height zero exactly when v_p(H) = v_p((pw)!);
+    one loop over each label's parts and pairs (_residue_and_valuation)
+    gives v_p(H) and the p'-residue, for the congruence of a nonempty core.
+    Distinct degrees come from the quotient of the bar products over the
+    parts the labels do not share (_degrees_differ).  No degree is computed
     unless a check fails, and the block itself is never built.  A failed
     check is recorded with the offending values in the notes, degrees and
     their valuations included; nothing is ever silently passed.
@@ -234,13 +227,9 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
 
     core_a, w_a = abacus_core(label_a, p)
     core_b, w_b = abacus_core(label_b, p)
-    checks["same_block"] = (
-        label_a != label_b
-        and core_a == core_b == gamma
-        and w_a == w_b == w
-        and label_a.n == label_b.n == cert.n
-    )
-    if not checks["same_block"]:
+    same_block = label_a != label_b and (core_a, w_a) == (core_b, w_b) == (gamma, w)
+    checks["same_block"] = same_block
+    if not same_block:
         notes.append(
             "block membership failed: %s has core %s weight %d, %s has core %s weight %d"
             % (label_a, core_a, w_a, label_b, core_b, w_b)
@@ -254,23 +243,19 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
 
     res_a, val_a = _residue_and_valuation(label_a, p)
     res_b, val_b = _residue_and_valuation(label_b, p)
-    low = factorial_valuation(p * w, p)  # v_p((pw)!), one number per block
-    checks["both_height_zero"] = (
-        (core_a, w_a) == (core_b, w_b) == (gamma, w)
-        and _height_zero(label_a, val_a, low) and _height_zero(label_b, val_b, low)
-    )
+    checks["both_height_zero"] = same_block and val_a == val_b == factorial_valuation(p * w, p)
     if not checks["both_height_zero"]:
         va, vb = (None if d is None else valuation(d, p) for d in map(degree, (label_a, label_b)))
         notes.append("height-zero check failed: degree valuations %s and %s,"
                      " defect-group minimum %d"
                      % (va, vb, height_zero_valuation(gamma.n + p * w, p, w)))
 
-    checks["degrees_distinct"] = checks["same_block"] and _degrees_differ(label_a, label_b)
+    checks["degrees_distinct"] = same_block and _degrees_differ(label_a, label_b)
     if not checks["degrees_distinct"]:
         notes.append("degree check failed: recomputed %s and %s"
                      % (degree(label_a), degree(label_b)))
 
-    if cert.case == CASE_EMPTY_CORE:
+    if gamma.m == 0:
         checks["congruence_ok"] = None
         notes.append("congruence check not applicable for the empty core")
     else:

@@ -11,14 +11,25 @@ witness before it reports.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 import pytest
 
 from spinblocks import witness
-from spinblocks.barpart import bar_cores_up_to, make_bar_partition
+from spinblocks.barpart import bar_cores_up_to, make_bar_partition, valuation
 from spinblocks.witness import build_witness, witness_eligible
 
 Mutant = namedtuple("Mutant", "module name replacement kills check blind")
+
+residue_and_valuation = witness._residue_and_valuation  # the real one, before any patch
+
+
+def difference_valuations_kept(lam, p):
+    """_residue_and_valuation with sum v_p(a - b) over the pairs a > b added
+    back, as if the differences were never taken out of v_p(H)."""
+    r, v = residue_and_valuation(lam, p)
+    return r, v + sum(valuation(a - b, p) for a, b in combinations(lam.parts, 2))
+
 
 MUTANTS = {
     # the differences a - b multiplied into the p'-residue instead of inverted;
@@ -29,6 +40,14 @@ MUTANTS = {
         kills={p: (make_bar_partition((2,)), p) for p in (7, 11, 13)},
         check="congruence_ok",
         blind={3: 60, 5: 80},
+    ),
+    # v_p(H) without its pair differences: a label whose parts differ by a
+    # multiple of p reads a valuation too high for height zero
+    "difference-valuations-kept": Mutant(
+        witness, "_residue_and_valuation", difference_valuations_kept,
+        kills={p: (make_bar_partition((p + 1, 1)), p) for p in (3, 5, 7, 11, 13)},
+        check="both_height_zero",
+        blind={},
     ),
 }
 

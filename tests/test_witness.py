@@ -33,7 +33,6 @@ from spinblocks.witness import (
     ScanSummary,
     WitnessCertificate,
     _degrees_differ,
-    _height_zero,
     _residue_and_valuation,
     alt_degree,
     build_witness,
@@ -143,7 +142,7 @@ class TestVerifyWitness:
     def test_detects_equal_degrees(self):
         # (4) and (3, 1) share the block (core 1, w 1) at p = 3, both of
         # height zero, with one degree 2 in the alternating double cover
-        cert = WitnessCertificate(p=3, core=bp(1), w=1, n=4, case=CASE_UNIQUE_ODD_P3_SMALL,
+        cert = WitnessCertificate(p=3, core=bp(1), w=1, case=CASE_UNIQUE_ODD_P3_SMALL,
                                   label_a=bp(4), label_b=bp(3, 1), checks={})
         assert (cert.degree_a, cert.degree_b) == (2, 2)
         bad = verify_witness(cert)
@@ -180,6 +179,29 @@ class TestVerifyWitness:
         assert not bad.verified
         assert "p'-part residues 0, 0 not congruent to +-1 mod 3" in bad.notes
 
+    def test_claimed_empty_core_does_not_skip_congruence(self, monkeypatch):
+        # was verified, with "congruence check not applicable for the empty core"
+        cert = build_witness(bp(1), 7, 7)._replace(case=CASE_EMPTY_CORE)
+        real = witness._residue_and_valuation
+        monkeypatch.setattr(witness, "_residue_and_valuation", lambda lam, p: (0, real(lam, p)[1]))
+        bad = verify_witness(cert)
+        assert bad.checks["congruence_ok"] is False
+        assert not bad.verified
+        assert bad.notes == ("p'-part residues 0, 0 not congruent to +-1 mod 7",)
+
+    def test_claimed_case_does_not_impose_congruence_on_empty_core(self):
+        # was unverified: "p'-part residues 4, 3 not congruent to +-1 mod 5"
+        cert = verify_witness(build_witness(EMPTY, 5, 5)._replace(case=CASE_TWO_CLASSES))
+        assert cert.verified
+        assert cert.checks["congruence_ok"] is None
+        assert cert.notes == ("congruence check not applicable for the empty core",)
+
+    def test_n_is_derived(self):
+        cert = build_witness(bp(2, 1), 5, 6)
+        assert cert.n == cert.core.n + cert.p * cert.w == cert.label_a.n == 33
+        with pytest.raises(ValueError):
+            cert._replace(n=99)  # was accepted, and failed same_block
+
 
 class TestSmallIntegerVerdicts:
     """Height zero and distinct degrees from v_p(H) over parts and pairs and
@@ -194,14 +216,13 @@ class TestSmallIntegerVerdicts:
                 degree = {lam: alt_degree(lam) for lam in labels}
                 for lam in labels:
                     v = _residue_and_valuation(lam, p)[1]
-                    assert (_height_zero(lam, v, factorial_valuation(p * w, p))
-                            == (valuation(degree[lam], p) == low))
+                    assert (v == factorial_valuation(p * w, p)) == (valuation(degree[lam], p) == low)
                 for a in labels:
                     for b in labels:
                         if a != b:
                             assert _degrees_differ(a, b) == (degree[a] != degree[b])
                 for b in labels[1:]:  # the verifier's verdicts are these
-                    cert = verify_witness(WitnessCertificate(p, core, w, n, CASE_TWO_CLASSES,
+                    cert = verify_witness(WitnessCertificate(p, core, w, CASE_TWO_CLASSES,
                                                              labels[0], b, {}))
                     assert cert.checks["same_block"]
                     assert cert.checks["both_height_zero"] == (
@@ -221,7 +242,7 @@ class TestSmallIntegerVerdicts:
         def refuse(lam):
             raise AssertionError("a degree was computed for %s" % (lam,))
 
-        assert WitnessCertificate._fields == ("p", "core", "w", "n", "case", "label_a", "label_b",
+        assert WitnessCertificate._fields == ("p", "core", "w", "case", "label_a", "label_b",
                                               "checks", "notes")
         monkeypatch.setattr(witness, "alt_degree", refuse)
         monkeypatch.setattr(spinchar, "spin_degree_sym", refuse)
@@ -273,11 +294,22 @@ class TestBlockMembership:
     @pytest.mark.parametrize("core", [EMPTY, bp(1)])
     def test_no_height_zero_below_two_letters(self, core):
         # the label is its own block of weight 0, with no degree to have a height
-        cert = WitnessCertificate(p=3, core=core, w=0, n=core.n, case=CASE_TWO_CLASSES,
+        cert = WitnessCertificate(p=3, core=core, w=0, case=CASE_TWO_CLASSES,
                                   label_a=core, label_b=core, checks={})
         bad = verify_witness(cert)
         assert bad.checks["both_height_zero"] is False
         assert ("height-zero check failed: degree valuations None and None,"
+                " defect-group minimum 0") in bad.notes
+
+    def test_one_label_twice_is_not_a_block_pair(self):
+        # was both_height_zero True: the gate checked the cores, not two labels
+        cert = build_witness(EMPTY, 3, 4)
+        bad = verify_witness(cert._replace(label_b=cert.label_a))
+        assert bad.checks["same_block"] is False
+        assert bad.checks["both_height_zero"] is False
+        assert bad.checks["degrees_distinct"] is False
+        assert not bad.verified
+        assert ("height-zero check failed: degree valuations 0 and 0,"
                 " defect-group minimum 0") in bad.notes
 
     @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
