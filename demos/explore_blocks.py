@@ -3,13 +3,8 @@
 Run: python3 demos/explore_blocks.py
 """
 
-from spinblocks import (
-    alt_degree,
-    bar_core_and_weight,
-    bars,
-    enumerate_bar_partitions,
-    spin_blocks,
-)
+from spinblocks import alt_degree, spin_blocks
+from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
 
 print("Bar partitions of 9 (partitions into distinct parts):")
 for lam in enumerate_bar_partitions(9):

@@ -14,13 +14,13 @@ from operator import attrgetter
 
 from spinblocks import (
     add_part_pw,
-    bars,
     grow_class,
     grow_class_ratio,
     make_bar_partition,
     parse_partition,
     verify_ratio_chain,
 )
+from spinblocks.oracle import bars
 
 for text, p, i in (("1", 3, 1), ("4,1", 3, 1), ("3,1", 5, 3)):
     gamma = parse_partition(text)

@@ -59,14 +59,3 @@ from .witness import (
 
 __version__ = "0.1.0"
 
-# the structural oracle (spinblocks.oracle), loaded when one of its names is first read
-_ORACLE_NAMES = frozenset(
-    ("Bar", "BarTable", "bar_core_and_weight", "bars", "enumerate_bar_partitions", "remove_bar"))
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -261,21 +261,14 @@ def valuation(x: int, p: int) -> int:
     return k
 
 
-def _gen_distinct(n: int, maxpart: int):
+def _gen_partitions(n: int, maxpart: int, distinct: bool):
+    """Partitions of n with parts <= maxpart, distinct parts if asked, in
+    decreasing lexicographic order."""
     if n == 0:
         yield ()
         return
     for a in range(min(n, maxpart), 0, -1):
-        for rest in _gen_distinct(n - a, a - 1):
-            yield (a,) + rest
-
-
-def _gen_partitions(n: int, maxpart: int):
-    if n == 0:
-        yield ()
-        return
-    for a in range(min(n, maxpart), 0, -1):
-        for rest in _gen_partitions(n - a, a):
+        for rest in _gen_partitions(n - a, a - 1 if distinct else a, distinct):
             yield (a,) + rest
 
 
@@ -353,11 +346,11 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
 def _quotients(w: int, runners: int):
     """(mu0, mu1, ..., mu_runners): mu0 strict, the rest ordinary, of total size w."""
     if runners == 0:
-        for mu0 in _gen_distinct(w, w):
+        for mu0 in _gen_partitions(w, w, True):
             yield (mu0,)
         return
     for k in range(w + 1):
-        for mu in _gen_partitions(k, k):
+        for mu in _gen_partitions(k, k, False):
             for rest in _quotients(w - k, runners - 1):
                 yield rest + (mu,)
 

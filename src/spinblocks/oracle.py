@@ -9,9 +9,8 @@ none is left (bar_core_and_weight), and every strict partition of n
 labels_with_core_and_weight) against them.
 
 No module imports this one at load time: the bars command and
-blocks.spin_blocks import it inside the function, and the package's names
-resolve through spinblocks.__getattr__, so a run that needs no oracle
-never loads it.
+blocks.spin_blocks import it inside the function, so a run that needs no
+oracle never loads it. Its names are read from spinblocks.oracle alone.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .barpart import BarPartition, _check_odd_prime, _gen_distinct, make_bar_partition
+from .barpart import BarPartition, _check_odd_prime, _gen_partitions, make_bar_partition
 
 TYPE1 = 1  # (x, y): part y shrinks to the non-part value x, length y - x
 TYPE2 = 2  # (y,): part y is deleted, length y
@@ -155,4 +154,4 @@ def enumerate_bar_partitions(n: int) -> list[BarPartition]:
     """All partitions of n into distinct parts, in decreasing lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative, got %d" % n)
-    return [BarPartition(parts) for parts in _gen_distinct(n, n)]
+    return [BarPartition(parts) for parts in _gen_partitions(n, n, True)]

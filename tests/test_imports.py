@@ -390,15 +390,14 @@ def test_guard_finds_importers():
     assert importers(source, "dataclasses") == [None]
 
 
-ORACLE_IMPORTERS = {("cli.py", "cmd_bars"), ("blocks.py", "spin_blocks"),
-                    ("__init__.py", "__getattr__")}
+ORACLE_IMPORTERS = {("cli.py", "cmd_bars"), ("blocks.py", "spin_blocks")}
 
 
 def test_oracle_loads_on_first_use():
-    # the structural oracle is imported inside these three functions only, never at load time
+    # the structural oracle is imported inside these two functions only, never at load time
     found = {(path.name, function) for path in SRC.glob("*.py")
              for function in importers(path.read_text(), "oracle")}
-    assert found <= ORACLE_IMPORTERS
+    assert found == ORACLE_IMPORTERS
 
 
 def test_only_the_oracle_imports_dataclasses():
@@ -408,8 +407,10 @@ def test_only_the_oracle_imports_dataclasses():
 
 @pytest.mark.parametrize("name", ["Bar", "BarTable", "bar_core_and_weight", "bars",
                                   "enumerate_bar_partitions", "remove_bar"])
-def test_oracle_names_resolve_through_the_package(name):
-    assert getattr(spinblocks, name) is getattr(oracle, name)
+def test_oracle_names_are_not_package_attributes(name):
+    # read from spinblocks.oracle alone, even once that module is loaded
+    assert hasattr(oracle, name)
+    assert not hasattr(spinblocks, name)
 
 
 def test_unknown_package_name_is_refused():

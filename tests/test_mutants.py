@@ -1,13 +1,15 @@
 """Committed mutation checks for the certificate path.
 
-Each row of MUTANTS breaks one private function by a monkeypatch and
-records which primes kill it: at each killing prime p a named witness
-(core, p, w) from build_witness must come back unverified, with the named
-check False. A row's blind primes are written down too, each with the n up
-to which every witness it builds still verifies under the mutant, so a
-blind spot of the verifier is stated rather than found again. build_witness
-is used rather than scan, which builds a whole block for every failing
-witness before it reports.
+Each row of MUTANTS breaks one function by a monkeypatch and records which
+primes kill it, each with its kill input: a witness (core, w) that
+build_witness makes at p, or a hand-built certificate that verify_witness
+reads. A row's kill is either the name of a check, which the mutant flips
+between True and False and with it the certificate's verdict, or an
+exception the mutant raises (the CLI reports it with exit 1). A row's blind
+primes are written down too, each with the n up to which every witness it
+builds still verifies under the mutant, so a blind spot of the verifier is
+stated rather than found again. build_witness is used rather than scan,
+which builds a whole block for every failing witness before it reports.
 """
 
 from collections import namedtuple
@@ -15,13 +17,25 @@ from itertools import combinations
 
 import pytest
 
-from spinblocks import witness
-from spinblocks.barpart import bar_cores_up_to, make_bar_partition, valuation
-from spinblocks.witness import build_witness, witness_eligible
+from spinblocks import barpart, witness
+from spinblocks.barpart import (
+    bar_cores_up_to,
+    bar_product_quotient,
+    make_bar_partition,
+    valuation,
+)
+from spinblocks.witness import (
+    WitnessCertificate,
+    build_witness,
+    verify_witness,
+    witness_eligible,
+)
 
-Mutant = namedtuple("Mutant", "module name replacement kills check blind")
+Mutant = namedtuple("Mutant", "module name replacement kills kill blind")
 
-residue_and_valuation = witness._residue_and_valuation  # the real one, before any patch
+# the real ones, before any patch
+residue_and_valuation = witness._residue_and_valuation
+runner_charges = barpart.runner_charges
 
 
 def difference_valuations_kept(lam, p):
@@ -31,6 +45,19 @@ def difference_valuations_kept(lam, p):
     return r, v + sum(valuation(a - b, p) for a, b in combinations(lam.parts, 2))
 
 
+def degrees_differ_unshifted(lam, mu):
+    """_degrees_differ without the power of 2 that the part counts put
+    between the two degrees: H_lam != H_mu."""
+    num, den = bar_product_quotient(lam, mu)
+    return num != den
+
+
+def first_charge_off(lam, p):
+    """runner_charges with the charge of runner pair (1, p-1) one too high."""
+    charges, w = runner_charges(lam, p)
+    return (charges[0] + 1,) + charges[1:], w
+
+
 MUTANTS = {
     # the differences a - b multiplied into the p'-residue instead of inverted;
     # mod 3 and 5 every unit x has x^-1 = +-x, so the residue is off by a sign
@@ -38,7 +65,7 @@ MUTANTS = {
     "inverted-difference": Mutant(
         witness, "pow", lambda base, exp, mod: base % mod,
         kills={p: (make_bar_partition((2,)), p) for p in (7, 11, 13)},
-        check="congruence_ok",
+        kill="congruence_ok",
         blind={3: 60, 5: 80},
     ),
     # v_p(H) without its pair differences: a label whose parts differ by a
@@ -46,7 +73,27 @@ MUTANTS = {
     "difference-valuations-kept": Mutant(
         witness, "_residue_and_valuation", difference_valuations_kept,
         kills={p: (make_bar_partition((p + 1, 1)), p) for p in (3, 5, 7, 11, 13)},
-        check="both_height_zero",
+        kill="both_height_zero",
+        blind={},
+    ),
+    # distinct bar products taken for distinct degrees: every built pair has
+    # equal part counts or H_a/H_b > 2, so only a hand-built pair whose
+    # products differ by exactly the factor 2 of the part counts sees it;
+    # (4) and (3, 1) share the block (core 1, w 1) at p = 3, both of degree 2
+    "degree-shift-dropped": Mutant(
+        witness, "_degrees_differ", degrees_differ_unshifted,
+        kills={3: WitnessCertificate(3, make_bar_partition((1,)), 1, "hand-built",
+                                     make_bar_partition((4,)), make_bar_partition((3, 1)), {})},
+        kill="degrees_distinct",
+        blind={3: 60, 5: 70, 7: 70, 11: 150},
+    ),
+    # one runner charge off reaches the verifier's abacus_core alone (the
+    # builder's constructions binds its own runner_charges), so the verifier
+    # reads a core of the wrong size
+    "runner-charge-off": Mutant(
+        barpart, "runner_charges", first_charge_off,
+        kills={p: (make_bar_partition((p + 1, 1)), p) for p in (3, 5, 7, 11, 13)},
+        kill=RuntimeError,
         blind={},
     ),
 }
@@ -60,15 +107,29 @@ KILLS = [(name, p) for name, mutant in MUTANTS.items() for p in mutant.kills]
 BLIND = [(name, p) for name, mutant in MUTANTS.items() for p in mutant.blind]
 
 
+def certify(kill_input, p):
+    if isinstance(kill_input, WitnessCertificate):
+        return verify_witness(kill_input)
+    core, w = kill_input
+    return build_witness(core, p, w)
+
+
 @pytest.mark.parametrize("name, p", KILLS)
 def test_mutant_is_killed(monkeypatch, name, p):
     mutant = MUTANTS[name]
-    core, w = mutant.kills[p]
-    assert build_witness(core, p, w).verified  # the input is a good witness unmutated
+    kill_input = mutant.kills[p]
+    real = certify(kill_input, p)
+    if not isinstance(kill_input, WitnessCertificate):
+        assert real.verified  # a built witness is good unmutated
     apply(monkeypatch, mutant)
-    cert = build_witness(core, p, w)
-    assert not cert.verified
-    assert cert.checks[mutant.check] is False
+    if isinstance(mutant.kill, str):
+        cert = certify(kill_input, p)
+        assert real.checks[mutant.kill] is real.verified
+        assert cert.checks[mutant.kill] is cert.verified
+        assert cert.verified is not real.verified
+    else:
+        with pytest.raises(mutant.kill):
+            certify(kill_input, p)
 
 
 @pytest.mark.parametrize("name, p", BLIND)
