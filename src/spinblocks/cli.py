@@ -1,8 +1,12 @@
 """Command-line surface with deterministic JSON/CSV output.
 
-Exit codes: 0 all checks passed (or informational output), 1 a mathematical
-check or an internal invariant (a RuntimeError, reported as payload.error)
-failed, 2 usage or parse error or an --out file that cannot be written.
+Each command returns its payload and status; main writes the record once,
+with the command's name and inputs: every option but --format and --out
+(verify prop36, which has no core bound, echoes no --max-core). The exit code
+follows from the status: 1 for "fail" (a mathematical check failed, or an
+internal invariant, whose RuntimeError is reported as payload.error), else 0.
+Exit 2, with no record, is a usage or parse error or an --out file that
+cannot be written.
 Inputs are checked by the library calls the commands make, before any work,
 never by the CLI itself: bars --p has its prime checked by weight_tower before
 the bar table is built, and verify prop36 by compare_chain of the empty core
@@ -71,7 +75,7 @@ def jsonable(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
+    if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     raise TypeError("cannot serialize %r" % (obj,))
 
@@ -100,10 +104,11 @@ def render(record, fmt: str) -> str:
     return buf.getvalue()
 
 
-def emit(args, command, inputs, payload, status):
+def emit(args, payload, status):
+    inputs = {k: v for k, v in vars(args).items() if k not in ("cmd", "func", "format", "out")}
     record = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.cmd,
         "inputs": jsonable(inputs),
         "payload": jsonable(payload),
         "status": status,
@@ -135,16 +140,13 @@ def cmd_bars(args):
     table = bars(lam)
     payload.update(bars=[entry(b) for b in table.bars], lengths=table.lengths(),
                    h_total=table.h_total, h_unmixed=table.h_unmixed, h_mixed=table.h_mixed)
-    emit(args, "bars", {"partition": args.partition, "p": args.p}, payload, "info")
-    return 0
+    return payload, "info"
 
 
 def cmd_core(args):
     lam = parse_partition(args.partition)
     core, w = abacus_core(lam, args.p)
-    payload = {"partition": lam, "p": args.p, "core": core, "weight": w}
-    emit(args, "core", {"partition": args.partition, "p": args.p}, payload, "info")
-    return 0
+    return {"partition": lam, "p": args.p, "core": core, "weight": w}, "info"
 
 
 def cmd_blocks(args):
@@ -169,12 +171,25 @@ def cmd_blocks(args):
             "equal_degree": flag,
             "height_zero_degrees": degrees,
         })
-    payload = {"n": args.n, "p": args.p, "group": args.group, "blocks": out}
-    emit(args, "blocks", {"n": args.n, "p": args.p, "group": args.group}, payload, "info")
-    return 0
+    return {"n": args.n, "p": args.p, "group": args.group, "blocks": out}, "info"
 
 
 def cmd_verify(args):
+    if args.kind == "prop36":  # the empty core's pair (pw), (pw-1, 1) at every w >= 2
+        del args.max_core  # no core bound: the record echoes none
+        # compare_chain checks the prime, by decompose_core, before the bounds
+        values = [{
+            "w": res.w,
+            "h_single": res.h_larger,
+            "h_split": res.h_smaller,
+            "ok": res.verified,
+        } for res in constructions.compare_chain(EMPTY, args.p, args.max_w)]
+        if not values:
+            raise ValueError("verify prop36 has nothing to check with max-w %d" % args.max_w)
+        failures = [row for row in values if not row["ok"]]
+        payload = {"kind": args.kind, "p": args.p, "checked": len(values),
+                   "failures": failures, "values": values}
+        return payload, "fail" if failures else "pass"
     # stream one core's walk at a time: collecting every check first raises peak memory
     failures = []
     checked = 0
@@ -192,7 +207,7 @@ def cmd_verify(args):
                     "closed_form": check.closed_form,
                     "direct": check.direct,
                 })
-    elif args.kind == "thm35":
+    else:  # thm35
         results = (res for gamma in bar_cores_up_to(args.max_core, args.p) if gamma.m
                    for res in constructions.compare_chain(gamma, args.p, args.max_w))
         for res in results:
@@ -207,30 +222,12 @@ def cmd_verify(args):
                     "h_larger": res.h_larger,
                     "h_smaller": res.h_smaller,
                 })
-    else:  # prop36: the empty core's pair (pw), (pw-1, 1) at every w >= 2
-        # compare_chain checks the prime, by decompose_core, before the bounds
-        values = [{
-            "w": res.w,
-            "h_single": res.h_larger,
-            "h_split": res.h_smaller,
-            "ok": res.verified,
-        } for res in constructions.compare_chain(EMPTY, args.p, args.max_w)]
-        checked = len(values)
-        failures = [row for row in values if not row["ok"]]
-    inputs = {"kind": args.kind, "p": args.p, "max_w": args.max_w}
-    payload = {"kind": args.kind, "p": args.p, "checked": checked, "failures": failures}
-    if args.kind == "prop36":
-        payload["values"] = values
-    else:
-        inputs["max_core"] = args.max_core
-        payload.update(max_core=args.max_core, max_w=args.max_w)
     if not checked:
-        bounds = ("max-w %d" % args.max_w if args.kind == "prop36"
-                  else "max-core %d and max-w %d" % (args.max_core, args.max_w))
-        raise ValueError("verify %s has nothing to check with %s" % (args.kind, bounds))
-    status = "pass" if not failures else "fail"
-    emit(args, "verify", inputs, payload, status)
-    return 0 if not failures else 1
+        raise ValueError("verify %s has nothing to check with max-core %d and max-w %d"
+                         % (args.kind, args.max_core, args.max_w))
+    payload = {"kind": args.kind, "p": args.p, "checked": checked, "failures": failures,
+               "max_core": args.max_core, "max_w": args.max_w}
+    return payload, "fail" if failures else "pass"
 
 
 def _cert_payload(cert):
@@ -273,10 +270,7 @@ def cmd_witness(args):
     any_non_abelian = any(blocks.defect_class(args.p, w) == blocks.NON_ABELIAN
                           for _, w in targets)
     payload = {"certificates": [_cert_payload(c) for c in certs]}
-    status = ("pass" if any_non_abelian else "info") if all_ok else "fail"
-    inputs = {"n": args.n, "core": args.core, "w": args.w, "p": args.p}
-    emit(args, "witness", inputs, payload, status)
-    return 0 if all_ok else 1
+    return payload, ("pass" if any_non_abelian else "info") if all_ok else "fail"
 
 
 def cmd_check(args):
@@ -298,9 +292,7 @@ def cmd_check(args):
         cnt for (_p, dc), cnt in summary.block_counts.items() if dc == blocks.NON_ABELIAN
     )
     ok = summary.equal_degree_non_abelian == 0 and summary.witnesses_verified >= non_abelian
-    emit(args, "check", {"max_n": args.max_n, "primes": args.primes}, payload,
-         "pass" if ok else "fail")
-    return 0 if ok else 1
+    return payload, "pass" if ok else "fail"
 
 
 def _parse_primes(text):
@@ -412,16 +404,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         try:
-            return args.func(args)
+            payload, status = args.func(args)
         except RuntimeError as exc:
             # an internal invariant failed: a failed check, not a usage error
-            inputs = {k: v for k, v in vars(args).items()
-                      if k not in ("cmd", "func", "format", "out")}
-            emit(args, args.cmd, inputs, {"error": str(exc)}, "fail")
-            return 1
+            payload, status = {"error": str(exc)}, "fail"
+        emit(args, payload, status)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 1 if status == "fail" else 0
 
 
 if __name__ == "__main__":

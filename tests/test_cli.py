@@ -1,3 +1,6 @@
+import csv
+import functools
+import io
 import json
 import math
 import os
@@ -13,6 +16,8 @@ from hypothesis import strategies as st
 from spinblocks import barpart, blocks, constructions, oracle, spinchar, witness
 from spinblocks.blocks import spin_blocks
 from spinblocks.cli import INT64_MAX, _witness_targets, build_parser, jsonable, main, render
+from test_golden import GOLDEN
+from test_mutants import MUTANTS, apply
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -386,6 +391,60 @@ class TestCheck:
         assert "cannot parse prime list '3,x'" in err
 
 
+# a command and the library function that a forced RuntimeError replaces
+INVARIANT_FAULTS = [
+    (("verify", "ratios", "--p", "3", "--max-core", "4", "--max-w", "2"),
+     constructions, "_certify"),
+    (("witness", "--n", "9", "--p", "3"), spinchar, "spin_degree_sym"),
+]
+
+
+def force_invariant_failure(monkeypatch, module, name):
+    def fail(*args):
+        raise RuntimeError("forced invariant failure")
+
+    monkeypatch.setattr(module, name, fail)
+
+
+def status_of(out):
+    """The status of a JSON or CSV record."""
+    if out.startswith("field,value\n"):
+        return dict(csv.reader(io.StringIO(out)))["status"]
+    return json.loads(out)["status"]
+
+
+# (argv, fault): every golden command unfaulted, then each forced invariant
+# failure and the forms-constant-off mutant under verify ratios
+ONE_WRITER = [(command.split(), None) for command, _code, _digest in GOLDEN] + [
+    (argv, functools.partial(force_invariant_failure, module=module, name=name))
+    for argv, module, name in INVARIANT_FAULTS
+] + [(("verify", "ratios", "--p", "3", "--max-core", "1", "--max-w", "1"),
+      functools.partial(apply, mutant=MUTANTS["forms-constant-off"]))]
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("argv, fault", ONE_WRITER,
+                             ids=[" ".join(argv) + (" faulted" if fault else "")
+                                  for argv, fault in ONE_WRITER])
+    def test_exit_code_follows_status(self, capsys, monkeypatch, argv, fault):
+        if fault:
+            fault(monkeypatch)
+        rc, out, err = run(capsys, *argv)
+        assert err == ""
+        status = status_of(out)
+        assert (status == "fail") is (fault is not None)
+        assert rc == (1 if status == "fail" else 0)
+
+    def test_prop36_failure_echoes_the_passing_inputs(self, capsys, monkeypatch):
+        argv = ("verify", "prop36", "--p", "3", "--max-w", "4")
+        rc, passing = run_json(capsys, *argv)
+        assert (rc, passing["status"]) == (0, "pass")
+        force_invariant_failure(monkeypatch, constructions, "compare_chain")
+        rc, failing = run_json(capsys, *argv)
+        assert (rc, failing["status"]) == (1, "fail")
+        assert failing["inputs"] == passing["inputs"] == {"kind": "prop36", "p": 3, "max_w": 4}
+
+
 # an invalid p for every subcommand, with bounds that select work (and, for
 # prop36 --max-w 1, bounds that select none)
 BAD_PRIME = [
@@ -432,16 +491,10 @@ class TestRefusals:
         assert rc == 2
         assert "p must be an odd prime" in err
 
-    @pytest.mark.parametrize("argv, module, name", [
-        (("verify", "ratios", "--p", "3", "--max-core", "4", "--max-w", "2"),
-         constructions, "_certify"),
-        (("witness", "--n", "9", "--p", "3"), spinchar, "spin_degree_sym"),
-    ], ids=["verify-ratios", "witness"])
+    @pytest.mark.parametrize("argv, module, name", INVARIANT_FAULTS,
+                             ids=["verify-ratios", "witness"])
     def test_invariant_failure_is_reported(self, capsys, monkeypatch, argv, module, name):
-        def fail(*args):
-            raise RuntimeError("forced invariant failure")
-
-        monkeypatch.setattr(module, name, fail)
+        force_invariant_failure(monkeypatch, module, name)
         rc, out, err = run(capsys, *argv)
         assert (rc, err) == (1, "")
         rec = json.loads(out)
@@ -583,6 +636,11 @@ class TestJsonRoundTrip:
     ], ids=["int", "negative", "numerator", "denominator"])
     def test_past_the_str_digit_limit(self, value, text):
         assert roundtrip(value) == text
+
+    def test_sets_are_refused(self):
+        # a set's order follows the hash seed, so its output would not be deterministic
+        with pytest.raises(TypeError):
+            jsonable({1, 2})
 
     @given(st.fractions())
     def test_fractions(self, q):

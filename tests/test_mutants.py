@@ -2,14 +2,17 @@
 
 Each row of MUTANTS breaks one function by a monkeypatch and records which
 primes kill it, each with its kill input: a witness (core, w) that
-build_witness makes at p, or a hand-built certificate that verify_witness
-reads. A row's kill is either the name of a check, which the mutant flips
-between True and False and with it the certificate's verdict, or an
-exception the mutant raises (the CLI reports it with exit 1). A row's blind
-primes are written down too, each with the n up to which every witness it
-builds still verifies under the mutant, so a blind spot of the verifier is
-stated rather than found again. build_witness is used rather than scan,
-which builds a whole block for every failing witness before it reports.
+build_witness makes at p, a hand-built certificate that verify_witness
+reads, or a ratio walk (core, max_w) that verify_ratio_chain makes at p. A
+row's kill is the name of a check, which the mutant flips between True and
+False and with it the certificate's verdict; or an exception the mutant
+raises (the CLI reports it with exit 1); or, for a ratio walk, the set of
+identities whose RatioChecks fail under the mutant and pass without it. A
+row's blind primes are written down too, each with the n up to which every
+witness it builds still verifies under the mutant, so a blind spot of the
+verifier is stated rather than found again. build_witness is used rather
+than scan, which builds a whole block for every failing witness before it
+reports.
 """
 
 from collections import namedtuple
@@ -17,13 +20,14 @@ from itertools import combinations
 
 import pytest
 
-from spinblocks import barpart, witness
+from spinblocks import barpart, constructions, witness
 from spinblocks.barpart import (
     bar_cores_up_to,
     bar_product_quotient,
     make_bar_partition,
     valuation,
 )
+from spinblocks.constructions import verify_ratio_chain
 from spinblocks.witness import (
     WitnessCertificate,
     build_witness,
@@ -32,10 +36,12 @@ from spinblocks.witness import (
 )
 
 Mutant = namedtuple("Mutant", "module name replacement kills kill blind")
+RatioWalk = namedtuple("RatioWalk", "core max_w")
 
 # the real ones, before any patch
 residue_and_valuation = witness._residue_and_valuation
 runner_charges = barpart.runner_charges
+forms = constructions._forms
 
 
 def difference_valuations_kept(lam, p):
@@ -56,6 +62,12 @@ def first_charge_off(lam, p):
     """runner_charges with the charge of runner pair (1, p-1) one too high."""
     charges, w = runner_charges(lam, p)
     return (charges[0] + 1,) + charges[1:], w
+
+
+def total_constant_up(dec, i):
+    """_forms with the second constant of the total form one too high."""
+    unmixed, mixed, (total, den) = forms(dec, i)
+    return unmixed, mixed, ([total[0], total[1] + 1] + total[2:], den)
 
 
 MUTANTS = {
@@ -96,6 +108,15 @@ MUTANTS = {
         kill=RuntimeError,
         blind={},
     ),
+    # a closed form of the ratio walk off by one constant: its total no longer
+    # equals the direct quotient at w = 1; no witness reads _forms, so every
+    # built witness is blind to it
+    "forms-constant-off": Mutant(
+        constructions, "_forms", total_constant_up,
+        kills={p: RatioWalk(make_bar_partition((1,)), 1) for p in (3, 5, 7, 11, 13)},
+        kill={"grow-class-total", "add-part-total"},
+        blind={3: 40, 5: 50, 7: 60, 11: 130, 13: 180},
+    ),
 }
 
 
@@ -110,6 +131,8 @@ BLIND = [(name, p) for name, mutant in MUTANTS.items() for p in mutant.blind]
 def certify(kill_input, p):
     if isinstance(kill_input, WitnessCertificate):
         return verify_witness(kill_input)
+    if isinstance(kill_input, RatioWalk):
+        return verify_ratio_chain(kill_input.core, p, kill_input.max_w)
     core, w = kill_input
     return build_witness(core, p, w)
 
@@ -119,6 +142,11 @@ def test_mutant_is_killed(monkeypatch, name, p):
     mutant = MUTANTS[name]
     kill_input = mutant.kills[p]
     real = certify(kill_input, p)
+    if isinstance(kill_input, RatioWalk):
+        assert all(check.ok for check in real)
+        apply(monkeypatch, mutant)
+        assert {check.identity for check in certify(kill_input, p) if not check.ok} == mutant.kill
+        return
     if not isinstance(kill_input, WitnessCertificate):
         assert real.verified  # a built witness is good unmutated
     apply(monkeypatch, mutant)
