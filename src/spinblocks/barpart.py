@@ -227,7 +227,7 @@ def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
     _check_odd_prime(p)
     ws = []
     q, longest = p, sum(lam.parts[:2])
-    while q <= longest and (count := _divisible_count(q, *_residue_classes(lam, q))):
+    while q <= longest and (count := count_bar_lengths_divisible(lam, q)):
         ws.append(count)
         q *= p
     return tuple(ws), sum(ws)

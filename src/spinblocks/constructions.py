@@ -32,19 +32,21 @@ products, taken from their parts by Schur's formula (barpart.bar_products),
 by cross-multiplying the two pairs: no Fraction, and so no gcd, is built
 unless a check fails and its values are read.
 
-Each public construction and ratio function checks its inputs, decomposes
-its core and calls a private function of the CoreDecomposition. A chain is
-named by its residue throughout: _chain_label builds its labels, _forms and
-_step read its steps, RatioCheck.residue records it. The two walks
-decompose a core once and go up its weights w = 1, 2, ...:
-verify_ratio_chain walks each chain of a nonempty core (residues [*nonempty,
-None]) once, so every label is built, certified and given its bar products
-once, and those products are the w-1 side of the next step; compare_chain
-compares the core's witness pair at every w. _witness_pair alone picks the
-witness pair of a block (gamma, w): the labels on the chains of the two
-classes of largest top value, or of a unique class and None; for the empty
-core, its add-part label (pw) and (pw-1, 1). compare_chain (the thm35 and
-prop36 checks of the CLI) and witness._build_witness read it.
+add_part_pw, grow_class and their two ratios pass their input through one
+gate, _chain_input: the prime and the core (decompose_core), the residue,
+then w. So a label and its ratio refuse a bad input alike, and each then
+reads the gate's CoreDecomposition in a private function. A chain is named
+by its residue throughout: _chain_label builds its labels, _forms and _step
+read its steps, RatioCheck.residue records it. The two walks decompose a
+core once and go up its weights w = 1, 2, ...: verify_ratio_chain walks each
+chain of a nonempty core (residues [*nonempty, None]) once, so every label
+is built, certified and given its bar products once, and those products are
+the w-1 side of the next step; compare_chain compares the core's witness
+pair at every w. _witness_pair alone picks the witness pair of a block
+(gamma, w): the labels on the chains of the two classes of largest top
+value, or of a unique class and None; for the empty core, its add-part label
+(pw) and (pw-1, 1). compare_chain (the thm35 and prop36 checks of the CLI)
+and witness._build_witness read it.
 """
 
 from __future__ import annotations
@@ -120,16 +122,19 @@ def _certify(lam, dec, w, expected_m):
     return lam
 
 
-def _check_w(w):
+def _chain_input(gamma, p, i, w):
+    """The decomposed core of a weight chain's input, checked in one order:
+    the prime and the core (decompose_core), the residue i (an occupied
+    class, or None for the add-part chain), then w (an int >= 1)."""
+    dec = decompose_core(gamma, p)
+    if i is not None:
+        check_int(i, "i")
+        if i not in dec.nonempty:
+            raise ValueError("class %d of %s is empty" % (i, gamma))
     check_int(w, "w")
     if w < 1:
         raise ValueError("w must be >= 1, got %d" % w)
-
-
-def _check_class(dec, i):
-    check_int(i, "i")
-    if i not in dec.nonempty:
-        raise ValueError("class %d of %s is empty" % (i, dec.gamma))
+    return dec
 
 
 def _check_nonempty(gamma):
@@ -138,17 +143,14 @@ def _check_nonempty(gamma):
 
 
 def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
-    """Adjoin the part p*w to the core gamma (core gamma, weight w)."""
-    _check_w(w)
-    return _chain_label(decompose_core(gamma, p), None, w)
+    """Adjoin the part p*w to the core gamma (core gamma, weight w), via _chain_input."""
+    return _chain_label(_chain_input(gamma, p, None, w), None, w)
 
 
 def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
-    """Replace the top part e_i of class i by e_i + p*w (core gamma, weight w)."""
-    _check_w(w)
-    dec = decompose_core(gamma, p)
-    _check_class(dec, i)
-    return _chain_label(dec, i, w)
+    """Replace the top part e_i of class i by e_i + p*w (core gamma, weight w),
+    via _chain_input, where i = None names the add-part chain."""
+    return _chain_label(_chain_input(gamma, p, i, w), i, w)
 
 
 def _chain_label(dec, i, w):
@@ -230,19 +232,16 @@ def _step(dec, i, w, forms=None):
 def grow_class_ratio(gamma, p, i, w) -> Fraction:
     """The total ratio of the grow_class step: pw(p(w-1) + 2e_i) times, over
     occupied j != i, |p(w-1) + e_i - e_j| (pw + e_i + e_j), times, over k
-    with classes k and p-k both empty, (pw + e_i - k)."""
-    dec = decompose_core(gamma, p)
-    _check_class(dec, i)
-    _check_w(w)
-    return Fraction(*_step(dec, i, w)[2])
+    with classes k and p-k both empty, (pw + e_i - k); via _chain_input."""
+    return Fraction(*_step(_chain_input(gamma, p, i, w), i, w)[2])
 
 
 def add_part_ratio(gamma, p, w) -> Fraction:
     """The total ratio of the add_part_pw step: pw times, over occupied j,
-    |p(w-1) - e_j| (pw + e_j), times, over j with j and p-j both empty, (pw - j)."""
-    dec = decompose_core(gamma, p)
+    |p(w-1) - e_j| (pw + e_j), times, over j with j and p-j both empty, (pw - j);
+    via _chain_input, and then the core must be nonempty."""
+    dec = _chain_input(gamma, p, None, w)
     _check_nonempty(gamma)
-    _check_w(w)
     return Fraction(*_step(dec, None, w)[2])
 
 
@@ -310,6 +309,7 @@ class ComparisonResult(NamedTuple):
 
     Thm. 3.5 claims h_larger > h_smaller for a nonempty core; Prop. 3.6
     claims the factor-2 gap h_larger > 2*h_smaller for the empty core.
+    verified picks the claim from the core; case is informational.
     """
 
     case: str
@@ -323,7 +323,7 @@ class ComparisonResult(NamedTuple):
 
     @property
     def verified(self) -> bool:
-        return self.h_larger > (2 if self.case == EMPTY_CORE else 1) * self.h_smaller
+        return self.h_larger > (1 if self.gamma.m else 2) * self.h_smaller
 
 
 def compare_chain(gamma: BarPartition, p: int, max_w: int) -> list[ComparisonResult]:

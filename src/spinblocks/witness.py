@@ -51,11 +51,9 @@ from .blocks import (
     height_zero_valuation,
     spin_block,
 )
-from .constructions import EMPTY_CORE, TWO_CLASSES, UNIQUE_CLASS, _witness_pair, decompose_core
+from .constructions import UNIQUE_CLASS, _witness_pair, decompose_core
 from .spinchar import alt_degree, sigma
 
-CASE_EMPTY_CORE = EMPTY_CORE
-CASE_TWO_CLASSES = TWO_CLASSES
 CASE_UNIQUE_EVEN = "unique-class-even"
 CASE_UNIQUE_ODD = "unique-class-odd"
 CASE_UNIQUE_ODD_P3_LARGE = "unique-class-odd-p3-large"

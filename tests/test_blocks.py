@@ -3,6 +3,7 @@ import pytest
 from spinblocks import blocks, oracle
 from spinblocks.barpart import (
     EMPTY,
+    bar_cores_up_to,
     labels_with_core_and_weight,
     make_bar_partition,
     valuation,
@@ -17,8 +18,8 @@ from spinblocks.blocks import (
     spin_block,
     spin_blocks,
 )
-from spinblocks.oracle import enumerate_bar_partitions
-from spinblocks.spinchar import alt
+from spinblocks.oracle import bar_core_and_weight, enumerate_bar_partitions
+from spinblocks.spinchar import alt, sigma
 
 
 def bp(*parts):
@@ -103,6 +104,29 @@ class TestSpinBlock:
             spin_block(bp(3), 3, 1, "A")  # not a core
         with pytest.raises(ValueError):
             spin_block(bp(1), 4, 1, "A")
+
+
+@pytest.mark.parametrize("p, max_w, max_core", [(3, 3, 100), (5, 2, 100), (7, 2, 100),
+                                                 (11, 2, 30)])
+def test_heights_past_the_oracle_match_the_smallest_core(p, max_w, max_core):
+    # a measurement, not a theorem of the paper: a block's multiset of character
+    # heights depends only on (p, w, sigma(core)), the empty core a class of its
+    # own; the block of each class's smallest core is checked against the
+    # bar-removal filter, which cannot reach n = 100
+    reference = {}
+    for core in bar_cores_up_to(max_core, p):
+        for w in range(1, max_w + 1):
+            for group in ("A", "S"):
+                block = spin_block(core, p, w, group)
+                heights = sorted(block.heights[chi.label] for chi in block.characters)
+                key = (sigma(core) if core.m else "empty", w, group)
+                if key not in reference:
+                    assert block.labels == tuple(
+                        lam for lam in enumerate_bar_partitions(core.n + p * w)
+                        if bar_core_and_weight(lam, p) == (core, w))
+                    reference[key] = heights
+                assert heights == reference[key]
+    assert len(reference) == 3 * max_w * 2
 
 
 class TestRefusedBeforeLabels:

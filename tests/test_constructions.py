@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,12 +123,30 @@ class TestConstructions:
 
     def test_grow_class(self):
         assert grow_class(bp(1), 3, 1, 1) == bp(4)
+        assert grow_class(bp(1), 3, None, 3) == add_part_pw(bp(1), 3, 3)  # the add-part chain
         assert grow_class(bp(4, 1), 3, 1, 2) == bp(10, 1)
         assert grow_class(bp(3, 1), 5, 3, 1) == bp(8, 1)
 
     def test_grow_class_rejects_empty_class(self):
         with pytest.raises(ValueError):
             grow_class(bp(1), 3, 2, 1)
+
+    @pytest.mark.parametrize("gamma, p, i, w", [
+        (bp(3), 3, 1, 0),
+        (bp(1), 3, 2, 0),
+        (bp(1), 3, 1, 0),
+        (bp(1), 3, 1, True),
+        (bp(1), 3, 1, 2.0),
+        (bp(1), 4, 1, 0),
+    ], ids=["non-core", "empty-class", "w-zero", "w-bool", "w-float", "non-prime"])
+    def test_label_and_ratio_refuse_alike(self, gamma, p, i, w):
+        # one gate checks the prime and the core, then the class, then w
+        for label, ratio, args in ((grow_class, grow_class_ratio, (gamma, p, i, w)),
+                                   (add_part_pw, add_part_ratio, (gamma, p, w))):
+            with pytest.raises(ValueError) as refused:
+                label(*args)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(str(refused.value))):
+                ratio(*args)
 
     def test_principal_pair(self):
         for p, w, pair in ((3, 3, (bp(9), bp(8, 1))), (5, 2, (bp(10), bp(9, 1)))):
@@ -427,9 +446,12 @@ class TestPrincipalGap:
             assert (res.w, res.case) == (w, EMPTY_CORE)
             assert (res.h_larger, res.h_smaller) == values
             assert res.verified
-        # the empty core's pair is judged by Prop. 3.6's gap, not by a strict inequality
+        # the empty core's pair is judged by Prop. 3.6's gap, not by a strict
+        # inequality, and the claim is read from the core, whatever the case says
         assert not res._replace(h_larger=2 * res.h_smaller).verified
-        assert res._replace(case=TWO_CLASSES, h_larger=2 * res.h_smaller).verified
+        assert not res._replace(case=TWO_CLASSES, h_larger=2 * res.h_smaller).verified
+        strict = compare_chain(bp(1), 3, 2)[-1]
+        assert strict._replace(case=EMPTY_CORE, h_larger=strict.h_smaller + 1).verified
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sweep(self, p):

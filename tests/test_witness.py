@@ -25,10 +25,9 @@ from spinblocks.blocks import (
     height_zero_valuation,
     spin_blocks,
 )
+from spinblocks.constructions import EMPTY_CORE, TWO_CLASSES
 from spinblocks.oracle import bars, enumerate_bar_partitions
 from spinblocks.witness import (
-    CASE_EMPTY_CORE,
-    CASE_TWO_CLASSES,
     CASE_UNIQUE_ODD_P3_SMALL,
     ScanSummary,
     WitnessCertificate,
@@ -56,7 +55,7 @@ class TestAltDegree:
 class TestBuildWitness:
     def test_empty_core(self):
         cert = build_witness(EMPTY, 3, 3)
-        assert cert.case == CASE_EMPTY_CORE
+        assert cert.case == EMPTY_CORE
         assert (cert.label_a, cert.label_b) == (bp(9), bp(8, 1))
         assert (cert.degree_a, cert.degree_b) == (8, 56)
         assert cert.checks["congruence_ok"] is None
@@ -71,7 +70,7 @@ class TestBuildWitness:
 
     def test_two_classes(self):
         cert = build_witness(bp(3, 1), 5, 5)
-        assert cert.case == CASE_TWO_CLASSES
+        assert cert.case == TWO_CLASSES
         assert {cert.label_a, cert.label_b} == {bp(28, 1), bp(26, 3)}
         assert cert.verified
 
@@ -181,7 +180,7 @@ class TestVerifyWitness:
 
     def test_claimed_empty_core_does_not_skip_congruence(self, monkeypatch):
         # was verified, with "congruence check not applicable for the empty core"
-        cert = build_witness(bp(1), 7, 7)._replace(case=CASE_EMPTY_CORE)
+        cert = build_witness(bp(1), 7, 7)._replace(case=EMPTY_CORE)
         real = witness._residue_and_valuation
         monkeypatch.setattr(witness, "_residue_and_valuation", lambda lam, p: (0, real(lam, p)[1]))
         bad = verify_witness(cert)
@@ -191,7 +190,7 @@ class TestVerifyWitness:
 
     def test_claimed_case_does_not_impose_congruence_on_empty_core(self):
         # was unverified: "p'-part residues 4, 3 not congruent to +-1 mod 5"
-        cert = verify_witness(build_witness(EMPTY, 5, 5)._replace(case=CASE_TWO_CLASSES))
+        cert = verify_witness(build_witness(EMPTY, 5, 5)._replace(case=TWO_CLASSES))
         assert cert.verified
         assert cert.checks["congruence_ok"] is None
         assert cert.notes == ("congruence check not applicable for the empty core",)
@@ -222,7 +221,7 @@ class TestSmallIntegerVerdicts:
                         if a != b:
                             assert _degrees_differ(a, b) == (degree[a] != degree[b])
                 for b in labels[1:]:  # the verifier's verdicts are these
-                    cert = verify_witness(WitnessCertificate(p, core, w, CASE_TWO_CLASSES,
+                    cert = verify_witness(WitnessCertificate(p, core, w, TWO_CLASSES,
                                                              labels[0], b, {}))
                     assert cert.checks["same_block"]
                     assert cert.checks["both_height_zero"] == (
@@ -294,7 +293,7 @@ class TestBlockMembership:
     @pytest.mark.parametrize("core", [EMPTY, bp(1)])
     def test_no_height_zero_below_two_letters(self, core):
         # the label is its own block of weight 0, with no degree to have a height
-        cert = WitnessCertificate(p=3, core=core, w=0, case=CASE_TWO_CLASSES,
+        cert = WitnessCertificate(p=3, core=core, w=0, case=TWO_CLASSES,
                                   label_a=core, label_b=core, checks={})
         bad = verify_witness(cert)
         assert bad.checks["both_height_zero"] is False
