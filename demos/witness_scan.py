@@ -7,7 +7,15 @@ the certificate for each such block and summarizes the scan.
 Run: python3 demos/witness_scan.py
 """
 
-from spinblocks import NON_ABELIAN, build_witness, equal_degree_test, scan, spin_blocks
+from spinblocks import (
+    NON_ABELIAN,
+    alt_degree,
+    build_witness,
+    equal_degree_test,
+    scan,
+    spin_block,
+    spin_blocks,
+)
 
 print("Blocks of the alternating double cover, p = 3, n = 9 .. 15:")
 for n in range(9, 16):
@@ -16,7 +24,7 @@ for n in range(9, 16):
         if block.defect_class == NON_ABELIAN:
             cert = build_witness(block.core, 3, block.w)
             line += " witness %s/%s degrees %d/%d case %s verified=%s" % (
-                cert.label_a, cert.label_b, cert.degree_a, cert.degree_b,
+                cert.label_a, cert.label_b, alt_degree(cert.label_a), alt_degree(cert.label_b),
                 cert.case, cert.verified,
             )
         else:
@@ -29,7 +37,9 @@ print("Scan up to n = %d for p in %s:" % (summary.max_n, list(summary.primes)))
 for (p, dc), count in sorted(summary.block_counts.items()):
     print("  p=%d %-11s %3d blocks" % (p, dc, count))
 print("  witnesses verified: %d" % summary.witnesses_verified)
-print("  non-abelian blocks passing the equal-degree test: %d (expected 0)"
-      % summary.equal_degree_non_abelian)
+# scan builds no block: only a block whose witness failed needs the equal-degree test
+equal = sum(equal_degree_test(spin_block(cert.core, cert.p, cert.w, "A"))[0]
+            for cert in summary.failed)
+print("  non-abelian blocks passing the equal-degree test: %d (expected 0)" % equal)
 for note in summary.notes:
     print("  note: %s" % note)

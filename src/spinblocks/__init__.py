@@ -28,9 +28,6 @@ from .spinchar import (
     sym,
 )
 from .blocks import (
-    ABELIAN,
-    DEFECT_ZERO,
-    NON_ABELIAN,
     SpinBlock,
     block_targets,
     equal_degree_test,
@@ -50,6 +47,9 @@ from .constructions import (
     verify_ratio_chain,
 )
 from .witness import (
+    ABELIAN,
+    DEFECT_ZERO,
+    NON_ABELIAN,
     ScanSummary,
     WitnessCertificate,
     build_witness,

@@ -108,6 +108,11 @@ def format_partition(lam: BarPartition) -> str:
     return ",".join(str(a) for a in lam.parts)
 
 
+def sigma(lam: BarPartition) -> int:
+    """The sign (-1)**(n - m) governing associate splitting."""
+    return -1 if (lam.n - lam.m) % 2 else 1
+
+
 def bar_products(lam: BarPartition) -> tuple[int, int]:
     """(h_unmixed, h_mixed) of lam from its parts, without building bars.
 

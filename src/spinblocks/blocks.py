@@ -2,10 +2,11 @@
 
 Height is taken operationally as the p-adic valuation of a degree minus the
 minimum valuation over the block, so no group orders are ever needed.  The
-defect class is read off the weight alone: zero (w = 0), abelian (w < p),
-non-abelian (w >= p).  A block of weight w has a Sylow p-subgroup of the
-symmetric group on pw letters as defect group (Humphreys 1986), so its
-minimum valuation is also known in closed form: height_zero_valuation.
+defect class is read off the weight alone (witness.defect_class): zero
+(w = 0), abelian (w < p), non-abelian (w >= p).  A block of weight w has a
+Sylow p-subgroup of the symmetric group on pw letters as defect group
+(Humphreys 1986), so its minimum valuation is also known in closed form:
+height_zero_valuation.
 """
 
 from __future__ import annotations
@@ -22,17 +23,7 @@ from .barpart import (
     valuation,
 )
 from .spinchar import GroupTag, SpinCharacter, as_group, characters_of_label
-
-DEFECT_ZERO = "defect-zero"
-ABELIAN = "abelian"
-NON_ABELIAN = "non-abelian"
-
-
-def defect_class(p: int, w: int) -> str:
-    if w == 0:
-        return DEFECT_ZERO
-    return ABELIAN if w < p else NON_ABELIAN
-
+from .witness import defect_class
 
 class SpinBlock(NamedTuple):
     p: int

@@ -137,11 +137,6 @@ def _chain_input(gamma, p, i, w):
     return dec
 
 
-def _check_nonempty(gamma):
-    if gamma.m == 0:
-        raise ValueError("the core must be nonempty")
-
-
 def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
     """Adjoin the part p*w to the core gamma (core gamma, weight w), via _chain_input."""
     return _chain_label(_chain_input(gamma, p, None, w), None, w)
@@ -239,10 +234,8 @@ def grow_class_ratio(gamma, p, i, w) -> Fraction:
 def add_part_ratio(gamma, p, w) -> Fraction:
     """The total ratio of the add_part_pw step: pw times, over occupied j,
     |p(w-1) - e_j| (pw + e_j), times, over j with j and p-j both empty, (pw - j);
-    via _chain_input, and then the core must be nonempty."""
-    dec = _chain_input(gamma, p, None, w)
-    _check_nonempty(gamma)
-    return Fraction(*_step(dec, None, w)[2])
+    via _chain_input. For the empty core it is H(pw)/H(p(w-1))."""
+    return Fraction(*_step(_chain_input(gamma, p, None, w), None, w)[2])
 
 
 class RatioCheck(NamedTuple):

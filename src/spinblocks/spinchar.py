@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .barpart import BarPartition, bar_products
+from .barpart import BarPartition, bar_products, sigma
 
 
 class _GroupTagFields(NamedTuple):
@@ -66,11 +66,6 @@ class SpinCharacter(NamedTuple):
     associate_index: int  # 0, or 1 for the second member of an associate pair
     degree: int
     sigma: int
-
-
-def sigma(lam: BarPartition) -> int:
-    """The sign (-1)**(n - m) governing associate splitting."""
-    return -1 if (lam.n - lam.m) % 2 else 1
 
 
 def spin_degree_sym(lam: BarPartition) -> int:

@@ -20,11 +20,14 @@ v_p(a + b) - v_p(a - b) over the pairs a > b (Schur's formula, Legendre's
 formula) against v_p((pw)!), the defect-group minimum, and distinct
 degrees are the quotient of the two bar products over the parts the
 labels do not share (barpart.bar_product_quotient) against the powers of
-2 of the two degrees.  spinchar.alt_degree runs only where a degree is
-printed or a check has failed.  Neither building nor verifying a
-certificate builds the block.  scan, the one certification walk,
-certifies every block from its (core, w) alone, walking each
-p-bar-core's weights once on one decomposition of the core.
+2 of the two degrees.  No degree is computed here, not even for a failed
+check, whose notes give the valuations or the labels it compared; a
+caller that prints degrees computes them (spinchar.alt_degree).  The
+module imports no block, character or oracle module: neither building
+nor verifying a certificate builds the block.  scan, the one
+certification walk, certifies every block from its (core, w) alone,
+walking each p-bar-core's weights once on one decomposition of the core,
+and returns the failing certificates for the caller to diagnose.
 """
 
 from __future__ import annotations
@@ -42,17 +45,9 @@ from .barpart import (
     bar_products,
     check_int,
     factorial_valuation,
-    valuation,
-)
-from .blocks import (
-    NON_ABELIAN,
-    defect_class,
-    equal_degree_test,
-    height_zero_valuation,
-    spin_block,
+    sigma,
 )
 from .constructions import UNIQUE_CLASS, _witness_pair, decompose_core
-from .spinchar import alt_degree, sigma
 
 CASE_UNIQUE_EVEN = "unique-class-even"
 CASE_UNIQUE_ODD = "unique-class-odd"
@@ -76,20 +71,24 @@ class WitnessCertificate(NamedTuple):
         return self.core.n + self.p * self.w
 
     @property
-    def degree_a(self) -> int:
-        """The degree of label_a in the alternating double cover, computed on each read."""
-        return alt_degree(self.label_a)
-
-    @property
-    def degree_b(self) -> int:
-        return alt_degree(self.label_b)
-
-    @property
     def verified(self) -> bool:
         required = ("same_block", "both_height_zero", "degrees_distinct", "congruence_ok")
         return all(k in self.checks for k in required) and all(
             v is True or v is None for v in self.checks.values()
         )
+
+
+DEFECT_ZERO = "defect-zero"
+ABELIAN = "abelian"
+NON_ABELIAN = "non-abelian"
+
+
+def defect_class(p: int, w: int) -> str:
+    """The defect class of a block of weight w, read off the weight alone:
+    zero (w = 0), abelian (w < p), non-abelian (w >= p)."""
+    if w == 0:
+        return DEFECT_ZERO
+    return ABELIAN if w < p else NON_ABELIAN
 
 
 def witness_eligible(core: BarPartition, p: int, w: int) -> bool:
@@ -213,9 +212,10 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     gives v_p(H) and the p'-residue, for the congruence of a nonempty core.
     Distinct degrees come from the quotient of the bar products over the
     parts the labels do not share (_degrees_differ).  No degree is computed
-    unless a check fails, and the block itself is never built.  A failed
-    check is recorded with the offending values in the notes, degrees and
-    their valuations included; nothing is ever silently passed.
+    and the block itself is never built.  A failed check is recorded in the
+    notes with what it compared: the two v_p(H) against v_p((pw)!), the two
+    labels, or the two residues against the target; nothing is ever
+    silently passed.
     """
     p, gamma, w = cert.p, cert.core, cert.w
     _check_weight(w)
@@ -233,25 +233,17 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
             % (label_a, core_a, w_a, label_b, core_b, w_b)
         )
 
-    def degree(lam):  # None where the group rule of alt_degree refuses the label
-        try:
-            return alt_degree(lam)
-        except ValueError:
-            return None
-
     res_a, val_a = _residue_and_valuation(label_a, p)
     res_b, val_b = _residue_and_valuation(label_b, p)
-    checks["both_height_zero"] = same_block and val_a == val_b == factorial_valuation(p * w, p)
+    val_pw = factorial_valuation(p * w, p)
+    checks["both_height_zero"] = same_block and val_a == val_b == val_pw
     if not checks["both_height_zero"]:
-        va, vb = (None if d is None else valuation(d, p) for d in map(degree, (label_a, label_b)))
-        notes.append("height-zero check failed: degree valuations %s and %s,"
-                     " defect-group minimum %d"
-                     % (va, vb, height_zero_valuation(gamma.n + p * w, p, w)))
+        notes.append("height-zero check failed: v_p(H) %d and %d, v_p((pw)!) %d"
+                     % (val_a, val_b, val_pw))
 
     checks["degrees_distinct"] = same_block and _degrees_differ(label_a, label_b)
     if not checks["degrees_distinct"]:
-        notes.append("degree check failed: recomputed %s and %s"
-                     % (degree(label_a), degree(label_b)))
+        notes.append("degree check failed: %s and %s" % (label_a, label_b))
 
     if gamma.m == 0:
         checks["congruence_ok"] = None
@@ -269,11 +261,17 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
 
 
 class ScanSummary(NamedTuple):
+    """What scan certified: the blocks counted by (p, defect class), the
+    verified witnesses, and the certificates that failed, each also named in
+    the notes.  No block is built, so whether a failing block's height-zero
+    degrees all agree is the caller's question (the check command asks it of
+    the small ones)."""
+
     max_n: int
     primes: tuple[int, ...]
     block_counts: dict  # (p, defect_class) -> count
     witnesses_verified: int
-    equal_degree_non_abelian: int  # expected 0
+    failed: tuple[WitnessCertificate, ...]  # the unverified certificates, in walk order
     notes: tuple[str, ...]
 
 
@@ -283,10 +281,11 @@ def scan(max_n: int, primes) -> ScanSummary:
     Each block is one pair (p-bar-core, w) of n = |core| + p*w, so the sweep
     walks the weights of each core from bar_cores_up_to(max_n, p), skipping
     n < 4, and builds only the witnesses, decomposing a core once, at its
-    first non-abelian block.  A verified witness already shows
-    two height-zero degrees that differ; only a block whose witness fails is
-    built, for the equal-degree test, and named in the notes in walk order
-    (core, then w).  An empty prime list is refused, since it certifies
+    first non-abelian block.  A verified witness already shows two
+    height-zero degrees that differ.  No block is built: a certificate that
+    fails is returned in failed and named in the notes with its own notes,
+    both in walk order (core, then w), and whether that block's height-zero
+    degrees are all equal is left to the caller.  An empty prime list is refused, since it certifies
     nothing, and so is a prime given twice, since it would count every block
     twice.
     """
@@ -302,7 +301,7 @@ def scan(max_n: int, primes) -> ScanSummary:
             raise ValueError("repeated prime %d in %s" % (p, ",".join(map(str, primes))))
     counts = {}
     witnesses = 0
-    anomalies = 0
+    failed = []
     notes = []
     for p in primes:
         for core in bar_cores_up_to(max_n, p):
@@ -321,13 +320,9 @@ def scan(max_n: int, primes) -> ScanSummary:
                 if cert.verified:
                     witnesses += 1
                     continue
-                equal, _ = equal_degree_test(spin_block(core, p, w, "A"))
-                anomalies += equal
-                notes.append(
-                    "non-abelian block p=%d n=%d core %s w=%d: witness not verified, equal"
-                    " degrees %s; certificate notes: %s"
-                    % (p, n, core, w, "yes" if equal else "no", "; ".join(cert.notes))
-                )
+                failed.append(cert)
+                notes.append("non-abelian block p=%d n=%d core %s w=%d: witness not verified;"
+                             " certificate notes: %s" % (p, n, core, w, "; ".join(cert.notes)))
         if (p, NON_ABELIAN) not in counts:
             notes.append("no non-abelian blocks for p=%d with n <= %d" % (p, max_n))
-    return ScanSummary(max_n, primes, counts, witnesses, anomalies, tuple(notes))
+    return ScanSummary(max_n, primes, counts, witnesses, tuple(failed), tuple(notes))

@@ -9,9 +9,6 @@ from spinblocks.barpart import (
     valuation,
 )
 from spinblocks.blocks import (
-    ABELIAN,
-    DEFECT_ZERO,
-    NON_ABELIAN,
     block_targets,
     equal_degree_test,
     height_zero_valuation,
@@ -20,6 +17,7 @@ from spinblocks.blocks import (
 )
 from spinblocks.oracle import bar_core_and_weight, enumerate_bar_partitions
 from spinblocks.spinchar import alt, sigma
+from spinblocks.witness import ABELIAN, DEFECT_ZERO, NON_ABELIAN
 
 
 def bp(*parts):

@@ -307,23 +307,26 @@ class TestCheck:
         monkeypatch.setattr(witness, "_build_witness", lambda dec, w: build(dec, w)._replace(
             checks={"same_block": False}, notes=("forced failure",)))
         if fault == "equal-degree":
-            monkeypatch.setattr(witness, "equal_degree_test", lambda block: (True, []))
+            monkeypatch.setattr(blocks, "equal_degree_test", lambda block: (True, []))
         rc, rec = run_json(capsys, "check", "--max-n", "10", "--primes", "3")
         assert rc == 1
         assert rec["status"] == "fail"
-        notes = rec["payload"]["notes"]
-        assert any("p=3 n=9 core - w=3" in note for note in notes)
-        if fault == "unverified":
-            assert rec["payload"]["witnesses_verified"] == 0
-            assert all("forced failure" in note for note in notes)
-        else:
-            assert rec["payload"]["equal_degree_non_abelian"] == 2
+        assert rec["payload"]["witnesses_verified"] == 0
+        equal = fault == "equal-degree"
+        assert rec["payload"]["equal_degree_non_abelian"] == (2 if equal else 0)
+        # scan's note per failed witness, then the CLI's verdict per built block
+        failing = ("p=3 n=9 core - w=3", "p=3 n=10 core 1 w=3")
+        assert rec["payload"]["notes"] == [
+            "non-abelian block %s: witness not verified; certificate notes: forced failure"
+            % block for block in failing] + [
+            "non-abelian block %s: equal degrees %s" % (block, "yes" if equal else "no")
+            for block in failing]
 
     def test_builds_no_block(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("check built a block")
 
-        monkeypatch.setattr(witness, "spin_block", refuse)
+        monkeypatch.setattr(blocks, "spin_block", refuse)
         rc, rec = run_json(capsys, "check", "--max-n", "30", "--primes", "3,5")
         assert rc == 0
         assert rec["status"] == "pass"

@@ -131,21 +131,27 @@ class TestConstructions:
         with pytest.raises(ValueError):
             grow_class(bp(1), 3, 2, 1)
 
-    @pytest.mark.parametrize("gamma, p, i, w", [
-        (bp(3), 3, 1, 0),
-        (bp(1), 3, 2, 0),
-        (bp(1), 3, 1, 0),
-        (bp(1), 3, 1, True),
-        (bp(1), 3, 1, 2.0),
-        (bp(1), 4, 1, 0),
-    ], ids=["non-core", "empty-class", "w-zero", "w-bool", "w-float", "non-prime"])
-    def test_label_and_ratio_refuse_alike(self, gamma, p, i, w):
+    @pytest.mark.parametrize("gamma, p, i, w, refused", [
+        (bp(3), 3, 1, 0, True),
+        (bp(1), 3, 2, 0, True),
+        (bp(1), 3, 1, 0, True),
+        (bp(1), 3, 1, True, True),
+        (bp(1), 3, 1, 2.0, True),
+        (bp(1), 4, 1, 0, True),
+        (EMPTY, 3, None, 2, False),
+    ], ids=["non-core", "empty-class", "w-zero", "w-bool", "w-float", "non-prime",
+            "empty-core"])
+    def test_label_and_ratio_refuse_alike(self, gamma, p, i, w, refused):
         # one gate checks the prime and the core, then the class, then w
         for label, ratio, args in ((grow_class, grow_class_ratio, (gamma, p, i, w)),
                                    (add_part_pw, add_part_ratio, (gamma, p, w))):
-            with pytest.raises(ValueError) as refused:
+            if not refused:
+                assert abacus_core(label(*args), p) == (gamma, w)
+                assert isinstance(ratio(*args), Fraction)
+                continue
+            with pytest.raises(ValueError) as error:
                 label(*args)
-            with pytest.raises(ValueError, match="^%s$" % re.escape(str(refused.value))):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(str(error.value))):
                 ratio(*args)
 
     def test_principal_pair(self):
@@ -268,9 +274,15 @@ class TestRatioValues:
                     (ua, ub), (ma, mb), (ta, tb) = _step(dec, i, w)
                     assert ua * ma * tb == ta * ub * mb
 
-    def test_rejects_empty_core_add_part(self):
-        with pytest.raises(ValueError):
-            add_part_ratio(EMPTY, 3, 2)
+    def test_empty_core_add_part_ratio_is_the_direct_quotient(self):
+        # was refused ("the core must be nonempty"), although add_part_pw(EMPTY, p, w)
+        # is (pw): the chain (p), (2p), ... has the step H(pw)/H(p(w-1))
+        for p in (3, 5, 7, 11, 13):
+            dec = decompose_core(EMPTY, p)
+            for w in range(1, 9):
+                direct = Fraction(bars(bp(p * w)).h_total,
+                                  bars(bp(p * (w - 1)) if w > 1 else EMPTY).h_total)
+                assert Fraction(*_step(dec, None, w)[2]) == add_part_ratio(EMPTY, p, w) == direct
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_private_pairs_reduce_to_public_fractions(self, p):

@@ -402,6 +402,34 @@ def test_guard_finds_importers():
     assert importers(source, "dataclasses") == [None]
 
 
+CERTIFIER = ("barpart.py", "constructions.py", "witness.py")
+EXPLORERS = ("blocks", "oracle", "spinchar")
+
+
+def explorer_imports(source):
+    """The explorer modules (blocks, oracle, spinchar) the source imports
+    anywhere in it, each named once."""
+    return [module for module in EXPLORERS if importers(source, module)]
+
+
+def test_guard_finds_explorer_imports():
+    source = ("from . import barpart, spinchar\n"
+              "from .constructions import decompose_core\n"
+              "from .barpart import blocks_like\n"
+              "def scan(max_n, primes):\n"
+              "    from .blocks import spin_block\n"
+              "import spinblocks.oracle\n")
+    assert explorer_imports(source) == ["blocks", "oracle", "spinchar"]
+    assert explorer_imports("from .barpart import sigma\nimport math\n") == []
+
+
+@pytest.mark.parametrize("name", CERTIFIER)
+def test_certifier_imports_no_explorer_module(name):
+    # a certificate is built, verified and swept from p, core, w and two labels
+    # alone; building a block or computing a degree is the caller's business
+    assert explorer_imports((SRC / name).read_text()) == []
+
+
 ORACLE_IMPORTERS = {("cli.py", "cmd_bars"), ("blocks.py", "spin_blocks")}
 
 

@@ -11,16 +11,20 @@ identities whose RatioChecks fail under the mutant and pass without it. A
 row's blind primes are written down too, each with the n up to which every
 witness it builds still verifies under the mutant, so a blind spot of the
 verifier is stated rather than found again. build_witness is used rather
-than scan, which builds a whole block for every failing witness before it
-reports.
+than scan, which certifies a whole range. scan builds no block, and the
+check command builds a block whose witness failed, for its equal-degree
+test, only up to n = cli.DIAGNOSE_MAX_N, so a broken verifier makes check
+exit 1 at once (the fail-fast tests at the end).
 """
 
+import json
+import re
 from collections import namedtuple
 from itertools import combinations
 
 import pytest
 
-from spinblocks import barpart, constructions, witness
+from spinblocks import barpart, blocks, cli, constructions, witness
 from spinblocks.barpart import (
     bar_cores_up_to,
     bar_product_quotient,
@@ -172,3 +176,47 @@ def test_blind_prime_lets_every_witness_through(monkeypatch, name, p):
                 assert build_witness(core, p, w).verified, (core, w)
                 built += 1
     assert built  # the range holds witnesses, so the blind spot is measured
+
+
+def failing_check(capsys, argv):
+    """cli.main on argv, which must exit 1, and its payload."""
+    assert cli.main(argv) == 1
+    return json.loads(capsys.readouterr().out)["payload"]
+
+
+def verdicts(payload):
+    """(n, verdict) of each of the check command's equal-degree notes."""
+    return [(int(m.group(1)), m.group(2)) for note in payload["notes"]
+            if (m := re.search(r" n=(\d+) .*: equal degrees (.*)$", note))]
+
+
+def test_failing_check_builds_only_small_blocks(monkeypatch, capsys):
+    apply(monkeypatch, MUTANTS["difference-valuations-kept"])
+    built = []
+    spin_block = blocks.spin_block
+
+    def recording(core, p, w, group):
+        built.append(core.n + p * w)
+        return spin_block(core, p, w, group)
+
+    monkeypatch.setattr(blocks, "spin_block", recording)
+    payload = failing_check(capsys, ["check", "--max-n", "60", "--primes", "3"])
+    assert payload["equal_degree_non_abelian"] == 0
+    found = verdicts(payload)
+    assert found == [(n, "no" if n <= cli.DIAGNOSE_MAX_N else "not built") for n, _ in found]
+    assert {verdict for _, verdict in found} == {"no", "not built"}
+    assert sorted(built) == sorted(n for n, verdict in found if verdict == "no")
+    assert max(built) <= cli.DIAGNOSE_MAX_N
+
+
+def test_failing_check_past_the_bound_builds_no_block(monkeypatch, capsys):
+    # every non-abelian block of p = 7 has n >= 49, past the bound
+    def refuse(*args):
+        raise AssertionError("check built a block")
+
+    apply(monkeypatch, MUTANTS["difference-valuations-kept"])
+    monkeypatch.setattr(blocks, "spin_block", refuse)
+    payload = failing_check(capsys, ["check", "--max-n", "90", "--primes", "7"])
+    found = verdicts(payload)
+    assert len(found) == 369 and {verdict for _, verdict in found} == {"not built"}
+    assert payload["equal_degree_non_abelian"] == 0

@@ -18,23 +18,23 @@ from spinblocks.barpart import (
     weight_tower,
 )
 from spinblocks.blocks import (
-    NON_ABELIAN,
     block_targets,
-    defect_class,
     equal_degree_test,
     height_zero_valuation,
     spin_blocks,
 )
 from spinblocks.constructions import EMPTY_CORE, TWO_CLASSES
 from spinblocks.oracle import bars, enumerate_bar_partitions
+from spinblocks.spinchar import alt_degree
 from spinblocks.witness import (
     CASE_UNIQUE_ODD_P3_SMALL,
+    NON_ABELIAN,
     ScanSummary,
     WitnessCertificate,
     _degrees_differ,
     _residue_and_valuation,
-    alt_degree,
     build_witness,
+    defect_class,
     scan,
     verify_witness,
     witness_eligible,
@@ -57,7 +57,7 @@ class TestBuildWitness:
         cert = build_witness(EMPTY, 3, 3)
         assert cert.case == EMPTY_CORE
         assert (cert.label_a, cert.label_b) == (bp(9), bp(8, 1))
-        assert (cert.degree_a, cert.degree_b) == (8, 56)
+        assert (alt_degree(cert.label_a), alt_degree(cert.label_b)) == (8, 56)
         assert cert.checks["congruence_ok"] is None
         assert cert.verified
 
@@ -65,7 +65,7 @@ class TestBuildWitness:
         cert = build_witness(bp(1), 3, 3)
         assert cert.case == CASE_UNIQUE_ODD_P3_SMALL
         assert (cert.label_a, cert.label_b) == (bp(10), bp(9, 1))
-        assert (cert.degree_a, cert.degree_b) == (16, 64)
+        assert (alt_degree(cert.label_a), alt_degree(cert.label_b)) == (16, 64)
         assert cert.verified
 
     def test_two_classes(self):
@@ -84,7 +84,7 @@ class TestBuildWitness:
         # depends only on the parity bookkeeping and the factor-2 gap
         for p, w in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
             cert = build_witness(EMPTY, p, w)
-            assert cert.degree_a != cert.degree_b
+            assert alt_degree(cert.label_a) != alt_degree(cert.label_b)
             h_a, h_b = bars(cert.label_a).h_total, bars(cert.label_b).h_total
             assert h_a > 2 * h_b
 
@@ -135,21 +135,21 @@ class TestVerifyWitness:
         assert bad.checks["degrees_distinct"] is True
         assert bad.checks["both_height_zero"] is False
         assert not bad.verified
-        assert any("height-zero check failed: degree valuations 1 and 0, defect-group minimum 0"
-                   in note for note in bad.notes)
+        # v_3(9!) = 4: a degree 2^k 9!/H of valuation 1 has v_3(H) = 3, below v_3((pw)!) = 4
+        assert "height-zero check failed: v_p(H) 3 and 4, v_p((pw)!) 4" in bad.notes
 
     def test_detects_equal_degrees(self):
         # (4) and (3, 1) share the block (core 1, w 1) at p = 3, both of
         # height zero, with one degree 2 in the alternating double cover
         cert = WitnessCertificate(p=3, core=bp(1), w=1, case=CASE_UNIQUE_ODD_P3_SMALL,
                                   label_a=bp(4), label_b=bp(3, 1), checks={})
-        assert (cert.degree_a, cert.degree_b) == (2, 2)
+        assert (alt_degree(cert.label_a), alt_degree(cert.label_b)) == (2, 2)
         bad = verify_witness(cert)
         assert bad.checks["same_block"] is True
         assert bad.checks["both_height_zero"] is True
         assert bad.checks["degrees_distinct"] is False
         assert not bad.verified
-        assert "degree check failed: recomputed 2 and 2" in bad.notes
+        assert "degree check failed: 4 and 3,1" in bad.notes
 
     @pytest.mark.parametrize("w, message", [
         (-1, "^w must be nonnegative, got -1$"),
@@ -243,7 +243,8 @@ class TestSmallIntegerVerdicts:
 
         assert WitnessCertificate._fields == ("p", "core", "w", "case", "label_a", "label_b",
                                               "checks", "notes")
-        monkeypatch.setattr(witness, "alt_degree", refuse)
+        assert [name for name in dir(WitnessCertificate) if "degree" in name] == []
+        monkeypatch.setattr(spinchar, "alt_degree", refuse)
         monkeypatch.setattr(spinchar, "spin_degree_sym", refuse)
         summary = scan(60, (3, 5, 7))
         assert summary.notes == ()
@@ -282,13 +283,14 @@ class TestBlockMembership:
 
     @pytest.mark.parametrize("label", [EMPTY, bp(1)])
     def test_flags_label_without_degree(self, label):
-        # no degree in the alternating double cover below two letters
+        # no degree in the alternating double cover below two letters: the
+        # verifier computes none, so the note names the labels
         cert = build_witness(EMPTY, 3, 4)
         bad = verify_witness(cert._replace(label_a=label))
         assert bad.checks["same_block"] is False
         assert bad.checks["both_height_zero"] is False
         assert bad.checks["degrees_distinct"] is False
-        assert any("recomputed None and 160" in note for note in bad.notes)
+        assert "degree check failed: %s and 11,1" % (label,) in bad.notes
 
     @pytest.mark.parametrize("core", [EMPTY, bp(1)])
     def test_no_height_zero_below_two_letters(self, core):
@@ -297,8 +299,7 @@ class TestBlockMembership:
                                   label_a=core, label_b=core, checks={})
         bad = verify_witness(cert)
         assert bad.checks["both_height_zero"] is False
-        assert ("height-zero check failed: degree valuations None and None,"
-                " defect-group minimum 0") in bad.notes
+        assert "height-zero check failed: v_p(H) 0 and 0, v_p((pw)!) 0" in bad.notes
 
     def test_one_label_twice_is_not_a_block_pair(self):
         # was both_height_zero True: the gate checked the cores, not two labels
@@ -308,8 +309,7 @@ class TestBlockMembership:
         assert bad.checks["both_height_zero"] is False
         assert bad.checks["degrees_distinct"] is False
         assert not bad.verified
-        assert ("height-zero check failed: degree valuations 0 and 0,"
-                " defect-group minimum 0") in bad.notes
+        assert "height-zero check failed: v_p(H) 5 and 5, v_p((pw)!) 5" in bad.notes
 
     @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
     def test_flags_block_of_wrong_core_or_weight(self, core, w):
@@ -402,7 +402,7 @@ class TestPprimeResidue:
 class TestScan:
     def test_up_to_twelve(self):
         summary = scan(12, [3])
-        assert summary.equal_degree_non_abelian == 0
+        assert summary.failed == ()
         assert summary.witnesses_verified > 0
         assert summary.notes == ()
 
@@ -461,7 +461,7 @@ class TestScan:
         # scan lists (core, w) and builds no block; spin_blocks builds every
         # block of n from the structural oracle, which makes it the oracle for scan
         max_n = 30
-        counts, verified, equal, notes = {}, 0, 0, []
+        counts, verified, failed, notes = {}, 0, [], []
         for n in range(4, max_n + 1):
             blocks = spin_blocks(n, p, "A")
             assert block_targets(n, p) == [(b.core, b.w) for b in blocks]
@@ -473,16 +473,14 @@ class TestScan:
                     continue
                 flag, _ = equal_degree_test(b)
                 cert = build_witness(b.core, p, b.w)
+                assert not (flag and cert.verified)  # a verified witness has two degrees
                 verified += cert.verified
-                equal += flag
-                if flag or not cert.verified:
-                    notes.append(
-                        "non-abelian block p=%d n=%d core %s w=%d: witness %s, equal"
-                        " degrees %s; certificate notes: %s"
-                        % (p, n, b.core, b.w,
-                           "verified" if cert.verified else "not verified",
-                           "yes" if flag else "no", "; ".join(cert.notes)))
+                if not cert.verified:
+                    failed.append(cert)
+                    notes.append("non-abelian block p=%d n=%d core %s w=%d: witness not"
+                                 " verified; certificate notes: %s"
+                                 % (p, n, b.core, b.w, "; ".join(cert.notes)))
         if not counts.get((p, NON_ABELIAN)):
             notes.append("no non-abelian blocks for p=%d with n <= %d" % (p, max_n))
-        expected = ScanSummary(max_n, (p,), counts, verified, equal, tuple(notes))
+        expected = ScanSummary(max_n, (p,), counts, verified, tuple(failed), tuple(notes))
         assert scan(max_n, [p]) == expected
