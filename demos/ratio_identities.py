@@ -13,7 +13,6 @@ from itertools import groupby
 from operator import attrgetter
 
 from spinblocks import (
-    add_part_pw,
     grow_class,
     grow_class_ratio,
     make_bar_partition,
@@ -51,5 +50,5 @@ print()
 gamma = make_bar_partition([1])
 print("The added-part family for core %s, p = 3:" % (gamma,))
 for w in (1, 2, 3):
-    lam = add_part_pw(gamma, 3, w)
+    lam = grow_class(gamma, 3, None, w)
     print("  w=%d: %s with bar product %d" % (w, lam, bars(lam).h_total))

@@ -31,14 +31,12 @@ from .blocks import (
     SpinBlock,
     block_targets,
     equal_degree_test,
-    height_zero_valuation,
     spin_block,
     spin_blocks,
 )
 from .constructions import (
     ComparisonResult,
     CoreDecomposition,
-    add_part_pw,
     add_part_ratio,
     compare_chain,
     decompose_core,

@@ -3,10 +3,7 @@
 Height is taken operationally as the p-adic valuation of a degree minus the
 minimum valuation over the block, so no group orders are ever needed.  The
 defect class is read off the weight alone (witness.defect_class): zero
-(w = 0), abelian (w < p), non-abelian (w >= p).  A block of weight w has a
-Sylow p-subgroup of the symmetric group on pw letters as defect group
-(Humphreys 1986), so its minimum valuation is also known in closed form:
-height_zero_valuation.
+(w = 0), abelian (w < p), non-abelian (w >= p).
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from .barpart import (
     BarPartition,
     _check_odd_prime,
     bar_cores_up_to,
-    check_int,
-    factorial_valuation,
     labels_with_core_and_weight,
     valuation,
 )
@@ -34,17 +29,6 @@ class SpinBlock(NamedTuple):
     characters: tuple[SpinCharacter, ...]
     heights: dict  # label -> valuation of its degree minus the block minimum
     defect_class: str
-
-
-def height_zero_valuation(n: int, p: int, w: int) -> int:
-    """v_p(n!) - v_p((pw)!): the degree valuation of the height-zero
-    characters of a spin block of n with weight w, read off its defect group."""
-    _check_odd_prime(p)
-    check_int(n, "n")
-    check_int(w, "w")
-    if not 0 <= p * w <= n:
-        raise ValueError("a block of n = %d has weight 0 <= w <= n/p, got w = %d" % (n, w))
-    return factorial_valuation(n, p) - factorial_valuation(p * w, p)
 
 
 def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:

@@ -18,8 +18,9 @@ One table (COMMANDS) declares each command once. A run builds the parser of
 the command it names alone, which prints the usage, help and errors of the
 full parser's subcommand; the full parser, built from the same table, parses
 what names no command and words the errors about tokens left over.
-Integers that do not fit in a signed 64-bit word are serialized as decimal
-strings, exactly, however many digits they have.
+Integers whose magnitude exceeds 2**63 - 1 (INT64_MAX) are serialized as
+decimal strings, exactly, however many digits they have; so is -2**63, which
+a signed 64-bit word would hold.
 """
 
 from __future__ import annotations

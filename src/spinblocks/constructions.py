@@ -1,44 +1,41 @@
 """Constructions on bar cores and exact closed forms for bar-length ratios.
 
-Given a p-bar-core gamma, two families of labels with core gamma and
-prescribed weight w are built:
+Given a p-bar-core gamma, a weight chain builds one label with core gamma
+for each weight w >= 1, and is named by a residue: grow_class(gamma, p, i,
+w) replaces the top part e_i of the occupied class i by e_i + p*w, and
+grow_class(gamma, p, None, w), the add-part chain, adjoins the new part p*w
+(the empty core has this chain only). _chain_label(dec, i, w) builds each
+label as gamma with one part inserted by barpart.with_part. with_part checks
+only the inserted part (a positive int not already a part) and places it by
+bisection; the other parts are the validated core's, so they are not checked
+again. Every built label, and both labels (pw), (pw-1, 1) of the empty
+core's witness pair, is certified by barpart.runner_charges (_certify): the
+same charges as gamma, |gamma| + p*w boxes, w bar lengths divisible by p and
+the expected number of parts, or a RuntimeError. A p-bar-core is determined
+by its runner charges (Olsson 1993), so these checks say exactly what
+barpart.abacus_core(lam, p) == (gamma, w) says, without building, sorting
+and validating a core per label.
 
-* add_part_pw: adjoin the new part p*w (works for the empty core too);
-* grow_class: replace the top part e_i of the residue class i by e_i + p*w.
+For each chain the ratio of bar-length products between consecutive weights,
+w-1 -> w, is a product of factors linear in pw. _forms holds its unmixed
+factor, its mixed factor and their total, once per chain, as pairs (c, d) of
+constant lists; _step reads each at w as the unreduced integer pair (prod
+|pw + c|, prod (pw + d)), and corrects the unmixed and mixed pairs of the
+add-part step to w = 1 by prod parts(gamma). A total has no denominator.
+grow_class_ratio returns the total, reduced, as a Fraction. Every closed
+form here is checked (in tests and via verify_ratio_chain) against the
+direct quotient of the two labels' bar products, taken from their parts by
+Schur's formula (barpart.bar_products), by cross-multiplying the two pairs:
+no Fraction, and so no gcd, is built unless a check fails and its values are
+read.
 
-Both families are weight chains named by a residue, class i for grow_class
-and None for add_part_pw; _chain_label(dec, i, w) builds each of their
-labels as gamma with one part inserted by barpart.with_part: p*w, or e_i +
-p*w in place of e_i. with_part checks only the inserted part (a positive
-int not already a part) and places it by bisection; the other parts are the
-validated core's, so they are not checked again. Every built label, and
-both labels (pw), (pw-1, 1) of the empty core's witness pair, is certified by barpart.runner_charges
-(_certify): the same charges as gamma, |gamma| + p*w boxes, w bar lengths
-divisible by p and the expected number of parts, or a RuntimeError. A
-p-bar-core is determined by its runner charges (Olsson 1993), so these
-checks say exactly what barpart.abacus_core(lam, p) == (gamma, w) says,
-without building, sorting and validating a core per label.
-
-For each family the ratio of bar-length products between consecutive
-weights, w-1 -> w, is a product of factors linear in pw. _forms holds its
-unmixed factor, its mixed factor and their total, once per chain, as pairs
-(c, d) of constant lists; _step reads each at w as the unreduced integer
-pair (prod |pw + c|, prod (pw + d)), and corrects the unmixed and mixed
-pairs of the add-part step to w = 1 by prod parts(gamma). A total has no
-denominator. grow_class_ratio and add_part_ratio return the total, reduced,
-as a Fraction. Every closed form here is checked (in tests and via
-verify_ratio_chain) against the direct quotient of the two labels' bar
-products, taken from their parts by Schur's formula (barpart.bar_products),
-by cross-multiplying the two pairs: no Fraction, and so no gcd, is built
-unless a check fails and its values are read.
-
-add_part_pw, grow_class and their two ratios pass their input through one
-gate, _chain_input: the prime and the core (decompose_core), the residue,
-then w. So a label and its ratio refuse a bad input alike, and each then
-reads the gate's CoreDecomposition in a private function. A chain is named
-by its residue throughout: _chain_label builds its labels, _forms and _step
-read its steps, RatioCheck.residue records it. The two walks decompose a
-core once and go up its weights w = 1, 2, ...: verify_ratio_chain walks each
+grow_class and grow_class_ratio pass their input through one gate,
+_chain_input: the prime and the core (decompose_core), the residue, then w.
+So a label and its ratio refuse a bad input alike, and each then reads the
+gate's CoreDecomposition in a private function. A chain is named by its
+residue throughout: _chain_label builds its labels, _forms and _step read
+its steps, RatioCheck.residue records it. The two walks decompose a core
+once and go up its weights w = 1, 2, ...: verify_ratio_chain walks each
 chain of a nonempty core (residues [*nonempty, None]) once, so every label
 is built, certified and given its bar products once, and those products are
 the w-1 side of the next step; compare_chain compares the core's witness
@@ -137,14 +134,9 @@ def _chain_input(gamma, p, i, w):
     return dec
 
 
-def add_part_pw(gamma: BarPartition, p: int, w: int) -> BarPartition:
-    """Adjoin the part p*w to the core gamma (core gamma, weight w), via _chain_input."""
-    return _chain_label(_chain_input(gamma, p, None, w), None, w)
-
-
-def grow_class(gamma: BarPartition, p: int, i: int, w: int) -> BarPartition:
-    """Replace the top part e_i of class i by e_i + p*w (core gamma, weight w),
-    via _chain_input, where i = None names the add-part chain."""
+def grow_class(gamma: BarPartition, p: int, i: int | None, w: int) -> BarPartition:
+    """Replace the top part e_i of class i by e_i + p*w, or adjoin the part
+    p*w when i is None (core gamma, weight w), via _chain_input."""
     return _chain_label(_chain_input(gamma, p, i, w), i, w)
 
 
@@ -176,13 +168,13 @@ def _witness_pair(dec, w):
 
 def _forms(dec, i):
     """The (unmixed, mixed, total) forms of the step w-1 -> w of the chain
-    grow_class of class i, or add_part_pw when i is None.
+    of class i, or of the add-part chain when i is None.
 
     Each form is a pair (num, den) of constant lists, read at weight w by
     _step as prod |pw + c| / prod (pw + d). A total form has no denominator.
     grow_class: unmixed is pw times, over j != i, |p(w-1) + e_i - e_j|; mixed
     is (2e_i + p(w-1)) times, over occupied j != i, (pw + e_i + e_j), over
-    the product of (p(w-1) + e_i + j), occupied j. add_part_pw: unmixed is pw
+    the product of (p(w-1) + e_i + j), occupied j. Add-part: unmixed is pw
     times, over j = 1..p-1, |p(w-1) - e_j|; mixed is the product of (pw +
     e_j) over that of (p(w-1) + j), occupied j.
     """
@@ -227,15 +219,17 @@ def _step(dec, i, w, forms=None):
 def grow_class_ratio(gamma, p, i, w) -> Fraction:
     """The total ratio of the grow_class step: pw(p(w-1) + 2e_i) times, over
     occupied j != i, |p(w-1) + e_i - e_j| (pw + e_i + e_j), times, over k
-    with classes k and p-k both empty, (pw + e_i - k); via _chain_input."""
+    with classes k and p-k both empty, (pw + e_i - k); via _chain_input.
+    For i = None, pw times, over occupied j, |p(w-1) - e_j| (pw + e_j),
+    times, over j with j and p-j both empty, (pw - j); for the empty core
+    that is H(pw)/H(p(w-1))."""
     return Fraction(*_step(_chain_input(gamma, p, i, w), i, w)[2])
 
 
 def add_part_ratio(gamma, p, w) -> Fraction:
-    """The total ratio of the add_part_pw step: pw times, over occupied j,
-    |p(w-1) - e_j| (pw + e_j), times, over j with j and p-j both empty, (pw - j);
-    via _chain_input. For the empty core it is H(pw)/H(p(w-1))."""
-    return Fraction(*_step(_chain_input(gamma, p, None, w), None, w)[2])
+    """grow_class_ratio(gamma, p, None, w), under the name the benchmark's
+    output check (perfbench/child.py) calls."""
+    return grow_class_ratio(gamma, p, None, w)
 
 
 class RatioCheck(NamedTuple):
@@ -247,7 +241,7 @@ class RatioCheck(NamedTuple):
     """
 
     identity: str
-    residue: int | None  # class index for grow_class chains, None for add_part
+    residue: int | None  # class index, or None for the add-part chain
     w: int
     closed_pair: tuple[int, int]
     direct_pair: tuple[int, int]

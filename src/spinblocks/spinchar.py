@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .barpart import BarPartition, bar_products, sigma
+from .barpart import BarPartition, bar_products, check_int, sigma
 
 
 class _GroupTagFields(NamedTuple):
@@ -27,8 +27,7 @@ class GroupTag(_GroupTagFields):
     def __new__(cls, kind, n):
         if kind not in ("S", "A"):
             raise ValueError("group kind must be 'S' or 'A', got %r" % (kind,))
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError("n must be an integer, got %r" % (n,))
+        check_int(n, "n")
         if n < 1:
             raise ValueError("n must be positive, got %d" % n)
         if kind == "A" and n < 2:

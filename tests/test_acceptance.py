@@ -19,7 +19,6 @@ from spinblocks.barpart import (
 )
 from spinblocks.blocks import spin_blocks
 from spinblocks.constructions import (
-    add_part_pw,
     compare_chain,
     decompose_core,
     grow_class,
@@ -207,8 +206,7 @@ def test_congruence_of_constructed_labels():
             target = bars(gamma).h_total % p
             dec = decompose_core(gamma, p)
             for w in range(1, 5):
-                labels = [add_part_pw(gamma, p, w)]
-                labels += [grow_class(gamma, p, i, w) for i in dec.nonempty]
+                labels = [grow_class(gamma, p, i, w) for i in (None, *dec.nonempty)]
                 for lam in labels:
                     checked += 1
                     if _residue_and_valuation(lam, p)[0] not in (target, (-target) % p):

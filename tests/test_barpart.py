@@ -507,6 +507,36 @@ class TestBarCoresUpTo:
             bar_cores_up_to(max_size, 3)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_counts_match_the_core_quotient_identity(self, p):
+        # the core-quotient bijection (Morris; Olsson 1993): a strict partition of s
+        # is a p-bar-core of size s - pw and a quotient of weight w, one strict
+        # partition and (p-1)/2 partitions, so q(s) = sum_w c_p(s - pw) B_p(w), where
+        # B_p(w) is the coefficient of x^w in prod_k (1 + x^k) / (1 - x^k)^((p-1)/2)
+        top = 100
+
+        def times(series, k, sign):
+            # series * (1 + x^k) for sign 1, series / (1 - x^k) for sign -1
+            out = list(series)
+            for s in (range(top, k - 1, -1) if sign == 1 else range(k, top + 1)):
+                out[s] += out[s - k]
+            return out
+
+        strict = quotients = [1] + [0] * top
+        for k in range(1, top + 1):
+            strict = times(strict, k, 1)
+            quotients = times(quotients, k, 1)
+            for _ in range((p - 1) // 2):
+                quotients = times(quotients, k, -1)
+        cores = [0] * (top + 1)
+        for s in range(top + 1):
+            cores[s] = strict[s] - sum(cores[s - p * w] * quotients[w]
+                                       for w in range(1, s // p + 1))
+        counts = [0] * (top + 1)
+        for core in bar_cores_up_to(top, p):
+            counts[core.n] += 1
+        assert counts == cores
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_core_run_is_the_empty_quotient(self, p):
         for j in range(1, p):
             for charge in range(-15, 16):

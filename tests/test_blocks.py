@@ -4,6 +4,7 @@ from spinblocks import blocks, oracle
 from spinblocks.barpart import (
     EMPTY,
     bar_cores_up_to,
+    factorial_valuation,
     labels_with_core_and_weight,
     make_bar_partition,
     valuation,
@@ -11,7 +12,6 @@ from spinblocks.barpart import (
 from spinblocks.blocks import (
     block_targets,
     equal_degree_test,
-    height_zero_valuation,
     spin_block,
     spin_blocks,
 )
@@ -25,9 +25,11 @@ def bp(*parts):
 
 
 def at_closed_form(block):
-    """Labels whose degree valuation is the block's height_zero_valuation."""
-    target = height_zero_valuation(block.core.n + block.p * block.w, block.p, block.w)
-    return {chi.label for chi in block.characters if valuation(chi.degree, block.p) == target}
+    """Labels whose degree valuation is v_p(n!) - v_p((pw)!), read off the
+    block's defect group, a Sylow p-subgroup of S_pw (Humphreys 1986)."""
+    n, p = block.core.n + block.p * block.w, block.p
+    target = factorial_valuation(n, p) - factorial_valuation(p * block.w, p)
+    return {chi.label for chi in block.characters if valuation(chi.degree, p) == target}
 
 
 class TestSpinBlocks:
@@ -182,29 +184,6 @@ class TestHeightZeroCriterion:
     def test_four(self):
         (block,) = spin_blocks(4, 3, "A")
         assert at_closed_form(block) == {bp(4), bp(3, 1)}
-
-    def test_closed_form_values(self):
-        assert height_zero_valuation(9, 3, 3) == 0     # v_3(9!) - v_3(9!)
-        assert height_zero_valuation(12, 3, 1) == 4    # v_3(12!) = 5, v_3(3!) = 1
-        assert height_zero_valuation(5, 3, 0) == 1     # defect zero: v_3(5!)
-        assert height_zero_valuation(50, 5, 10) == 0   # v_5(50!) = v_5(50!) = 12
-
-    @pytest.mark.parametrize("n, w", [(3, 5), (10, -1), (8, 3)])
-    def test_closed_form_rejects_impossible_weight(self, n, w):
-        with pytest.raises(ValueError, match="weight 0 <= w <= n/p"):
-            height_zero_valuation(n, 3, w)
-
-    @pytest.mark.parametrize("n, w, name, value", [(5.5, 1, "n", 5.5), (9, 1.0, "w", 1.0),
-                                                   (True, 0, "n", True), (9, False, "w", False)])
-    def test_closed_form_rejects_non_int(self, n, w, name, value):
-        # 5.5 gave the float 0.0
-        with pytest.raises(ValueError, match="%s must be an integer, got %r" % (name, value)):
-            height_zero_valuation(n, 3, w)
-
-    @pytest.mark.parametrize("p", [1, 2, 9, -3])
-    def test_closed_form_rejects_bad_prime(self, p):
-        with pytest.raises(ValueError, match="odd prime"):
-            height_zero_valuation(10, p, 2)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_agrees_with_heights(self, p):

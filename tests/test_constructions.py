@@ -22,7 +22,6 @@ from spinblocks.constructions import (
     _certify,
     _forms,
     _step,
-    add_part_pw,
     add_part_ratio,
     compare_chain,
     decompose_core,
@@ -108,11 +107,11 @@ class TestDecompose:
 
 class TestConstructions:
     def test_add_part(self):
-        assert add_part_pw(bp(1), 3, 1) == bp(3, 1)
-        assert add_part_pw(bp(1), 3, 3) == bp(9, 1)
-        assert add_part_pw(EMPTY, 3, 2) == bp(6)
+        assert grow_class(bp(1), 3, None, 1) == bp(3, 1)
+        assert grow_class(bp(1), 3, None, 3) == bp(9, 1)
+        assert grow_class(EMPTY, 3, None, 2) == bp(6)
         with pytest.raises(ValueError, match="w must be >= 1, got 0"):
-            add_part_pw(bp(1), 3, 0)
+            grow_class(bp(1), 3, None, 0)
 
     @pytest.mark.parametrize("build", [grow_class, grow_class_ratio])
     @pytest.mark.parametrize("i", [1.0, True])
@@ -123,7 +122,7 @@ class TestConstructions:
 
     def test_grow_class(self):
         assert grow_class(bp(1), 3, 1, 1) == bp(4)
-        assert grow_class(bp(1), 3, None, 3) == add_part_pw(bp(1), 3, 3)  # the add-part chain
+        assert grow_class(bp(1), 3, None, 3) == bp(9, 1)  # the add-part chain
         assert grow_class(bp(4, 1), 3, 1, 2) == bp(10, 1)
         assert grow_class(bp(3, 1), 5, 3, 1) == bp(8, 1)
 
@@ -143,16 +142,22 @@ class TestConstructions:
             "empty-core"])
     def test_label_and_ratio_refuse_alike(self, gamma, p, i, w, refused):
         # one gate checks the prime and the core, then the class, then w
-        for label, ratio, args in ((grow_class, grow_class_ratio, (gamma, p, i, w)),
-                                   (add_part_pw, add_part_ratio, (gamma, p, w))):
+        for residue in (i, None):
+            args = (gamma, p, residue, w)
             if not refused:
-                assert abacus_core(label(*args), p) == (gamma, w)
-                assert isinstance(ratio(*args), Fraction)
+                assert abacus_core(grow_class(*args), p) == (gamma, w)
+                assert isinstance(grow_class_ratio(*args), Fraction)
                 continue
             with pytest.raises(ValueError) as error:
-                label(*args)
+                grow_class(*args)
             with pytest.raises(ValueError, match="^%s$" % re.escape(str(error.value))):
-                ratio(*args)
+                grow_class_ratio(*args)
+        # add_part_ratio is the add-part chain's ratio (the last residue) under a second name
+        if not refused:
+            assert add_part_ratio(gamma, p, w) == grow_class_ratio(gamma, p, None, w)
+            return
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(error.value))):
+            add_part_ratio(gamma, p, w)
 
     def test_principal_pair(self):
         for p, w, pair in ((3, 3, (bp(9), bp(8, 1))), (5, 2, (bp(10), bp(9, 1)))):
@@ -166,7 +171,7 @@ class TestConstructions:
         # the abacus certificate of every construction against bar removal
         for gamma in cores_up_to(8, p):
             for w in range(1, p + 2):
-                lam = add_part_pw(gamma, p, w)
+                lam = grow_class(gamma, p, None, w)
                 assert bar_core_and_weight(lam, p) == (gamma, w)
                 assert lam.m == gamma.m + 1
                 dec = decompose_core(gamma, p)
@@ -193,7 +198,7 @@ class TestConstructions:
                     mu = grow_class(gamma, p, i, w)
                     kinds = [b.kind for b in bars(mu).bars if b.length % p == 0]
                     assert kinds and set(kinds) == {TYPE1}
-                lam = add_part_pw(gamma, p, w)
+                lam = grow_class(gamma, p, None, w)
                 kinds = [b.kind for b in bars(lam).bars if b.length % p == 0]
                 assert kinds.count(TYPE2) == 1
                 assert set(kinds) <= {TYPE1, TYPE2}
@@ -275,7 +280,7 @@ class TestRatioValues:
                     assert ua * ma * tb == ta * ub * mb
 
     def test_empty_core_add_part_ratio_is_the_direct_quotient(self):
-        # was refused ("the core must be nonempty"), although add_part_pw(EMPTY, p, w)
+        # was refused ("the core must be nonempty"), although grow_class(EMPTY, p, None, w)
         # is (pw): the chain (p), (2p), ... has the step H(pw)/H(p(w-1))
         for p in (3, 5, 7, 11, 13):
             dec = decompose_core(EMPTY, p)
@@ -371,7 +376,7 @@ class TestRatioIdentities:
                 prod = Fraction(1)
                 for step in range(1, w + 1):
                     prod *= add_part_ratio(gamma, p, step)
-                assert prod == Fraction(bars(add_part_pw(gamma, p, w)).h_total, h_gamma)
+                assert prod == Fraction(bars(grow_class(gamma, p, None, w)).h_total, h_gamma)
 
 
 def test_ratio_chain_certifies_each_label_once(monkeypatch, capsys):

@@ -1,9 +1,11 @@
-"""Guard against imports that a module of the package never uses and private
-names that the package never reads, such as those a deletion leaves behind,
-and against loading the structural oracle where a run does not need it;
-the project depends on no linter."""
+"""Guard against imports that a module of the package never uses, private
+names that the package never reads and public names that nothing outside the
+tests reads, such as those a deletion leaves behind, against loading the
+structural oracle where a run does not need it, and against deleting a name
+that the benchmark reads; the project depends on no linter."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -14,8 +16,10 @@ import pytest
 import spinblocks
 from spinblocks import oracle
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spinblocks"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spinblocks"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -74,6 +78,90 @@ def test_guard_finds_dead_private_names():
 
 def test_no_dead_private_name():
     assert dead_private_names(path.read_text() for path in SRC.glob("*.py")) == []
+
+
+def dead_public_names(init_source, sources):
+    """Names the package's __init__ source imports that no source reads: a
+    read is a Name or Attribute load, or an import of the name."""
+    exported = {a.asname or a.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(exported - read)
+
+
+def test_guard_finds_dead_public_names():
+    init = ("from .barpart import EMPTY, bars, format_partition as fmt\n"
+            "from .blocks import gone, stored, defined, quoted, spin_block\n"
+            "__version__ = '0.1.0'\n")
+    sources = ["from .barpart import bars\nx = m.EMPTY\nstored = 1\n"
+               "def defined(): return 'quoted'\n",
+               "from spinblocks import spin_block\nprint(fmt)\n"]
+    assert dead_public_names(init, sources) == ["defined", "gone", "quoted", "stored"]
+
+
+def test_every_public_name_has_a_reader():
+    # a name stays exported only if the package, a demo or the benchmark reads it
+    readers = MODULES + sorted((ROOT / "demos").glob("*.py")) + BENCHMARK
+    assert dead_public_names((SRC / "__init__.py").read_text(),
+                             [path.read_text() for path in readers]) == []
+
+
+def package_chains(sources):
+    """The attribute chains rooted at the name spinblocks in the sources,
+    without the root, and the spinblocks submodules they import."""
+    chains, modules = set(), set()
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names if a.name.startswith("spinblocks."))
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id == "spinblocks":
+            chains.add(".".join(reversed(attrs)))
+    return sorted(chains), sorted(modules)
+
+
+def unresolved_chains(chains, modules):
+    """The chains that do not resolve on the package once the modules are imported."""
+    for module in modules:
+        importlib.import_module(module)
+    missing = []
+    for chain in chains:
+        obj = spinblocks
+        for attr in chain.split("."):
+            if not hasattr(obj, attr):
+                missing.append(chain)
+                break
+            obj = getattr(obj, attr)
+    return missing
+
+
+def test_guard_finds_unresolved_package_chains():
+    source = ("import spinblocks\n"
+              "import spinblocks.cli\n"
+              "def run(spinblocks, argv):\n"
+              "    spinblocks.cli.main(argv)\n"
+              "    return spinblocks.add_part_pw(x.spinblocks.gone), spinblocks.cli.no_such\n")
+    chains, modules = package_chains([source])
+    assert chains == ["add_part_pw", "cli", "cli.main", "cli.no_such"]
+    assert modules == ["spinblocks.cli"]
+    assert unresolved_chains(chains, modules) == ["add_part_pw", "cli.no_such"]
+
+
+def test_benchmark_reads_only_names_that_resolve():
+    # a benchmark run would report a deleted name only as a run_failed verdict
+    chains, modules = package_chains(path.read_text() for path in BENCHMARK)
+    assert {"add_part_ratio", "cli.main", "grow_class_ratio"} <= set(chains)
+    assert unresolved_chains(chains, modules) == []
 
 
 def is_call_to(node, name):

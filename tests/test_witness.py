@@ -20,7 +20,6 @@ from spinblocks.barpart import (
 from spinblocks.blocks import (
     block_targets,
     equal_degree_test,
-    height_zero_valuation,
     spin_blocks,
 )
 from spinblocks.constructions import EMPTY_CORE, TWO_CLASSES
@@ -211,7 +210,7 @@ class TestSmallIntegerVerdicts:
         for n in range(2, 31):
             for core, w in block_targets(n, p):
                 labels = labels_with_core_and_weight(core, p, w)
-                low = height_zero_valuation(n, p, w)
+                low = factorial_valuation(n, p) - factorial_valuation(p * w, p)
                 degree = {lam: alt_degree(lam) for lam in labels}
                 for lam in labels:
                     v = _residue_and_valuation(lam, p)[1]
@@ -467,7 +466,7 @@ class TestScan:
             assert block_targets(n, p) == [(b.core, b.w) for b in blocks]
             for b in blocks:
                 low = min(valuation(chi.degree, p) for chi in b.characters)
-                assert low == height_zero_valuation(n, p, b.w)
+                assert low == factorial_valuation(n, p) - factorial_valuation(p * b.w, p)
                 counts[(p, b.defect_class)] = counts.get((p, b.defect_class), 0) + 1
                 if b.defect_class != NON_ABELIAN:
                     continue
