@@ -19,13 +19,10 @@ from .barpart import (
 )
 from .spinchar import (
     GroupTag,
-    SpinCharacter,
-    alt,
     alt_degree,
-    characters_of_label,
+    character_count,
     sigma,
     spin_degree_sym,
-    sym,
 )
 from .blocks import (
     SpinBlock,

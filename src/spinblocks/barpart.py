@@ -113,6 +113,15 @@ def sigma(lam: BarPartition) -> int:
     return -1 if (lam.n - lam.m) % 2 else 1
 
 
+def degree_two_power(lam: BarPartition, kind: str) -> int:
+    """The k of a degree 2**k n!/H of lam in the double cover of kind "S" or "A".
+
+    floor((n - m)/2) in "S"; one less in "A" where sigma = +1 (n - m even)
+    halves the "S" degree, so floor((n - m - 1)/2) there.
+    """
+    return (lam.n - lam.m - (kind == "A")) // 2
+
+
 def bar_products(lam: BarPartition) -> tuple[int, int]:
     """(h_unmixed, h_mixed) of lam from its parts, without building bars.
 

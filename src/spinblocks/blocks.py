@@ -1,9 +1,13 @@
 """Spin blocks: grouping by bar core, defect classes, heights, equal degrees.
 
-Height is taken operationally as the p-adic valuation of a degree minus the
-minimum valuation over the block, so no group orders are ever needed.  The
-defect class is read off the weight alone (witness.defect_class): zero
-(w = 0), abelian (w < p), non-abelian (w >= p).
+A block keeps one record per label: how many characters it gives the
+group and their common degree (spinchar.character_count and the one
+degree formula).  Height is taken operationally as the p-adic valuation of
+a degree minus the minimum valuation over the block, so no group orders
+are ever needed.  The group is given by its kind, "S" or "A", and checked
+for the block's n by GroupTag.  The defect class is read off the weight
+alone (witness.defect_class): zero (w = 0), abelian (w < p), non-abelian
+(w >= p).
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from typing import NamedTuple
 from .barpart import (
     BarPartition,
     _check_odd_prime,
+    _check_weight,
     bar_cores_up_to,
     labels_with_core_and_weight,
     valuation,
 )
-from .spinchar import GroupTag, SpinCharacter, as_group, characters_of_label
+from .spinchar import GroupTag, alt_degree, character_count, spin_degree_sym
 from .witness import defect_class
 
 class SpinBlock(NamedTuple):
@@ -26,7 +31,7 @@ class SpinBlock(NamedTuple):
     w: int
     group: GroupTag
     labels: tuple[BarPartition, ...]
-    characters: tuple[SpinCharacter, ...]
+    characters: dict  # label -> (number of characters, their common degree)
     heights: dict  # label -> valuation of its degree minus the block minimum
     defect_class: str
 
@@ -43,15 +48,19 @@ def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
 
 
 def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:
-    chars = tuple(chi for lam in labels for chi in characters_of_label(lam, group))
-    vals = {chi.label: valuation(chi.degree, p) for chi in chars}
+    degree_of = spin_degree_sym if group.kind == "S" else alt_degree
+    chars, vals = {}, {}
+    for lam in labels:
+        degree = degree_of(lam)
+        chars[lam] = (character_count(lam, group.kind), degree)
+        vals[lam] = valuation(degree, p)
     low = min(vals.values())
     return SpinBlock(p, core, w, group, tuple(labels), chars,
                      {lam: v - low for lam, v in vals.items()}, defect_class(p, w))
 
 
-def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
-    """The spin blocks of the tagged double cover, ordered by core.
+def spin_blocks(n: int, p: int, kind: str) -> list[SpinBlock]:
+    """The spin blocks of the double cover of kind "S" or "A" on n letters, ordered by core.
 
     Labels of n are grouped by bar core; weight-0 labels form singleton
     defect-zero blocks.  The prime and the group (so n) are checked before
@@ -61,7 +70,7 @@ def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
     from .oracle import bar_core_and_weight, enumerate_bar_partitions
 
     _check_odd_prime(p)
-    group = as_group(group, n)
+    group = GroupTag(kind, n)
     by_core = {}
     for lam in enumerate_bar_partitions(n):
         core, w = bar_core_and_weight(lam, p)
@@ -71,13 +80,14 @@ def spin_blocks(n: int, p: int, group) -> list[SpinBlock]:
                                             reverse=True)]
 
 
-def spin_block(core: BarPartition, p: int, w: int, group) -> SpinBlock:
+def spin_block(core: BarPartition, p: int, w: int, kind: str) -> SpinBlock:
     """The one spin block of core and weight w, its labels generated from p-bar quotients.
 
-    The group is resolved for n = |core| + p*w (so n is checked) before any
-    label is generated.
+    w is checked, then the group of kind "S" or "A" for n = |core| + p*w, before
+    any label is generated.
     """
-    group = as_group(group, core.n + p * w)
+    _check_weight(w)
+    group = GroupTag(kind, core.n + p * w)
     return _build_block(p, core, w, group, labels_with_core_and_weight(core, p, w))
 
 
@@ -86,5 +96,6 @@ def equal_degree_test(block: SpinBlock) -> tuple[bool, list[int]]:
 
     Returns the flag and the sorted multiset of height-zero degrees.
     """
-    hz = [chi.degree for chi in block.characters if block.heights[chi.label] == 0]
+    hz = [degree for lam, (count, degree) in block.characters.items()
+          if block.heights[lam] == 0 for _ in range(count)]
     return len(set(hz)) <= 1, sorted(hz)

@@ -33,8 +33,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import groupby
-from operator import attrgetter
 
 from . import blocks, constructions, spinchar, witness
 from .barpart import (
@@ -44,6 +42,7 @@ from .barpart import (
     bar_cores_up_to,
     format_partition,
     parse_partition,
+    sigma,
     weight_tower,
 )
 
@@ -157,16 +156,13 @@ def cmd_blocks(args):
     out = []
     for block in blocks.spin_blocks(args.n, args.p, args.group):
         flag, degrees = blocks.equal_degree_test(block)
-        labels = []
-        for lam, group in groupby(block.characters, key=attrgetter("label")):
-            chars = list(group)
-            labels.append({
-                "label": lam,
-                "sigma": chars[0].sigma,
-                "num_characters": len(chars),
-                "degree": chars[0].degree,
-                "height": block.heights[lam],
-            })
+        labels = [{
+            "label": lam,
+            "sigma": sigma(lam),
+            "num_characters": count,
+            "degree": degree,
+            "height": block.heights[lam],
+        } for lam, (count, degree) in block.characters.items()]
         out.append({
             "core": block.core,
             "weight": block.w,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .barpart import BarPartition, _check_odd_prime, _gen_partitions, make_bar_partition
+from .barpart import BarPartition, _check_odd_prime, _gen_partitions, check_int, make_bar_partition
 
 TYPE1 = 1  # (x, y): part y shrinks to the non-part value x, length y - x
 TYPE2 = 2  # (y,): part y is deleted, length y
@@ -152,6 +152,7 @@ def bar_core_and_weight(
 
 def enumerate_bar_partitions(n: int) -> list[BarPartition]:
     """All partitions of n into distinct parts, in decreasing lexicographic order."""
+    check_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative, got %d" % n)
     return [BarPartition(parts) for parts in _gen_partitions(n, n, True)]

@@ -1,9 +1,11 @@
-"""Spin character labels, signs, exact degrees and the restriction rules.
+"""Spin character labels: the group tag, exact degrees and character counts.
 
-Characters are modelled as labels plus degrees only.  The double cover of
-the symmetric group on n letters is tagged "S", the double cover of the
-alternating group "A"; degrees for the "A" group always come from the "S"
-degree via the splitting rules, never from an independent formula.
+Characters are modelled as labels plus degrees only: a label gives one or
+two characters of one degree (character_count).  The double cover of the
+symmetric group on n letters is tagged "S", the double cover of the
+alternating group "A".  Both degrees come from one formula, 2**k n!/H with
+H the product of the bar lengths; only k depends on the cover, and
+barpart.degree_two_power owns that rule.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .barpart import BarPartition, bar_products, check_int, sigma
+from .barpart import BarPartition, bar_products, check_int, degree_two_power, sigma
 
 
 class _GroupTagFields(NamedTuple):
@@ -42,71 +44,38 @@ class GroupTag(_GroupTagFields):
         return "2.%s_%d" % (self.kind, self.n)
 
 
-def sym(n: int) -> GroupTag:
-    return GroupTag("S", n)
+def character_count(lam: BarPartition, kind: str) -> int:
+    """How many spin characters the label lam gives the double cover of kind "S" or "A".
 
-
-def alt(n: int) -> GroupTag:
-    return GroupTag("A", n)
-
-
-def as_group(group, n: int) -> GroupTag:
-    """Accept a GroupTag or a bare "S"/"A" kind for degree-n groups."""
-    if isinstance(group, GroupTag):
-        if group.n != n:
-            raise ValueError("group %s does not act on %d letters" % (group, n))
-        return group
-    return GroupTag(group, n)
-
-
-class SpinCharacter(NamedTuple):
-    label: BarPartition
-    group: GroupTag
-    associate_index: int  # 0, or 1 for the second member of an associate pair
-    degree: int
-    sigma: int
-
-
-def spin_degree_sym(lam: BarPartition) -> int:
-    """Degree of a spin character of the "S" double cover labelled by lam.
-
-    Equals 2**floor((n-m)/2) * n! divided by the product of all bar
-    lengths, taken from the parts by Schur's formula (bar_products); the
-    division is asserted exact.
+    "S": one if sigma = +1, an associate pair if sigma = -1.  "A": two if
+    sigma = +1, one if sigma = -1.  The characters of one label share its degree.
     """
-    sym(lam.n)  # the group's rule refuses n < 1
-    num = (1 << ((lam.n - lam.m) // 2)) * math.factorial(lam.n)
+    return 2 if (sigma(lam) == 1) == (kind == "A") else 1
+
+
+def _degree(lam: BarPartition, kind: str) -> int:
+    """2**k n! divided by the product of all bar lengths, k = degree_two_power(lam, kind).
+
+    The bar lengths are taken from the parts by Schur's formula
+    (bar_products). GroupTag's rules refuse the kind and n; the division is
+    asserted exact, which in "A" with sigma = +1 is the "S" degree being even.
+    """
+    GroupTag(kind, lam.n)
+    num = math.factorial(lam.n) << degree_two_power(lam, kind)
     deg, rem = divmod(num, math.prod(bar_products(lam)))
     if rem:
         raise RuntimeError("degree formula did not divide exactly for %s" % (lam,))
     return deg
 
 
+def spin_degree_sym(lam: BarPartition) -> int:
+    """Degree of a spin character of the "S" double cover labelled by lam (n >= 1)."""
+    return _degree(lam, "S")
+
+
 def alt_degree(lam: BarPartition) -> int:
-    """Degree of a spin character of the "A" double cover labelled by lam.
+    """Degree of a spin character of the "A" double cover labelled by lam (n >= 2).
 
     Half the "S" degree if sigma = +1, the full "S" degree if sigma = -1.
     """
-    alt(lam.n)  # the group's rule refuses n < 2
-    d = spin_degree_sym(lam)
-    if sigma(lam) == 1:
-        if d % 2:
-            raise RuntimeError("odd degree %d with sigma = +1 for %s" % (d, lam))
-        return d // 2
-    return d
-
-
-def characters_of_label(lam: BarPartition, group) -> list[SpinCharacter]:
-    """The spin characters a label contributes to the given group.
-
-    "S": one character if sigma = +1, an associate pair of equal degree if
-    sigma = -1.  "A": two characters of half the "S" degree if sigma = +1,
-    one of the full degree if sigma = -1.
-    """
-    group = as_group(group, lam.n)
-    s = sigma(lam)
-    if group.kind == "S":
-        d, count = spin_degree_sym(lam), 1 if s == 1 else 2
-    else:
-        d, count = alt_degree(lam), 2 if s == 1 else 1
-    return [SpinCharacter(lam, group, k, d, s) for k in range(count)]
+    return _degree(lam, "A")

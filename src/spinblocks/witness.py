@@ -44,6 +44,7 @@ from .barpart import (
     bar_product_quotient,
     bar_products,
     check_int,
+    degree_two_power,
     factorial_valuation,
     sigma,
 )
@@ -185,15 +186,13 @@ def _residue_and_valuation(lam: BarPartition, p: int) -> tuple[int, int]:
 def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
     """Whether two labels of one n differ in degree in the alternating double cover.
 
-    The degree is 2**k n!/H with k = floor((n - m)/2), less one where
-    sigma = +1 (n - m even) halves the "S" degree: k = floor((n - m - 1)/2).
-    So the degrees differ exactly when 2**k_lam H_mu != 2**k_mu H_lam,
+    The degree is 2**k n!/H with k = degree_two_power(label, "A"). So the
+    degrees differ exactly when 2**k_lam H_mu != 2**k_mu H_lam,
     cross-multiplied on the quotient of the bar products over the parts the
     labels do not share.
     """
     num, den = bar_product_quotient(lam, mu)  # H_lam / H_mu
-    n = lam.n
-    shift = (n - lam.m - 1) // 2 - (n - mu.m - 1) // 2  # k_lam - k_mu
+    shift = degree_two_power(lam, "A") - degree_two_power(mu, "A")  # k_lam - k_mu
     return den << max(shift, 0) != num << max(-shift, 0)
 
 

@@ -163,6 +163,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_bar_partitions(-1)
 
+    @pytest.mark.parametrize("n", [5.5, True, "4"])
+    def test_rejects_non_integer_n(self, n):
+        # a float would reach range() as a TypeError, True would pass as n = 1
+        with pytest.raises(ValueError, match="n must be an integer, got %r" % (n,)):
+            enumerate_bar_partitions(n)
+
 
 class TestBars:
     def test_single_part(self):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from spinblocks import blocks, oracle
@@ -16,7 +18,7 @@ from spinblocks.blocks import (
     spin_blocks,
 )
 from spinblocks.oracle import bar_core_and_weight, enumerate_bar_partitions
-from spinblocks.spinchar import alt, sigma
+from spinblocks.spinchar import GroupTag, sigma
 from spinblocks.witness import ABELIAN, DEFECT_ZERO, NON_ABELIAN
 
 
@@ -29,7 +31,8 @@ def at_closed_form(block):
     block's defect group, a Sylow p-subgroup of S_pw (Humphreys 1986)."""
     n, p = block.core.n + block.p * block.w, block.p
     target = factorial_valuation(n, p) - factorial_valuation(p * block.w, p)
-    return {chi.label for chi in block.characters if valuation(chi.degree, p) == target}
+    return {lam for lam, (_count, degree) in block.characters.items()
+            if valuation(degree, p) == target}
 
 
 class TestSpinBlocks:
@@ -118,7 +121,8 @@ def test_heights_past_the_oracle_match_the_smallest_core(p, max_w, max_core):
         for w in range(1, max_w + 1):
             for group in ("A", "S"):
                 block = spin_block(core, p, w, group)
-                heights = sorted(block.heights[chi.label] for chi in block.characters)
+                heights = sorted(block.heights[lam] for lam, (count, _degree)
+                                 in block.characters.items() for _ in range(count))
                 key = (sigma(core) if core.m else "empty", w, group)
                 if key not in reference:
                     assert block.labels == tuple(
@@ -130,18 +134,24 @@ def test_heights_past_the_oracle_match_the_smallest_core(p, max_w, max_core):
 
 
 class TestRefusedBeforeLabels:
-    @pytest.mark.parametrize("call", [
-        lambda: spin_block(EMPTY, 3, 0, "A"),  # n = 0
-        lambda: spin_block(bp(1), 3, 1, alt(5)),  # the block has n = 4
-        lambda: spin_blocks(0, 3, "A"),
-    ], ids=["spin_block-n0", "spin_block-wrong-group", "spin_blocks-n0"])
-    def test_refused(self, monkeypatch, call):
+    @pytest.mark.parametrize("call, message", [
+        (lambda: spin_block(EMPTY, 3, 0, "A"), "n must be positive, got 0"),
+        (lambda: spin_block(bp(1), 3, 1, "B"), "group kind must be 'S' or 'A', got 'B'"),
+        (lambda: spin_block(bp(1), 3, 1, GroupTag("A", 4)), "group kind must be 'S' or 'A'"),
+        (lambda: spin_block(EMPTY, 3, -1, "A"), "w must be nonnegative, got -1"),
+        (lambda: spin_block(bp(1), 3, 1.5, "A"), "w must be an integer, got 1.5"),
+        (lambda: spin_blocks(0, 3, "A"), "n must be positive, got 0"),
+        (lambda: spin_blocks(4, 3, GroupTag("A", 4)), "group kind must be 'S' or 'A'"),
+    ], ids=["spin_block-n0", "spin_block-wrong-group", "spin_block-group-tag",
+            "spin_block-negative-w", "spin_block-non-int-w", "spin_blocks-n0",
+            "spin_blocks-group-tag"])
+    def test_refused(self, monkeypatch, call, message):
         def refuse(*args):
             raise AssertionError("generated labels")
 
         monkeypatch.setattr(blocks, "labels_with_core_and_weight", refuse)
         monkeypatch.setattr(oracle, "enumerate_bar_partitions", refuse)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(message)):
             call()
 
 

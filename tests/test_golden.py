@@ -15,6 +15,7 @@ from spinblocks.cli import build_parser, main
 # (command, exit code, SHA-256 of stdout)
 GOLDEN = [
     ("blocks --n 20 --p 3", 0, "a1099e26daf53eae11bbcbfbc2fdd74ab8875c78b7031753e2691f43555757f1"),
+    ("blocks --n 20 --p 3 --group S", 0, "06ebd9543ea3f177df765f9bcd83e05113b171bb0ad0eb0923ca51fb44ac595e"),
     ("witness --n 20 --p 3", 0, "f31a000702f5bb5311f61ea568501d59c4b8941c7d9f905f07ae19ae9bbf4c23"),
     ("witness --core 1 --w 3 --p 3", 0, "991f3b6760585484efaf35984f7ed097b5fbcdc60b5e54175f174a744f32f056"),
     ("check --max-n 16 --primes 3,5", 0, "aa0f4a0bc577025336b0b3c1957657dc7184259adeb8dae19aa738eb2c423d2d"),

@@ -5,6 +5,7 @@ import pytest
 from spinblocks import oracle, spinchar
 from spinblocks.barpart import (
     EMPTY,
+    degree_two_power,
     make_bar_partition,
     valuation,
     weight_tower,
@@ -12,12 +13,10 @@ from spinblocks.barpart import (
 from spinblocks.oracle import bars, enumerate_bar_partitions
 from spinblocks.spinchar import (
     GroupTag,
-    alt,
     alt_degree,
-    characters_of_label,
+    character_count,
     sigma,
     spin_degree_sym,
-    sym,
 )
 
 
@@ -89,48 +88,53 @@ class TestDegree:
                 assert (valuation(d, p) if d > 1 else 0) == nu_fact - v
 
 
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_alternating_degree_against_the_symmetric_one(self, n):
+        # the two covers share one formula, only its power of 2 differs:
+        # sigma = +1 halves the "S" degree, sigma = -1 keeps it
+        for lam in enumerate_bar_partitions(n):
+            assert alt_degree(lam) * (2 if sigma(lam) == 1 else 1) == spin_degree_sym(lam)
+            assert degree_two_power(lam, "S") == (n - lam.m) // 2
+            assert degree_two_power(lam, "A") == (n - lam.m - 1) // 2
+
+
 class TestSplitting:
     def test_sym_associate_pair(self):
-        chars = characters_of_label(bp(4), sym(4))
-        assert [c.degree for c in chars] == [2, 2]
-        assert [c.associate_index for c in chars] == [0, 1]
-        assert all(c.sigma == -1 for c in chars)
+        assert (character_count(bp(4), "S"), spin_degree_sym(bp(4))) == (2, 2)
+        assert sigma(bp(4)) == -1
 
     def test_alt_splits_plus(self):
-        chars = characters_of_label(bp(3, 1), alt(4))
-        assert [c.degree for c in chars] == [2, 2]
+        assert (character_count(bp(3, 1), "A"), alt_degree(bp(3, 1))) == (2, 2)
 
     def test_alt_nine(self):
-        chars = characters_of_label(bp(9), alt(9))
-        assert [c.degree for c in chars] == [8, 8]
+        assert (character_count(bp(9), "A"), alt_degree(bp(9))) == (2, 8)
 
     def test_alt_single_when_minus(self):
-        chars = characters_of_label(bp(8, 1), alt(9))
-        assert [c.degree for c in chars] == [56]
+        assert (character_count(bp(8, 1), "A"), alt_degree(bp(8, 1))) == (1, 56)
 
     def test_sym_single_when_plus(self):
-        chars = characters_of_label(bp(9), sym(9))
-        assert [c.degree for c in chars] == [16]
+        assert (character_count(bp(9), "S"), spin_degree_sym(bp(9))) == (1, 16)
 
     def test_group_mismatch(self):
-        with pytest.raises(ValueError):
-            characters_of_label(bp(3), sym(4))
+        # the group is named by its kind alone; a GroupTag is not a kind
+        with pytest.raises(ValueError, match="group kind must be 'S' or 'A', got GroupTag"):
+            GroupTag(GroupTag("S", 4), 4)
         with pytest.raises(ValueError, match="group kind must be 'S' or 'A', got 'B'"):
             GroupTag("B", 5)
 
     def test_degenerate_one_letter(self):
-        # the label (1) has sigma = +1 with odd degree 1: GroupTag refuses the group
+        # the label (1) has sigma = +1 with odd "S" degree 1: GroupTag refuses the group
         with pytest.raises(ValueError, match="n >= 2, got 1"):
-            characters_of_label(bp(1), alt(1))
+            alt_degree(bp(1))
         with pytest.raises(ValueError, match="n >= 2, got 1"):
-            characters_of_label(bp(1), "A")
+            GroupTag("A", 1)
 
     def test_replace_validates(self):
-        assert str(alt(3)._replace(n=5)) == "2.A_5"
+        assert str(GroupTag("A", 3)._replace(n=5)) == "2.A_5"
         with pytest.raises(ValueError, match="alternating double cover needs n >= 2, got 1"):
-            alt(3)._replace(n=1)
+            GroupTag("A", 3)._replace(n=1)
         with pytest.raises(ValueError, match="n must be positive, got 0"):
-            sym(3)._replace(n=0)
+            GroupTag("S", 3)._replace(n=0)
 
     def test_rejects_non_integer_n(self):
         for kind, n in (("A", 5.5), ("S", True), ("S", "4")):
@@ -142,26 +146,22 @@ class TestCharacterCounts:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_sym_sum_of_squares(self, n):
         total = sum(
-            c.degree**2
+            character_count(lam, "S") * spin_degree_sym(lam) ** 2
             for lam in enumerate_bar_partitions(n)
-            for c in characters_of_label(lam, sym(n))
         )
         assert total == math.factorial(n)
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_alt_sum_of_squares(self, n):
         total = sum(
-            c.degree**2
+            character_count(lam, "A") * alt_degree(lam) ** 2
             for lam in enumerate_bar_partitions(n)
-            for c in characters_of_label(lam, alt(n))
         )
         assert total == math.factorial(n) // 2
 
 
 def test_degree_valuation():
-    (chi,) = characters_of_label(bp(9), sym(9))
-    assert chi.degree == 16
-    assert valuation(chi.degree, 3) == 0
-    (chi,) = characters_of_label(bp(6, 2, 1), sym(9))
-    assert chi.degree == 240
-    assert valuation(chi.degree, 3) == 1
+    assert spin_degree_sym(bp(9)) == 16
+    assert valuation(spin_degree_sym(bp(9)), 3) == 0
+    assert spin_degree_sym(bp(6, 2, 1)) == 240
+    assert valuation(spin_degree_sym(bp(6, 2, 1)), 3) == 1

@@ -465,7 +465,7 @@ class TestScan:
             blocks = spin_blocks(n, p, "A")
             assert block_targets(n, p) == [(b.core, b.w) for b in blocks]
             for b in blocks:
-                low = min(valuation(chi.degree, p) for chi in b.characters)
+                low = min(valuation(degree, p) for _count, degree in b.characters.values())
                 assert low == factorial_valuation(n, p) - factorial_valuation(p * b.w, p)
                 counts[(p, b.defect_class)] = counts.get((p, b.defect_class), 0) + 1
                 if b.defect_class != NON_ABELIAN:
