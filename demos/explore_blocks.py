@@ -3,7 +3,7 @@
 Run: python3 demos/explore_blocks.py
 """
 
-from spinblocks import alt_degree, spin_blocks
+from spinblocks import spin_blocks
 from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
 
 print("Bar partitions of 9 (partitions into distinct parts):")
@@ -22,16 +22,11 @@ print()
 
 (block,) = spin_blocks(9, 3, "A")
 print("Degrees and heights in the alternating double cover:")
-for lam in block.labels:
-    print(
-        "  %-7s degree %3d  height %d"
-        % (lam, alt_degree(lam), block.heights[lam])
-    )
+for lam, (_count, degree, height) in block.labels.items():
+    print("  %-7s degree %3d  height %d" % (lam, degree, height))
 
 print()
-hz = sorted(
-    (alt_degree(lam) for lam, h in block.heights.items() if h == 0)
-)
+hz = sorted(degree for _count, degree, height in block.labels.values() if height == 0)
 print("Height-zero degrees: %s" % hz)
 print("Two of them differ (e.g. %d and %d), which is what the witness" % (hz[0], hz[1]))
 print("machinery certifies for every non-abelian block.")

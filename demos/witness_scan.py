@@ -9,12 +9,12 @@ Run: python3 demos/witness_scan.py
 
 from spinblocks import (
     NON_ABELIAN,
-    alt_degree,
     build_witness,
     equal_degree_test,
     scan,
     spin_block,
     spin_blocks,
+    spin_degree,
 )
 
 print("Blocks of the alternating double cover, p = 3, n = 9 .. 15:")
@@ -24,7 +24,8 @@ for n in range(9, 16):
         if block.defect_class == NON_ABELIAN:
             cert = build_witness(block.core, 3, block.w)
             line += " witness %s/%s degrees %d/%d case %s verified=%s" % (
-                cert.label_a, cert.label_b, alt_degree(cert.label_a), alt_degree(cert.label_b),
+                cert.label_a, cert.label_b,
+                spin_degree(cert.label_a, "A"), spin_degree(cert.label_b, "A"),
                 cert.case, cert.verified,
             )
         else:

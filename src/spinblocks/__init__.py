@@ -13,16 +13,15 @@ from .barpart import (
     labels_with_core_and_weight,
     make_bar_partition,
     parse_partition,
+    sigma,
     valuation,
     weight_tower,
     with_part,
 )
 from .spinchar import (
-    GroupTag,
-    alt_degree,
     character_count,
-    sigma,
-    spin_degree_sym,
+    check_group,
+    spin_degree,
 )
 from .blocks import (
     SpinBlock,

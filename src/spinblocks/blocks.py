@@ -1,13 +1,13 @@
 """Spin blocks: grouping by bar core, defect classes, heights, equal degrees.
 
 A block keeps one record per label: how many characters it gives the
-group and their common degree (spinchar.character_count and the one
-degree formula).  Height is taken operationally as the p-adic valuation of
-a degree minus the minimum valuation over the block, so no group orders
-are ever needed.  The group is given by its kind, "S" or "A", and checked
-for the block's n by GroupTag.  The defect class is read off the weight
-alone (witness.defect_class): zero (w = 0), abelian (w < p), non-abelian
-(w >= p).
+group, their common degree (spinchar.character_count and
+spinchar.spin_degree) and their height.  Height is taken operationally as
+the p-adic valuation of a degree minus the minimum valuation over the
+block, so no group orders are ever needed.  The group is given by its
+kind, "S" or "A", and checked for the block's n by spinchar.check_group.
+The defect class is read off the weight alone (witness.defect_class): zero
+(w = 0), abelian (w < p), non-abelian (w >= p).
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ from .barpart import (
     labels_with_core_and_weight,
     valuation,
 )
-from .spinchar import GroupTag, alt_degree, character_count, spin_degree_sym
+from .spinchar import character_count, check_group, spin_degree
 from .witness import defect_class
 
 class SpinBlock(NamedTuple):
     p: int
     core: BarPartition
     w: int
-    group: GroupTag
-    labels: tuple[BarPartition, ...]
-    characters: dict  # label -> (number of characters, their common degree)
-    heights: dict  # label -> valuation of its degree minus the block minimum
+    kind: str  # "S" or "A"
+    labels: dict  # label -> (number of characters, their common degree, height)
     defect_class: str
 
 
@@ -40,23 +38,21 @@ def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
     """(core, w) of every spin block of n, by decreasing core, without its labels.
 
     Every p-bar-core of size n - p*w, w >= 0, is the core of exactly one
-    block.  n is checked by GroupTag's rules, as in spin_blocks.
+    block.  n is checked by check_group's rules, as in spin_blocks.
     """
-    GroupTag("S", n)
+    check_group("S", n)
     return sorted(((core, (n - core.n) // p) for core in bar_cores_up_to(n, p)
                    if (n - core.n) % p == 0), reverse=True)
 
 
-def _build_block(p: int, core: BarPartition, w: int, group: GroupTag, labels) -> SpinBlock:
-    degree_of = spin_degree_sym if group.kind == "S" else alt_degree
-    chars, vals = {}, {}
-    for lam in labels:
-        degree = degree_of(lam)
-        chars[lam] = (character_count(lam, group.kind), degree)
-        vals[lam] = valuation(degree, p)
-    low = min(vals.values())
-    return SpinBlock(p, core, w, group, tuple(labels), chars,
-                     {lam: v - low for lam, v in vals.items()}, defect_class(p, w))
+def _build_block(p: int, core: BarPartition, w: int, kind: str, labels) -> SpinBlock:
+    degrees = [spin_degree(lam, kind) for lam in labels]
+    vals = [valuation(degree, p) for degree in degrees]
+    low = min(vals)
+    return SpinBlock(p, core, w, kind,
+                     {lam: (character_count(lam, kind), degree, v - low)
+                      for lam, degree, v in zip(labels, degrees, vals)},
+                     defect_class(p, w))
 
 
 def spin_blocks(n: int, p: int, kind: str) -> list[SpinBlock]:
@@ -70,12 +66,12 @@ def spin_blocks(n: int, p: int, kind: str) -> list[SpinBlock]:
     from .oracle import bar_core_and_weight, enumerate_bar_partitions
 
     _check_odd_prime(p)
-    group = GroupTag(kind, n)
+    check_group(kind, n)
     by_core = {}
     for lam in enumerate_bar_partitions(n):
         core, w = bar_core_and_weight(lam, p)
         by_core.setdefault((core, w), []).append(lam)
-    return [_build_block(p, core, w, group, labels)
+    return [_build_block(p, core, w, kind, labels)
             for (core, w), labels in sorted(by_core.items(), key=lambda kv: kv[0][0].parts,
                                             reverse=True)]
 
@@ -83,12 +79,13 @@ def spin_blocks(n: int, p: int, kind: str) -> list[SpinBlock]:
 def spin_block(core: BarPartition, p: int, w: int, kind: str) -> SpinBlock:
     """The one spin block of core and weight w, its labels generated from p-bar quotients.
 
-    w is checked, then the group of kind "S" or "A" for n = |core| + p*w, before
-    any label is generated.
+    The prime and w are checked, then the group of kind "S" or "A" for
+    n = |core| + p*w, before any label is generated.
     """
+    _check_odd_prime(p)
     _check_weight(w)
-    group = GroupTag(kind, core.n + p * w)
-    return _build_block(p, core, w, group, labels_with_core_and_weight(core, p, w))
+    check_group(kind, core.n + p * w)
+    return _build_block(p, core, w, kind, labels_with_core_and_weight(core, p, w))
 
 
 def equal_degree_test(block: SpinBlock) -> tuple[bool, list[int]]:
@@ -96,6 +93,6 @@ def equal_degree_test(block: SpinBlock) -> tuple[bool, list[int]]:
 
     Returns the flag and the sorted multiset of height-zero degrees.
     """
-    hz = [degree for lam, (count, degree) in block.characters.items()
-          if block.heights[lam] == 0 for _ in range(count)]
+    hz = [degree for count, degree, height in block.labels.values()
+          if height == 0 for _ in range(count)]
     return len(set(hz)) <= 1, sorted(hz)

@@ -161,8 +161,8 @@ def cmd_blocks(args):
             "sigma": sigma(lam),
             "num_characters": count,
             "degree": degree,
-            "height": block.heights[lam],
-        } for lam, (count, degree) in block.characters.items()]
+            "height": height,
+        } for lam, (count, degree, height) in block.labels.items()]
         out.append({
             "core": block.core,
             "weight": block.w,
@@ -239,8 +239,8 @@ def _cert_payload(cert):
         "case": cert.case,
         "label_a": cert.label_a,
         "label_b": cert.label_b,
-        "degree_a": spinchar.alt_degree(cert.label_a),
-        "degree_b": spinchar.alt_degree(cert.label_b),
+        "degree_a": spinchar.spin_degree(cert.label_a, "A"),
+        "degree_b": spinchar.spin_degree(cert.label_b, "A"),
         "checks": cert.checks,
         "verified": cert.verified,
         "notes": list(cert.notes),

@@ -22,7 +22,7 @@ degrees are the quotient of the two bar products over the parts the
 labels do not share (barpart.bar_product_quotient) against the powers of
 2 of the two degrees.  No degree is computed here, not even for a failed
 check, whose notes give the valuations or the labels it compared; a
-caller that prints degrees computes them (spinchar.alt_degree).  The
+caller that prints degrees computes them (spinchar.spin_degree).  The
 module imports no block, character or oracle module: neither building
 nor verifying a certificate builds the block.  scan, the one
 certification walk, certifies every block from its (core, w) alone,

@@ -25,7 +25,7 @@ from spinblocks.constructions import (
     verify_ratio_chain,
 )
 from spinblocks.oracle import bar_core_and_weight, bars, enumerate_bar_partitions
-from spinblocks.spinchar import alt_degree, character_count, spin_degree_sym
+from spinblocks.spinchar import character_count, spin_degree
 from spinblocks.witness import NON_ABELIAN, _residue_and_valuation, build_witness, scan
 
 
@@ -97,8 +97,8 @@ def test_principal_gap():
 def test_witness_certificates_full_sweep():
     c1 = build_witness(EMPTY, 3, 3)
     c2 = build_witness(bp(1), 3, 3)
-    ok = ([alt_degree(c.label_a) for c in (c1, c2)] == [8, 16]
-          and [alt_degree(c.label_b) for c in (c1, c2)] == [56, 64])
+    ok = ([spin_degree(c.label_a, "A") for c in (c1, c2)] == [8, 16]
+          and [spin_degree(c.label_b, "A") for c in (c1, c2)] == [56, 64])
     ok = ok and c1.verified and c2.verified
     count = 0
     for p, max_n in ((3, 30), (5, 40)):
@@ -148,13 +148,13 @@ def test_character_count_invariants():
     ok = True
     for n in range(1, 21):
         total = sum(
-            character_count(lam, "S") * spin_degree_sym(lam) ** 2
+            character_count(lam, "S") * spin_degree(lam, "S") ** 2
             for lam in enumerate_bar_partitions(n)
         )
         ok = ok and total == math.factorial(n)
     for n in range(2, 21):
         total = sum(
-            character_count(lam, "A") * alt_degree(lam) ** 2
+            character_count(lam, "A") * spin_degree(lam, "A") ** 2
             for lam in enumerate_bar_partitions(n)
         )
         ok = ok and total == math.factorial(n) // 2
@@ -181,12 +181,11 @@ def test_core_machinery():
 
 def test_height_dichotomy():
     (block,) = spin_blocks(9, 3, "S")
-    ok = block.heights[bp(6, 2, 1)] == 1
-    ok = ok and block.characters[bp(6, 2, 1)] == (1, 240)
+    ok = block.labels[bp(6, 2, 1)] == (1, 240, 1)
     for p in (3, 5, 7):
         for n in range(2, 25):
             for blk in spin_blocks(n, p, "A"):
-                hs = set(blk.heights.values())
+                hs = {height for _count, _degree, height in blk.labels.values()}
                 if 1 <= blk.w < p:
                     ok = ok and hs == {0}
                 elif blk.w >= p:
@@ -219,7 +218,7 @@ def test_exactness_of_the_pipeline():
     # reproducing numeric tables; spot-check that the pipeline is exact
     # end to end on one block
     (block,) = spin_blocks(9, 3, "A")
-    degs = sorted(alt_degree(lam) for lam in block.labels)
+    degs = sorted(spin_degree(lam, "A") for lam in block.labels)
     ok = degs == [8, 48, 56, 112, 120, 160, 168, 224]
     ok = ok and all(isinstance(d, int) for d in degs)
     ok = ok and valuation(bars(bp(9)).h_total, 3) == 4

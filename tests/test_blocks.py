@@ -9,6 +9,7 @@ from spinblocks.barpart import (
     factorial_valuation,
     labels_with_core_and_weight,
     make_bar_partition,
+    sigma,
     valuation,
 )
 from spinblocks.blocks import (
@@ -18,7 +19,6 @@ from spinblocks.blocks import (
     spin_blocks,
 )
 from spinblocks.oracle import bar_core_and_weight, enumerate_bar_partitions
-from spinblocks.spinchar import GroupTag, sigma
 from spinblocks.witness import ABELIAN, DEFECT_ZERO, NON_ABELIAN
 
 
@@ -26,12 +26,16 @@ def bp(*parts):
     return make_bar_partition(parts)
 
 
+def heights(block):
+    return {lam: height for lam, (_count, _degree, height) in block.labels.items()}
+
+
 def at_closed_form(block):
     """Labels whose degree valuation is v_p(n!) - v_p((pw)!), read off the
     block's defect group, a Sylow p-subgroup of S_pw (Humphreys 1986)."""
     n, p = block.core.n + block.p * block.w, block.p
     target = factorial_valuation(n, p) - factorial_valuation(p * block.w, p)
-    return {lam for lam, (_count, degree) in block.characters.items()
+    return {lam for lam, (_count, degree, _height) in block.labels.items()
             if valuation(degree, p) == target}
 
 
@@ -50,7 +54,7 @@ class TestSpinBlocks:
         assert set(by_core[bp(2)].labels) == {bp(5), bp(3, 2)}
         assert by_core[bp(2)].w == 1
         assert by_core[bp(2)].defect_class == ABELIAN
-        assert by_core[bp(4, 1)].labels == (bp(4, 1),)
+        assert list(by_core[bp(4, 1)].labels) == [bp(4, 1)]
         assert by_core[bp(4, 1)].defect_class == DEFECT_ZERO
 
     def test_four(self):
@@ -85,7 +89,7 @@ class TestSpinBlocks:
         with pytest.raises(ValueError, match="n >= 2"):
             spin_block(bp(1), 3, 0, "A")
         (block,) = spin_blocks(1, 3, "S")
-        assert block.labels == (bp(1),)
+        assert list(block.labels) == [bp(1)]
 
 
 class TestSpinBlock:
@@ -93,7 +97,7 @@ class TestSpinBlock:
     def test_generated_labels_match_spin_blocks(self, p):
         for n in range(1, 31):
             for block in spin_blocks(n, p, "S"):
-                assert tuple(labels_with_core_and_weight(block.core, p, block.w)) == block.labels
+                assert labels_with_core_and_weight(block.core, p, block.w) == list(block.labels)
 
     @pytest.mark.parametrize("group", ["S", "A"])
     def test_equals_block_of_spin_blocks(self, group):
@@ -121,15 +125,15 @@ def test_heights_past_the_oracle_match_the_smallest_core(p, max_w, max_core):
         for w in range(1, max_w + 1):
             for group in ("A", "S"):
                 block = spin_block(core, p, w, group)
-                heights = sorted(block.heights[lam] for lam, (count, _degree)
-                                 in block.characters.items() for _ in range(count))
+                hs = sorted(height for count, _degree, height in block.labels.values()
+                            for _ in range(count))
                 key = (sigma(core) if core.m else "empty", w, group)
                 if key not in reference:
-                    assert block.labels == tuple(
+                    assert list(block.labels) == [
                         lam for lam in enumerate_bar_partitions(core.n + p * w)
-                        if bar_core_and_weight(lam, p) == (core, w))
-                    reference[key] = heights
-                assert heights == reference[key]
+                        if bar_core_and_weight(lam, p) == (core, w)]
+                    reference[key] = hs
+                assert hs == reference[key]
     assert len(reference) == 3 * max_w * 2
 
 
@@ -137,14 +141,18 @@ class TestRefusedBeforeLabels:
     @pytest.mark.parametrize("call, message", [
         (lambda: spin_block(EMPTY, 3, 0, "A"), "n must be positive, got 0"),
         (lambda: spin_block(bp(1), 3, 1, "B"), "group kind must be 'S' or 'A', got 'B'"),
-        (lambda: spin_block(bp(1), 3, 1, GroupTag("A", 4)), "group kind must be 'S' or 'A'"),
+        # a (kind, n) pair is not a kind
+        (lambda: spin_block(bp(1), 3, 1, ("A", 4)), "group kind must be 'S' or 'A'"),
         (lambda: spin_block(EMPTY, 3, -1, "A"), "w must be nonnegative, got -1"),
         (lambda: spin_block(bp(1), 3, 1.5, "A"), "w must be an integer, got 1.5"),
+        # the prime is checked before n = |core| + p*w is computed from it
+        (lambda: spin_block(EMPTY, "3", 1, "A"), "p must be an odd prime, got '3'"),
+        (lambda: spin_block(EMPTY, 3.0, 1, "A"), "p must be an odd prime, got 3.0"),
         (lambda: spin_blocks(0, 3, "A"), "n must be positive, got 0"),
-        (lambda: spin_blocks(4, 3, GroupTag("A", 4)), "group kind must be 'S' or 'A'"),
+        (lambda: spin_blocks(4, 3, ("A", 4)), "group kind must be 'S' or 'A'"),
     ], ids=["spin_block-n0", "spin_block-wrong-group", "spin_block-group-tag",
-            "spin_block-negative-w", "spin_block-non-int-w", "spin_blocks-n0",
-            "spin_blocks-group-tag"])
+            "spin_block-negative-w", "spin_block-non-int-w", "spin_block-str-p",
+            "spin_block-float-p", "spin_blocks-n0", "spin_blocks-group-tag"])
     def test_refused(self, monkeypatch, call, message):
         def refuse(*args):
             raise AssertionError("generated labels")
@@ -162,21 +170,21 @@ class TestHeights:
             bp(9): 0, bp(8, 1): 0, bp(7, 2): 0, bp(6, 3): 0, bp(5, 4): 0,
             bp(6, 2, 1): 1, bp(5, 3, 1): 1, bp(4, 3, 2): 1,
         }
-        assert block.heights == expected
+        assert heights(block) == expected
 
     def test_defect_zero(self):
         blocks = spin_blocks(5, 3, "S")
         (dz,) = [b for b in blocks if b.defect_class == DEFECT_ZERO]
-        assert list(dz.heights.values()) == [0]
+        assert list(heights(dz).values()) == [0]
 
     def test_abelian_all_zero(self):
         (block,) = spin_blocks(4, 3, "S")
-        assert set(block.heights.values()) == {0}
+        assert set(heights(block).values()) == {0}
 
     def test_same_in_both_groups(self):
         for n in range(4, 14):
-            sym_blocks = {b.core: b.heights for b in spin_blocks(n, 3, "S")}
-            alt_blocks = {b.core: b.heights for b in spin_blocks(n, 3, "A")}
+            sym_blocks = {b.core: heights(b) for b in spin_blocks(n, 3, "S")}
+            alt_blocks = {b.core: heights(b) for b in spin_blocks(n, 3, "A")}
             assert sym_blocks == alt_blocks
 
 
@@ -199,7 +207,7 @@ class TestHeightZeroCriterion:
     def test_agrees_with_heights(self, p):
         for n in range(2, 17):
             for block in spin_blocks(n, p, "A"):
-                from_heights = {lam for lam, h in block.heights.items() if h == 0}
+                from_heights = {lam for lam, h in heights(block).items() if h == 0}
                 assert at_closed_form(block) == from_heights
 
 
@@ -227,7 +235,7 @@ class TestOlssonHeightCheck:
     def test_abelian_iff_flat(self, p):
         for n in range(2, 17):
             for block in spin_blocks(n, p, "A"):
-                hs = set(block.heights.values())
+                hs = set(heights(block).values())
                 if 1 <= block.w < p:
                     assert hs == {0}
                 elif block.w >= p:

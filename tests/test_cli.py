@@ -398,7 +398,7 @@ class TestCheck:
 INVARIANT_FAULTS = [
     (("verify", "ratios", "--p", "3", "--max-core", "4", "--max-w", "2"),
      constructions, "_certify"),
-    (("witness", "--n", "9", "--p", "3"), spinchar, "_degree"),
+    (("witness", "--n", "9", "--p", "3"), spinchar, "spin_degree"),
 ]
 
 

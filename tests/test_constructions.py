@@ -30,7 +30,6 @@ from spinblocks.constructions import (
     verify_ratio_chain,
 )
 from spinblocks.oracle import TYPE1, TYPE2, bar_core_and_weight, bars, enumerate_bar_partitions
-from spinblocks.spinchar import GroupTag
 
 
 def bp(*parts):
@@ -479,7 +478,6 @@ class TestPrincipalGap:
 
 @pytest.mark.parametrize("record", [
     bp(3, 1),
-    GroupTag("A", 4),
     decompose_core(bp(4, 1), 3),
     verify_ratio_chain(bp(1), 3, 1)[0],
     compare_chain(bp(1), 3, 1)[0],

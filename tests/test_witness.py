@@ -24,7 +24,7 @@ from spinblocks.blocks import (
 )
 from spinblocks.constructions import EMPTY_CORE, TWO_CLASSES
 from spinblocks.oracle import bars, enumerate_bar_partitions
-from spinblocks.spinchar import alt_degree
+from spinblocks.spinchar import spin_degree
 from spinblocks.witness import (
     CASE_UNIQUE_ODD_P3_SMALL,
     NON_ABELIAN,
@@ -46,9 +46,9 @@ def bp(*parts):
 
 class TestAltDegree:
     def test_examples(self):
-        assert alt_degree(bp(9)) == 8       # sigma +1: half of 16
-        assert alt_degree(bp(8, 1)) == 56   # sigma -1: unchanged
-        assert alt_degree(bp(3, 1)) == 2
+        assert spin_degree(bp(9), "A") == 8  # sigma +1: half of 16
+        assert spin_degree(bp(8, 1), "A") == 56  # sigma -1: unchanged
+        assert spin_degree(bp(3, 1), "A") == 2
 
 
 class TestBuildWitness:
@@ -56,7 +56,7 @@ class TestBuildWitness:
         cert = build_witness(EMPTY, 3, 3)
         assert cert.case == EMPTY_CORE
         assert (cert.label_a, cert.label_b) == (bp(9), bp(8, 1))
-        assert (alt_degree(cert.label_a), alt_degree(cert.label_b)) == (8, 56)
+        assert (spin_degree(cert.label_a, "A"), spin_degree(cert.label_b, "A")) == (8, 56)
         assert cert.checks["congruence_ok"] is None
         assert cert.verified
 
@@ -64,7 +64,7 @@ class TestBuildWitness:
         cert = build_witness(bp(1), 3, 3)
         assert cert.case == CASE_UNIQUE_ODD_P3_SMALL
         assert (cert.label_a, cert.label_b) == (bp(10), bp(9, 1))
-        assert (alt_degree(cert.label_a), alt_degree(cert.label_b)) == (16, 64)
+        assert (spin_degree(cert.label_a, "A"), spin_degree(cert.label_b, "A")) == (16, 64)
         assert cert.verified
 
     def test_two_classes(self):
@@ -83,7 +83,7 @@ class TestBuildWitness:
         # depends only on the parity bookkeeping and the factor-2 gap
         for p, w in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
             cert = build_witness(EMPTY, p, w)
-            assert alt_degree(cert.label_a) != alt_degree(cert.label_b)
+            assert spin_degree(cert.label_a, "A") != spin_degree(cert.label_b, "A")
             h_a, h_b = bars(cert.label_a).h_total, bars(cert.label_b).h_total
             assert h_a > 2 * h_b
 
@@ -142,7 +142,7 @@ class TestVerifyWitness:
         # height zero, with one degree 2 in the alternating double cover
         cert = WitnessCertificate(p=3, core=bp(1), w=1, case=CASE_UNIQUE_ODD_P3_SMALL,
                                   label_a=bp(4), label_b=bp(3, 1), checks={})
-        assert (alt_degree(cert.label_a), alt_degree(cert.label_b)) == (2, 2)
+        assert (spin_degree(cert.label_a, "A"), spin_degree(cert.label_b, "A")) == (2, 2)
         bad = verify_witness(cert)
         assert bad.checks["same_block"] is True
         assert bad.checks["both_height_zero"] is True
@@ -211,7 +211,7 @@ class TestSmallIntegerVerdicts:
             for core, w in block_targets(n, p):
                 labels = labels_with_core_and_weight(core, p, w)
                 low = factorial_valuation(n, p) - factorial_valuation(p * w, p)
-                degree = {lam: alt_degree(lam) for lam in labels}
+                degree = {lam: spin_degree(lam, "A") for lam in labels}
                 for lam in labels:
                     v = _residue_and_valuation(lam, p)[1]
                     assert (v == factorial_valuation(p * w, p)) == (valuation(degree[lam], p) == low)
@@ -237,14 +237,13 @@ class TestSmallIntegerVerdicts:
         assert num * math.prod(bar_products(mu)) == den * math.prod(bar_products(lam))
 
     def test_certificates_compute_no_degree(self, monkeypatch):
-        def refuse(lam):
+        def refuse(lam, kind):
             raise AssertionError("a degree was computed for %s" % (lam,))
 
         assert WitnessCertificate._fields == ("p", "core", "w", "case", "label_a", "label_b",
                                               "checks", "notes")
         assert [name for name in dir(WitnessCertificate) if "degree" in name] == []
-        monkeypatch.setattr(spinchar, "alt_degree", refuse)
-        monkeypatch.setattr(spinchar, "spin_degree_sym", refuse)
+        monkeypatch.setattr(spinchar, "spin_degree", refuse)
         summary = scan(60, (3, 5, 7))
         assert summary.notes == ()
         assert summary.witnesses_verified == sum(
@@ -465,7 +464,7 @@ class TestScan:
             blocks = spin_blocks(n, p, "A")
             assert block_targets(n, p) == [(b.core, b.w) for b in blocks]
             for b in blocks:
-                low = min(valuation(degree, p) for _count, degree in b.characters.values())
+                low = min(valuation(degree, p) for _count, degree, _height in b.labels.values())
                 assert low == factorial_valuation(n, p) - factorial_valuation(p * b.w, p)
                 counts[(p, b.defect_class)] = counts.get((p, b.defect_class), 0) + 1
                 if b.defect_class != NON_ABELIAN:
