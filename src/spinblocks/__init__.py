@@ -9,7 +9,6 @@ from .barpart import (
     bar_products,
     count_bar_lengths_divisible,
     format_partition,
-    is_bar_core,
     labels_with_core_and_weight,
     make_bar_partition,
     parse_partition,

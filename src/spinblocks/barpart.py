@@ -8,11 +8,13 @@ Bar lengths are read off the parts: their products by Schur's formula
 (bar_products), the counts divisible by q from a residue histogram
 (count_bar_lengths_divisible), and the p-abacus by runner_charges alone,
 for cores (abacus_core) and block labels from p-bar quotients
-(labels_with_core_and_weight). The structural oracle they are checked
-against (the bar table kept bar by bar, bar removal and full enumeration)
-lives in spinblocks.oracle. Records here and on every certification path
-are named tuples, compared and ordered as the tuple of their fields; those
-holding a dict (SpinBlock, WitnessCertificate, ScanSummary) do not hash.
+(labels_with_core_and_weight). core_charges is the one gate of a
+p-bar-core, and this module alone reads the sign of a charge. The
+structural oracle they are checked against (the bar table kept bar by bar,
+bar removal and full enumeration) lives in spinblocks.oracle. Records here
+and on every certification path are named tuples, compared and ordered as
+the tuple of their fields; those holding a dict (SpinBlock,
+WitnessCertificate, ScanSummary) do not hash.
 """
 
 from __future__ import annotations
@@ -225,12 +227,6 @@ def _check_weight(w):
         raise ValueError("w must be nonnegative, got %d" % w)
 
 
-def is_bar_core(lam: BarPartition, p: int) -> bool:
-    """True iff no bar length of lam is divisible by p."""
-    _check_odd_prime(p)
-    return count_bar_lengths_divisible(lam, p) == 0
-
-
 def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
     """Counts w_k of bar lengths divisible by p**k, and their sum v.
 
@@ -262,7 +258,9 @@ def factorial_valuation(k: int, p: int) -> int:
 
 
 def valuation(x: int, p: int) -> int:
-    """Largest k with p**k dividing x (x nonzero, base p >= 2)."""
+    """Largest k with p**k dividing x (x a nonzero int, base p an int >= 2)."""
+    check_int(x, "x")
+    check_int(p, "valuation base")
     if p < 2:
         raise ValueError("valuation base must be >= 2, got %r" % (p,))
     if x == 0:
@@ -326,6 +324,17 @@ def runner_charges(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
     return tuple(charges), _divisible_count(p, quotients, classes)
 
 
+def core_charges(gamma: BarPartition, p: int) -> tuple[int, ...]:
+    """The runner charges of gamma from one runner_charges pass, which checks
+    p; a bar length divisible by p refuses gamma as no p-bar-core. On a core,
+    c > 0 on pair j is c parts in class j, and c < 0 is |c| in class p - j.
+    """
+    charges, w = runner_charges(gamma, p)
+    if w:
+        raise ValueError("%s is not a %d-bar-core" % (gamma, p))
+    return charges
+
+
 def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     """(core, w) of lam from its residue-class abacus, without removing a bar.
 
@@ -377,10 +386,8 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
     runner pair (j, p-j) an ordinary partition on a Maya diagram whose
     charge is the core's.  Output is in decreasing lexicographic order.
     """
-    if not is_bar_core(gamma, p):  # checks the prime too
-        raise ValueError("%s is not a %d-bar-core" % (gamma, p))
+    charges = core_charges(gamma, p)
     _check_weight(w)
-    charges = runner_charges(gamma, p)[0]
     out = []
     for quotient in _quotients(w, len(charges)):
         parts = [p * k for k in quotient[0]]

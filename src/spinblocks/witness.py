@@ -103,8 +103,8 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
     """Construct and fully verify a witness pair for the block (gamma, p, w).
 
     Accepted inputs are the blocks that witness_eligible names; a gamma
-    that is not a p-bar-core is refused by constructions.decompose_core
-    (the empty core is always one).
+    that is not a p-bar-core is refused by barpart.core_charges, through
+    constructions.decompose_core (the empty core is always one).
     """
     _check_odd_prime(p)
     _check_weight(w)

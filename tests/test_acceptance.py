@@ -13,7 +13,7 @@ import pytest
 from spinblocks.barpart import (
     EMPTY,
     bar_cores_up_to,
-    is_bar_core,
+    count_bar_lengths_divisible,
     make_bar_partition,
     valuation,
 )
@@ -43,7 +43,7 @@ def cores_up_to(size, p):
     out = []
     for n in range(size + 1):
         out.extend(lam for lam in enumerate_bar_partitions(n)
-                   if all(a % p for a in lam.parts) and is_bar_core(lam, p))
+                   if all(a % p for a in lam.parts) and count_bar_lengths_divisible(lam, p) == 0)
     return out
 
 

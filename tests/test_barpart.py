@@ -16,7 +16,6 @@ from spinblocks.barpart import (
     count_bar_lengths_divisible,
     factorial_valuation,
     format_partition,
-    is_bar_core,
     labels_with_core_and_weight,
     make_bar_partition,
     parse_partition,
@@ -319,7 +318,7 @@ class TestCoreAndWeight:
             for lam in enumerate_bar_partitions(n):
                 core, w = bar_core_and_weight(lam, p)
                 assert lam.n == core.n + p * w
-                assert is_bar_core(core, p)
+                assert count_bar_lengths_divisible(core, p) == 0
                 assert bar_core_and_weight(core, p) == (core, 0)
 
     def test_order_independence(self):
@@ -495,7 +494,7 @@ class TestBarCoresUpTo:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
     def test_matches_filter(self, p):
         brute = [lam for n in range(26) for lam in enumerate_bar_partitions(n)
-                 if is_bar_core(lam, p)]
+                 if count_bar_lengths_divisible(lam, p) == 0]
         assert bar_cores_up_to(25, p) == brute
 
     def test_small(self):
@@ -556,6 +555,17 @@ def test_valuation():
     assert valuation(250, 5) == 3
     with pytest.raises(ValueError):
         valuation(0, 3)
+
+
+@pytest.mark.parametrize("x, base, name", [
+    (3**40 * 2, 3.0, "valuation base"),  # read 1, not 40
+    (3**700, 3.0, "valuation base"),  # raised OverflowError
+    (10, 2.5, "valuation base"),  # read 1
+    (True, 3, "x"),  # read 0
+], ids=["float-base", "float-base-past-float-range", "fractional-base", "bool-x"])
+def test_valuation_rejects_non_integers(x, base, name):
+    with pytest.raises(ValueError, match="^%s must be an integer" % name):
+        valuation(x, base)
 
 
 @pytest.mark.parametrize("base", [1, -1, 0])

@@ -101,8 +101,12 @@ class TestSpinBlock:
 
     @pytest.mark.parametrize("group", ["S", "A"])
     def test_equals_block_of_spin_blocks(self, group):
-        for block in spin_blocks(16, 3, group):
-            assert spin_block(block.core, 3, block.w, group) == block
+        # the whole list pins the order, the targets and every record, so
+        # spin_blocks could be built from block_targets and spin_block alone
+        for p in (3, 5, 7, 11):
+            for n in range(2, 31):
+                assert spin_blocks(n, p, group) == [spin_block(core, p, w, group)
+                                                    for core, w in block_targets(n, p)]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

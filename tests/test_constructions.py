@@ -9,10 +9,12 @@ from spinblocks.barpart import (
     EMPTY,
     abacus_core,
     bar_cores_up_to,
-    is_bar_core,
+    count_bar_lengths_divisible,
+    labels_with_core_and_weight,
     make_bar_partition,
     valuation,
 )
+from spinblocks.blocks import spin_block
 from spinblocks.cli import main
 from spinblocks.constructions import (
     EMPTY_CORE,
@@ -30,6 +32,7 @@ from spinblocks.constructions import (
     verify_ratio_chain,
 )
 from spinblocks.oracle import TYPE1, TYPE2, bar_core_and_weight, bars, enumerate_bar_partitions
+from spinblocks.witness import build_witness
 
 
 def bp(*parts):
@@ -39,7 +42,8 @@ def bp(*parts):
 def cores_up_to(size, p):
     out = []
     for n in range(size + 1):
-        out.extend(lam for lam in enumerate_bar_partitions(n) if is_bar_core(lam, p))
+        out.extend(lam for lam in enumerate_bar_partitions(n)
+                   if count_bar_lengths_divisible(lam, p) == 0)
     return out
 
 
@@ -83,7 +87,9 @@ class TestDecompose:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_classes_of_every_core(self, p):
-        # what makes is_bar_core the only check decompose_core needs
+        # what lets decompose_core read each class's top off the parts: a core's
+        # class j is the gapless run j, j+p, ..., e_j, and no two opposite
+        # classes are both occupied
         for gamma in bar_cores_up_to(30, p):
             dec = decompose_core(gamma, p)
             assert class_parts(dec, 0) == ()
@@ -102,6 +108,32 @@ class TestDecompose:
                 if lam not in cores:
                     with pytest.raises(ValueError, match="not a %d-bar-core" % p):
                         decompose_core(lam, p)
+
+
+CORE_ENTRIES = [
+    (decompose_core, ()),
+    (labels_with_core_and_weight, (1,)),
+    (grow_class, (None, 1)),
+    (grow_class_ratio, (None, 1)),
+    (verify_ratio_chain, (1,)),
+    (compare_chain, (1,)),
+    (build_witness, (3,)),
+    (spin_block, (1, "A")),
+]
+
+
+@pytest.mark.parametrize("entry, args", CORE_ENTRIES,
+                         ids=[entry.__name__ for entry, _args in CORE_ENTRIES])
+def test_every_entry_taking_a_core_refuses_a_non_core(entry, args):
+    # (4) has the bar length 3 at p = 3: each entry refuses it at barpart.core_charges
+    with pytest.raises(ValueError, match=r"^4 is not a 3-bar-core$"):
+        entry(bp(4), 3, *args)
+
+
+def test_witness_command_refuses_a_non_core(capsys):
+    assert main(["witness", "--core", "4", "--w", "3", "--p", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: 4 is not a 3-bar-core\n"
 
 
 class TestConstructions:

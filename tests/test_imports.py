@@ -384,6 +384,43 @@ def test_runner_charges_is_the_one_abacus_reader(path):
     assert abacus_reads(path.read_text()) == []
 
 
+def core_refusals(source):
+    """Lines of the raise statements whose message names a -bar-core."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise)
+                  and any(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                          and "-bar-core" in sub.value for sub in ast.walk(node)))
+
+
+def test_guard_finds_core_refusals():
+    source = ("raise ValueError('%s is not a %d-bar-core' % (gamma, p))\n"
+              "raise ValueError(f'{gamma} is not a {p}-bar-core')\n"
+              "message = 'not a -bar-core'\n"
+              "raise RuntimeError('construction for %s failed' % gamma)\n"
+              "if w:\n"
+              "    raise ValueError(\n"
+              "        '%s is not a %d-bar-core'\n"
+              "        % (gamma, p))\n")
+    assert core_refusals(source) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_barpart_alone_refuses_a_non_core(path):
+    # barpart.core_charges is the one gate of a p-bar-core
+    assert len(core_refusals(path.read_text())) == (path.name == "barpart.py")
+
+
+def test_constructions_reads_runner_charges_in_certify_only():
+    # a core's charges come through barpart.core_charges; _certify reads each label's
+    source = (SRC / "constructions.py").read_text()
+    tree = ast.parse(source)
+    (certify,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_certify"]
+    imports = {node.lineno for node in tree.body if isinstance(node, ast.ImportFrom)}
+    lines = [line for line in name_reads(source, ("runner_charges",)) if line not in imports]
+    assert lines and all(certify.lineno <= line <= certify.end_lineno for line in lines)
+
+
 def spin_blocks_reads(source):
     """Lines that import, call or otherwise read spin_blocks, the block
     builder backed by the structural oracle."""

@@ -3,7 +3,8 @@
 Each row of MUTANTS breaks one function by a monkeypatch and records which
 primes kill it, each with its kill input: a witness (core, w) that
 build_witness makes at p, a hand-built certificate that verify_witness
-reads, or a ratio walk (core, max_w) that verify_ratio_chain makes at p. A
+reads, a ratio walk (core, max_w) that verify_ratio_chain makes at p, or a
+non-core (core, w) that build_witness refuses at p unless mutated. A
 row's kill is the name of a check, which the mutant flips between True and
 False and with it the certificate's verdict; or an exception the mutant
 raises (the CLI reports it with exit 1); or, for a ratio walk, the set of
@@ -41,6 +42,7 @@ from spinblocks.witness import (
 
 Mutant = namedtuple("Mutant", "module name replacement kills kill blind")
 RatioWalk = namedtuple("RatioWalk", "core max_w")
+NonCore = namedtuple("NonCore", "core w")  # a witness input the unmutated gate refuses
 
 # the real ones, before any patch
 residue_and_valuation = witness._residue_and_valuation
@@ -63,9 +65,15 @@ def degrees_differ_unshifted(lam, mu):
 
 
 def first_charge_off(lam, p):
-    """runner_charges with the charge of runner pair (1, p-1) one too high."""
+    """runner_charges with the charge of runner pair (1, p-1) one too high
+    on a partition that is not a p-bar-core (w > 0)."""
     charges, w = runner_charges(lam, p)
-    return (charges[0] + 1,) + charges[1:], w
+    return ((charges[0] + 1,) + charges[1:], w) if w else (charges, w)
+
+
+def gate_open(gamma, p):
+    """core_charges that never refuses: any gamma's runner charges."""
+    return runner_charges(gamma, p)[0]
 
 
 def total_constant_up(dec, i):
@@ -103,12 +111,21 @@ MUTANTS = {
         kill="degrees_distinct",
         blind={3: 60, 5: 70, 7: 70, 11: 150},
     ),
-    # one runner charge off reaches the verifier's abacus_core alone (the
-    # builder's constructions binds its own runner_charges), so the verifier
-    # reads a core of the wrong size
+    # one runner charge of a label off reaches the verifier's abacus_core
+    # alone (the builder's constructions binds its own runner_charges, and a
+    # core's charges are kept), so the verifier reads a core of the wrong size
     "runner-charge-off": Mutant(
         barpart, "runner_charges", first_charge_off,
         kills={p: (make_bar_partition((p + 1, 1)), p) for p in (3, 5, 7, 11, 13)},
+        kill=RuntimeError,
+        blind={},
+    ),
+    # the builder's core gate open: a non-core passes decompose_core, and the
+    # builder's _certify then refuses the first label it makes; on a core the
+    # gate changes nothing, so only a non-core (NonCore) sees it
+    "core-gate-open": Mutant(
+        constructions, "core_charges", gate_open,
+        kills={p: NonCore(make_bar_partition((p,)), p) for p in (3, 5, 7)},
         kill=RuntimeError,
         blind={},
     ),
@@ -145,6 +162,13 @@ def certify(kill_input, p):
 def test_mutant_is_killed(monkeypatch, name, p):
     mutant = MUTANTS[name]
     kill_input = mutant.kills[p]
+    if isinstance(kill_input, NonCore):
+        with pytest.raises(ValueError, match="is not a %d-bar-core" % p):
+            certify(kill_input, p)
+        apply(monkeypatch, mutant)
+        with pytest.raises(mutant.kill, match="^construction for "):  # from _certify
+            certify(kill_input, p)
+        return
     real = certify(kill_input, p)
     if isinstance(kill_input, RatioWalk):
         assert all(check.ok for check in real)
