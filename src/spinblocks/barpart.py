@@ -9,7 +9,9 @@ Bar lengths are read off the parts: their products by Schur's formula
 (count_bar_lengths_divisible), and the p-abacus by runner_charges alone,
 for cores (abacus_core) and block labels from p-bar quotients
 (labels_with_core_and_weight). core_charges is the one gate of a
-p-bar-core, and this module alone reads the sign of a charge. The
+p-bar-core, and this module alone reads the sign of a charge. in_block is
+the one test of block membership on the certificate path: a label's size
+and runner charges against the block's n, core charges and weight. The
 structural oracle they are checked against (the bar table kept bar by bar,
 bar removal and full enumeration) lives in spinblocks.oracle. Records here
 and on every certification path are named tuples, compared and ordered as
@@ -333,6 +335,21 @@ def core_charges(gamma: BarPartition, p: int) -> tuple[int, ...]:
     if w:
         raise ValueError("%s is not a %d-bar-core" % (gamma, p))
     return charges
+
+
+def in_block(lam: BarPartition, p: int, charges: tuple[int, ...], w: int, n: int) -> bool:
+    """Whether lam lies in the block of n whose p-bar-core has the given
+    runner charges and whose weight is w: |lam| = n and runner_charges(lam,
+    p) == (charges, w), the one membership rule of the certificate path.
+
+    Removing a p-bar keeps the runner charges and a p-bar-core is determined
+    by them (Olsson 1993), so for charges read off a core gamma and n = |gamma|
+    + p*w this is abacus_core(lam, p) == (gamma, w), with no core rebuilt.
+    Charges read off a gamma that is no core are those of a core smaller by
+    p*k, k >= 1, so a lam of n with those charges has w + k bar lengths
+    divisible by p, not w: no lam is in such a block.
+    """
+    return lam.n == n and runner_charges(lam, p) == (charges, w)
 
 
 def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:

@@ -9,12 +9,10 @@ label as gamma with one part inserted by barpart.with_part. with_part checks
 only the inserted part (a positive int not already a part) and places it by
 bisection; the other parts are the validated core's, so they are not checked
 again. Every built label, and both labels (pw), (pw-1, 1) of the empty
-core's witness pair, is certified by barpart.runner_charges (_certify): the
-same charges as gamma, |gamma| + p*w boxes, w bar lengths divisible by p and
-the expected number of parts, or a RuntimeError. A p-bar-core is determined
-by its runner charges (Olsson 1993), so these checks say exactly what
-barpart.abacus_core(lam, p) == (gamma, w) says, without building, sorting
-and validating a core per label.
+core's witness pair, is certified by _certify: the expected number of
+parts and membership of the block (gamma, w) by barpart.in_block, the one
+membership rule, which witness.verify_witness applies too; otherwise a
+RuntimeError. No core is rebuilt per label.
 
 For each chain the ratio of bar-length products between consecutive weights,
 w-1 -> w, is a product of factors linear in pw. _forms holds its unmixed
@@ -58,7 +56,7 @@ from .barpart import (
     bar_products,
     check_int,
     core_charges,
-    runner_charges,
+    in_block,
     with_part,
 )
 
@@ -69,8 +67,8 @@ class CoreDecomposition(NamedTuple):
     e[j] is the top value of class j, its largest part congruent to j mod p
     (j - p when the class is empty); nonempty lists the occupied classes in
     increasing order, top_order by decreasing top value; charges are the
-    core's runner charges (barpart.core_charges), which _certify compares
-    with each label's.
+    core's runner charges (barpart.core_charges), which _certify passes to
+    barpart.in_block for each label.
     """
 
     p: int
@@ -95,19 +93,11 @@ def decompose_core(gamma: BarPartition, p: int) -> CoreDecomposition:
 
 
 def _certify(lam, dec, w, expected_m):
-    """Check that lam has p-bar-core dec.gamma, weight w and expected_m parts.
-
-    Removing a p-bar keeps the runner charges, and a p-bar-core is
-    determined by its charges (Olsson 1993), so lam has core gamma exactly
-    when its charges are dec.charges. Its weight is then (|lam| - |gamma|)/p,
-    which must be w, as must the count of its bar lengths divisible by p.
-    These are the checks of barpart.abacus_core(lam, p) == (gamma, w), with
-    no core rebuilt: the charges and the count come from
-    barpart.runner_charges.
+    """Check that lam has expected_m parts and lies in the block (dec.gamma,
+    w): barpart.in_block with the core's charges and n = |gamma| + p*w.
     """
     gamma, p = dec.gamma, dec.p
-    if (lam.m != expected_m or lam.n != gamma.n + p * w
-            or runner_charges(lam, p) != (dec.charges, w)):
+    if lam.m != expected_m or not in_block(lam, p, dec.charges, w, gamma.n + p * w):
         raise RuntimeError("construction for %s, p=%d, w=%d produced %s" % (gamma, p, w, lam))
     return lam
 

@@ -9,11 +9,12 @@ mod-p congruence of the p'-part of the bar product) is verified from
 scratch rather than trusted.  A certificate's checks read five inputs
 alone: p, core, w and the two labels.  Its n is derived (|core| + p*w),
 and its case names the builder's construction without being read by any
-check.  Block membership, decided once from the abacus core, gates the
-height-zero and degree checks, and the congruence applies to a nonempty
-core.  Each label's p'-residue and v_p(H), H the product of its bar
-lengths, come from one loop over its parts and their pairs
-(_residue_and_valuation), so certifying builds no bar table.  A
+check.  Block membership, decided once by barpart.in_block, the
+builder's one rule (a label's size and runner charges against the
+block's), gates the height-zero and degree checks, and the congruence
+applies to a nonempty core.  Each label's p'-residue and v_p(H), H the
+product of its bar lengths, come from one loop over its parts and their
+pairs (_residue_and_valuation), so certifying builds no bar table.  A
 certificate stores no degree and proves both degree facts from small
 integers: height zero is v_p(H) = sum of v_p(a!) over the parts a and of
 v_p(a + b) - v_p(a - b) over the pairs a > b (Schur's formula, Legendre's
@@ -39,13 +40,14 @@ from .barpart import (
     BarPartition,
     _check_odd_prime,
     _check_weight,
-    abacus_core,
     bar_cores_up_to,
     bar_product_quotient,
     bar_products,
     check_int,
     degree_two_power,
     factorial_valuation,
+    in_block,
+    runner_charges,
     sigma,
 )
 from .constructions import UNIQUE_CLASS, _witness_pair, decompose_core
@@ -198,17 +200,20 @@ def _degrees_differ(lam: BarPartition, mu: BarPartition) -> bool:
 
 def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     """Re-evaluate every check of a certificate from its five inputs alone:
-    p, core, w, label_a and label_b; the derived n and the informational
-    case are not read.
+    p, core, w, label_a and label_b; n is derived from them (|core| + p*w)
+    and the informational case is not read.
 
     A weight that is not an int >= 0 is refused first, as build_witness
     refuses it.  same_block, decided once, asks that the labels differ and
-    that the abacus core give both the certificate's core and weight (and so
-    its n).  It gates height zero and distinct degrees: two labels of one
-    block have w >= 1, so n >= p >= 3 and both have a degree.  p is odd, so
-    a degree 2**k n!/H is of height zero exactly when v_p(H) = v_p((pw)!);
-    one loop over each label's parts and pairs (_residue_and_valuation)
-    gives v_p(H) and the p'-residue, for the congruence of a nonempty core.
+    that both lie in the block by barpart.in_block, the builder's one
+    membership rule, at the runner charges of the certificate's core and
+    its n = |core| + p*w.  No core is rebuilt, and a core that is no
+    p-bar-core gives False (in_block says why), never an exception.  It
+    gates height zero and distinct degrees: two labels of one block have
+    w >= 1, so n >= p >= 3 and both have a degree.  p is odd, so a degree
+    2**k n!/H is of height zero exactly when v_p(H) = v_p((pw)!); one loop
+    over each label's parts and pairs (_residue_and_valuation) gives v_p(H)
+    and the p'-residue, for the congruence of a nonempty core.
     Distinct degrees come from the quotient of the bar products over the
     parts the labels do not share (_degrees_differ).  No degree is computed
     and the block itself is never built.  A failed check is recorded in the
@@ -222,15 +227,13 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     checks = {}
     notes = []
 
-    core_a, w_a = abacus_core(label_a, p)
-    core_b, w_b = abacus_core(label_b, p)
-    same_block = label_a != label_b and (core_a, w_a) == (core_b, w_b) == (gamma, w)
+    charges = runner_charges(gamma, p)[0]
+    outside = [lam for lam in (label_a, label_b) if not in_block(lam, p, charges, w, cert.n)]
+    same_block = label_a != label_b and not outside
     checks["same_block"] = same_block
     if not same_block:
-        notes.append(
-            "block membership failed: %s has core %s weight %d, %s has core %s weight %d"
-            % (label_a, core_a, w_a, label_b, core_b, w_b)
-        )
+        notes.append("block membership failed: %s and %s, core %s weight %d, outside the block: %s"
+                     % (label_a, label_b, gamma, w, ", ".join(map(str, outside)) or "none"))
 
     res_a, val_a = _residue_and_valuation(label_a, p)
     res_b, val_b = _residue_and_valuation(label_b, p)

@@ -16,6 +16,7 @@ from spinblocks.barpart import (
     count_bar_lengths_divisible,
     factorial_valuation,
     format_partition,
+    in_block,
     labels_with_core_and_weight,
     make_bar_partition,
     parse_partition,
@@ -389,6 +390,34 @@ class TestRunnerCharges:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
             runner_charges(bp(3, 1), 9)
+
+
+class TestInBlock:
+    """The one membership rule of the certificate path against bar removal."""
+
+    @given(st.lists(st.integers(1, 60), max_size=14), st.sampled_from([3, 5, 7, 11, 13]),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_bar_removal(self, candidates, p, data):
+        parts = set()
+        for a in candidates:
+            if a not in parts and sum(parts) + a <= 60:
+                parts.add(a)
+        lam = make_bar_partition(parts)
+        core, w = bar_core_and_weight(lam, p)
+        assert in_block(lam, p, runner_charges(core, p)[0], w, lam.n)
+        # any core of lam's size class mod p, at the weight that makes n
+        gamma = data.draw(st.sampled_from([c for c in bar_cores_up_to(lam.n, p)
+                                           if (lam.n - c.n) % p == 0]))
+        k = (lam.n - gamma.n) // p
+        assert in_block(lam, p, runner_charges(gamma, p)[0], k, lam.n) is ((gamma, k) == (core, w))
+
+    def test_examples(self):
+        # (8, 1) has 3-bar-core the empty partition and weight 3
+        assert in_block(bp(8, 1), 3, (0,), 3, 9)
+        assert not in_block(bp(8, 1), 3, (0,), 3, 12)  # the wrong n
+        assert not in_block(bp(8, 1), 3, (0,), 2, 9)   # the wrong weight
+        assert not in_block(bp(8, 1), 3, (1,), 3, 9)   # the charges of the core (1)
 
 
 class TestWeightTower:

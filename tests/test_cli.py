@@ -258,17 +258,17 @@ class TestWitness:
         assert rc == 2
         assert "no spin block" in err
 
-    def test_verifier_derives_cores_by_abacus(self, capsys, monkeypatch):
-        # building certifies by runner charges; verifying re-derives both
-        # labels' cores on its own, through the abacus
+    def test_verifier_decides_membership_by_in_block(self, capsys, monkeypatch):
+        # building and verifying share the one rule, barpart.in_block; the
+        # verifier applies it to both labels itself, trusting no builder's verdict
         derived = []
-        abacus = witness.abacus_core
+        rule = witness.in_block
 
-        def counting(lam, p):
+        def counting(lam, p, charges, w, n):
             derived.append(barpart.format_partition(lam))
-            return abacus(lam, p)
+            return rule(lam, p, charges, w, n)
 
-        monkeypatch.setattr(witness, "abacus_core", counting)
+        monkeypatch.setattr(witness, "in_block", counting)
         rc, rec = run_json(capsys, "witness", "--core", "1", "--w", "14", "--p", "3")
         assert rc == 0 and rec["status"] == "pass"
         (cert,) = rec["payload"]["certificates"]

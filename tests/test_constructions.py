@@ -10,6 +10,7 @@ from spinblocks.barpart import (
     abacus_core,
     bar_cores_up_to,
     count_bar_lengths_divisible,
+    in_block,
     labels_with_core_and_weight,
     make_bar_partition,
     valuation,
@@ -32,7 +33,7 @@ from spinblocks.constructions import (
     verify_ratio_chain,
 )
 from spinblocks.oracle import TYPE1, TYPE2, bar_core_and_weight, bars, enumerate_bar_partitions
-from spinblocks.witness import build_witness
+from spinblocks.witness import WitnessCertificate, build_witness, verify_witness
 
 
 def bp(*parts):
@@ -264,23 +265,35 @@ class TestCertify:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_same_verdict_as_abacus_core(self, p):
-        # exhaustive: the charge check accepts exactly the labels whose
-        # abacus core and weight are (gamma, w), among all strict partitions of n
+        # exhaustive: barpart.in_block, the builder's _certify and the
+        # verifier's same_block accept exactly the labels whose abacus core and
+        # weight are (gamma, w), among all strict partitions of n; the verifier
+        # reads a hand-built certificate pairing the label with another of the
+        # block, or with itself when the block has one label
         decs = [decompose_core(gamma, p) for gamma in bar_cores_up_to(30, p)]
+        blocks = {}
         for n in range(31):
             for lam in enumerate_bar_partitions(n):
-                core, weight = abacus_core(lam, p)
+                blocks.setdefault(abacus_core(lam, p), []).append(lam)
+        for (core, weight), labels in blocks.items():
+            for lam in labels:
                 for dec in decs:
-                    w, rest = divmod(n - dec.gamma.n, p)
+                    w, rest = divmod(lam.n - dec.gamma.n, p)
                     if rest or w < 0:
                         continue
-                    if (core, weight) == (dec.gamma, w):
+                    member = (core, weight) == (dec.gamma, w)
+                    assert in_block(lam, p, dec.charges, w, lam.n) is member
+                    if member:
                         assert _certify(lam, dec, w, lam.m) is lam
                         with pytest.raises(RuntimeError):
                             _certify(lam, dec, w, lam.m + 1)
                     else:
                         with pytest.raises(RuntimeError):
                             _certify(lam, dec, w, lam.m)
+                    other = next((mu for mu in blocks[dec.gamma, w] if mu != lam), lam)
+                    cert = verify_witness(WitnessCertificate(p, dec.gamma, w, "hand-built",
+                                                             lam, other, {}))
+                    assert cert.checks["same_block"] is (member and other != lam)
 
 
 class TestRatioValues:

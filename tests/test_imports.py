@@ -410,15 +410,46 @@ def test_barpart_alone_refuses_a_non_core(path):
     assert len(core_refusals(path.read_text())) == (path.name == "barpart.py")
 
 
-def test_constructions_reads_runner_charges_in_certify_only():
-    # a core's charges come through barpart.core_charges; _certify reads each label's
-    source = (SRC / "constructions.py").read_text()
+def reading_functions(source, name):
+    """The top-level functions of the source that read the name, each once,
+    with None for a read outside every function; importing it is no read."""
     tree = ast.parse(source)
-    (certify,) = [node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_certify"]
-    imports = {node.lineno for node in tree.body if isinstance(node, ast.ImportFrom)}
-    lines = [line for line in name_reads(source, ("runner_charges",)) if line not in imports]
-    assert lines and all(certify.lineno <= line <= certify.end_lineno for line in lines)
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    imports = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    return {next((f.name for f in functions if f.lineno <= line <= f.end_lineno), None)
+            for line in name_reads(source, (name,)) if line not in imports}
+
+
+def test_guard_finds_reading_functions():
+    source = ("from .barpart import (\n"
+              "    in_block,\n"
+              ")\n"
+              "def _certify(lam, dec, w):\n"
+              "    return in_block(lam, dec.p, dec.charges, w, lam.n)\n"
+              "def in_block(lam):\n"
+              "    return lam\n"
+              "def scan(labels):\n"
+              "    rule = barpart.in_block\n"
+              "    return [in_block(lam) for lam in labels]\n"
+              "check = in_block\n")
+    assert reading_functions(source, "in_block") == {"_certify", "scan", None}
+    assert reading_functions("from .barpart import in_block\n", "in_block") == set()
+
+
+MEMBERSHIP_READERS = {("constructions.py", "_certify"), ("witness.py", "verify_witness")}
+
+
+def test_block_membership_has_one_rule():
+    # barpart.in_block alone decides whether a label lies in a block, for the
+    # builder and the verifier alike: no core is rebuilt on the certificate path,
+    # and constructions reads a core's charges through barpart.core_charges only
+    sources = {name: (SRC / name).read_text() for name in CERTIFIER}
+    assert "in_block" in {node.name for node in ast.parse(sources["barpart.py"]).body
+                          if isinstance(node, ast.FunctionDef)}
+    assert {(name, function) for name, source in sources.items()
+            for function in reading_functions(source, "in_block")} == MEMBERSHIP_READERS
+    assert name_reads(sources["witness.py"], ("abacus_core",)) == []
+    assert name_reads(sources["constructions.py"], ("abacus_core", "runner_charges")) == []
 
 
 def spin_blocks_reads(source):

@@ -111,13 +111,19 @@ MUTANTS = {
         kill="degrees_distinct",
         blind={3: 60, 5: 70, 7: 70, 11: 150},
     ),
-    # one runner charge of a label off reaches the verifier's abacus_core
-    # alone (the builder's constructions binds its own runner_charges, and a
-    # core's charges are kept), so the verifier reads a core of the wrong size
+    # one runner charge of a label off reaches barpart.in_block, the one
+    # membership rule, which builder and verifier share (a core's charges are
+    # kept): build_witness raises "construction for ..." from _certify before
+    # the verifier runs, so a valid hand-built certificate of the block
+    # (core (p+1, 1), w = p) is the kill input, and verify_witness alone
+    # refuses it through same_block
     "runner-charge-off": Mutant(
         barpart, "runner_charges", first_charge_off,
-        kills={p: (make_bar_partition((p + 1, 1)), p) for p in (3, 5, 7, 11, 13)},
-        kill=RuntimeError,
+        kills={p: WitnessCertificate(p, make_bar_partition((p + 1, 1)), p, "hand-built",
+                                     make_bar_partition((p * p + p + 1, 1)),
+                                     make_bar_partition((p * p, p + 1, 1)), {})
+               for p in (3, 5, 7, 11, 13)},
+        kill="same_block",
         blind={},
     ),
     # the builder's core gate open: a non-core passes decompose_core, and the
@@ -200,6 +206,18 @@ def test_blind_prime_lets_every_witness_through(monkeypatch, name, p):
                 assert build_witness(core, p, w).verified, (core, w)
                 built += 1
     assert built  # the range holds witnesses, so the blind spot is measured
+
+
+@pytest.mark.parametrize("p", sorted(MUTANTS["runner-charge-off"].kills))
+def test_shared_rule_fault_stops_the_builder_first(monkeypatch, p):
+    # why the runner-charge-off row reads a hand-built certificate: building
+    # its block raises in _certify, before any certificate reaches the verifier
+    cert = MUTANTS["runner-charge-off"].kills[p]
+    built = build_witness(cert.core, p, cert.w)  # the hand-built pair is the builder's
+    assert (built.label_a, built.label_b) == (cert.label_a, cert.label_b)
+    apply(monkeypatch, MUTANTS["runner-charge-off"])
+    with pytest.raises(RuntimeError, match="^construction for "):
+        build_witness(cert.core, p, cert.w)
 
 
 def failing_check(capsys, argv):

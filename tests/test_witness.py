@@ -11,9 +11,12 @@ from spinblocks.barpart import (
     bar_cores_up_to,
     bar_product_quotient,
     bar_products,
+    count_bar_lengths_divisible,
     factorial_valuation,
+    in_block,
     labels_with_core_and_weight,
     make_bar_partition,
+    runner_charges,
     valuation,
     weight_tower,
 )
@@ -124,7 +127,8 @@ class TestVerifyWitness:
         bad = verify_witness(cert._replace(label_a=bp(10, 2)))
         assert bad.checks["same_block"] is False
         assert not bad.verified
-        assert any("block membership" in note for note in bad.notes)
+        assert ("block membership failed: 10,2 and 8,1, core - weight 3, outside the block: 10,2"
+                in bad.notes)
 
     def test_detects_positive_height(self):
         # (6, 2, 1) lies in the block of (9) and (8, 1) but has height 1
@@ -308,6 +312,28 @@ class TestBlockMembership:
         assert bad.checks["degrees_distinct"] is False
         assert not bad.verified
         assert "height-zero check failed: v_p(H) 5 and 5, v_p((pw)!) 5" in bad.notes
+        assert ("block membership failed: 12 and 12, core - weight 4, outside the block: none"
+                in bad.notes)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_a_core_that_is_no_core_fails_membership(self, p):
+        # the verifier reads the claimed core's runner charges; a gamma with a
+        # bar length divisible by p has the charges of a smaller core, so no
+        # label of |gamma| + p*w lies in its "block", and nothing is raised
+        for size in range(p, 16):
+            for gamma in enumerate_bar_partitions(size):
+                if count_bar_lengths_divisible(gamma, p) == 0:
+                    continue
+                charges = runner_charges(gamma, p)[0]
+                for w in range(3):
+                    labels = enumerate_bar_partitions(size + p * w)
+                    assert not any(in_block(lam, p, charges, w, size + p * w) for lam in labels)
+                    cert = verify_witness(WitnessCertificate(p, gamma, w, TWO_CLASSES,
+                                                             labels[0], labels[-1], {}))
+                    assert cert.checks["same_block"] is False
+                    assert not cert.verified
+                    assert any(note.startswith("block membership failed: ")
+                               for note in cert.notes)
 
     @pytest.mark.parametrize("core, w", [(EMPTY, 3), (bp(1), 3), (bp(1), 4)])
     def test_flags_block_of_wrong_core_or_weight(self, core, w):
