@@ -195,38 +195,31 @@ def count_bar_lengths_divisible(lam: BarPartition, q: int) -> int:
 
         sum a // q + sum_{0 < r < q - r} n_r n_{q-r} - sum_{2r != 0} C(n_r, 2).
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise ValueError("q must be a positive integer, got %r" % (q,))
+    check_int(q, "q", 1)
     return _divisible_count(q, *_residue_classes(lam, q))
 
 
-def is_odd_prime(p: int) -> bool:
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _check_odd_prime(p):
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime, got %r" % (p,))
+    """Refuse p unless it is an odd prime; a bool is below 3, so never one.
+    Trial division stays a plain loop: every runner_charges call runs it."""
+    if isinstance(p, int) and p >= 3 and p % 2:
+        d = 3
+        while d * d <= p:
+            if p % d == 0:
+                break
+            d += 2
+        else:
+            return
+    raise ValueError("p must be an odd prime, got %r" % (p,))
 
 
-def check_int(value, name):
-    """Refuse a value that is not an int, a bool included, naming it."""
+def check_int(value, name, least=None):
+    """The one gate of an integer argument, naming it: refuse a value that
+    is not an int, a bool included, and one below least when least is given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError("%s must be an integer, got %r" % (name, value))
-
-
-def _check_weight(w):
-    """Refuse a block weight that is not an int >= 0."""
-    check_int(w, "w")
-    if w < 0:
-        raise ValueError("w must be nonnegative, got %d" % w)
+    if least is not None and value < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, value))
 
 
 def weight_tower(lam: BarPartition, p: int) -> tuple[tuple[int, ...], int]:
@@ -249,9 +242,7 @@ def factorial_valuation(k: int, p: int) -> int:
     """v_p(k!) for an int k >= 0 and an odd prime p, by Legendre's formula:
     the sum of k // p**i, i >= 1."""
     _check_odd_prime(p)
-    check_int(k, "k")
-    if k < 0:
-        raise ValueError("k! needs k >= 0, got %d" % k)
+    check_int(k, "k", 0)
     total = 0
     while k:
         k //= p
@@ -262,9 +253,7 @@ def factorial_valuation(k: int, p: int) -> int:
 def valuation(x: int, p: int) -> int:
     """Largest k with p**k dividing x (x a nonzero int, base p an int >= 2)."""
     check_int(x, "x")
-    check_int(p, "valuation base")
-    if p < 2:
-        raise ValueError("valuation base must be >= 2, got %r" % (p,))
+    check_int(p, "valuation base", 2)
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
     x = abs(x)
@@ -358,10 +347,8 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     Removing a p-bar never changes the runner-pair charges c_j - c_{p-j}
     (Olsson 1993), and a p-bar-core is the empty partition at those charges
     on every runner pair, so the core is one arithmetic run per runner pair
-    (_core_run), read off the charges in O(m). Each run is distinct positive
-    parts of one residue, j or p - j mod p, so the runs' parts, sorted, are
-    a strict partition, built without BarPartition's loops over every part,
-    as with_part builds one.
+    (_core_run), read off the charges in O(m), and make_bar_partition orders
+    the runs' parts and checks them.
     Agreement of w with the count of bar lengths divisible by p and with
     |lam| = |core| + p*w is asserted, as in oracle.bar_core_and_weight; the charges
     and that count come from runner_charges.
@@ -370,8 +357,7 @@ def abacus_core(lam: BarPartition, p: int) -> tuple[BarPartition, int]:
     parts = []
     for j, charge in enumerate(charges, start=1):
         parts.extend(_core_run(charge, j, p))
-    parts.sort(reverse=True)
-    core = tuple.__new__(BarPartition, (tuple(parts),))
+    core = make_bar_partition(parts)
     w, rest = divmod(lam.n - core.n, p)
     if rest:
         raise RuntimeError("size mismatch: |%s| - |%s| is not a multiple of %d" % (lam, core, p))
@@ -404,7 +390,7 @@ def labels_with_core_and_weight(gamma: BarPartition, p: int, w: int) -> list[Bar
     charge is the core's.  Output is in decreasing lexicographic order.
     """
     charges = core_charges(gamma, p)
-    _check_weight(w)
+    check_int(w, "w", 0)
     out = []
     for quotient in _quotients(w, len(charges)):
         parts = [p * k for k in quotient[0]]

@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .barpart import (
     BarPartition,
     _check_odd_prime,
-    _check_weight,
     bar_cores_up_to,
+    check_int,
     labels_with_core_and_weight,
     valuation,
 )
@@ -38,9 +38,9 @@ def block_targets(n: int, p: int) -> list[tuple[BarPartition, int]]:
     """(core, w) of every spin block of n, by decreasing core, without its labels.
 
     Every p-bar-core of size n - p*w, w >= 0, is the core of exactly one
-    block.  n is checked by check_group's rules, as in spin_blocks.
+    block.  n is an int >= 1, as check_group asks of the symmetric cover.
     """
-    check_group("S", n)
+    check_int(n, "n", 1)
     return sorted(((core, (n - core.n) // p) for core in bar_cores_up_to(n, p)
                    if (n - core.n) % p == 0), reverse=True)
 
@@ -83,7 +83,7 @@ def spin_block(core: BarPartition, p: int, w: int, kind: str) -> SpinBlock:
     n = |core| + p*w, before any label is generated.
     """
     _check_odd_prime(p)
-    _check_weight(w)
+    check_int(w, "w", 0)
     check_group(kind, core.n + p * w)
     return _build_block(p, core, w, kind, labels_with_core_and_weight(core, p, w))
 

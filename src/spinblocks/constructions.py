@@ -111,9 +111,7 @@ def _chain_input(gamma, p, i, w):
         check_int(i, "i")
         if i not in dec.nonempty:
             raise ValueError("class %d of %s is empty" % (i, gamma))
-    check_int(w, "w")
-    if w < 1:
-        raise ValueError("w must be >= 1, got %d" % w)
+    check_int(w, "w", 1)
     return dec
 
 

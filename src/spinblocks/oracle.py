@@ -152,7 +152,5 @@ def bar_core_and_weight(
 
 def enumerate_bar_partitions(n: int) -> list[BarPartition]:
     """All partitions of n into distinct parts, in decreasing lexicographic order."""
-    check_int(n, "n")
-    if n < 0:
-        raise ValueError("n must be nonnegative, got %d" % n)
+    check_int(n, "n", 0)
     return [BarPartition(parts) for parts in _gen_partitions(n, n, True)]

@@ -17,12 +17,13 @@ from .barpart import BarPartition, bar_products, check_int, degree_two_power, si
 
 
 def check_group(kind: str, n: int) -> None:
-    """Refuse a double cover that is not of kind "S" on n >= 1 or "A" on n >= 2 letters."""
+    """Refuse a double cover that is not of kind "S" on n >= 1 or "A" on n >= 2 letters.
+
+    n goes through barpart.check_int (an int >= 1); n >= 2 in "A" is the
+    cover's own rule, and its message names the cover."""
     if kind not in ("S", "A"):
         raise ValueError("group kind must be 'S' or 'A', got %r" % (kind,))
-    check_int(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive, got %d" % n)
+    check_int(n, "n", 1)
     if kind == "A" and n < 2:
         raise ValueError("the alternating double cover needs n >= 2, got %d" % n)
 

@@ -39,7 +39,6 @@ from typing import NamedTuple
 from .barpart import (
     BarPartition,
     _check_odd_prime,
-    _check_weight,
     bar_cores_up_to,
     bar_product_quotient,
     bar_products,
@@ -109,7 +108,7 @@ def build_witness(gamma: BarPartition, p: int, w: int) -> WitnessCertificate:
     constructions.decompose_core (the empty core is always one).
     """
     _check_odd_prime(p)
-    _check_weight(w)
+    check_int(w, "w", 0)
     if not witness_eligible(gamma, p, w):
         raise ValueError(
             "block (core %s, w=%d) has no witness pair: only the empty core"
@@ -222,7 +221,7 @@ def verify_witness(cert: WitnessCertificate) -> WitnessCertificate:
     silently passed.
     """
     p, gamma, w = cert.p, cert.core, cert.w
-    _check_weight(w)
+    check_int(w, "w", 0)
     label_a, label_b = cert.label_a, cert.label_b
     checks = {}
     notes = []
@@ -291,9 +290,7 @@ def scan(max_n: int, primes) -> ScanSummary:
     nothing, and so is a prime given twice, since it would count every block
     twice.
     """
-    check_int(max_n, "max_n")
-    if max_n < 4:
-        raise ValueError("max_n must be >= 4, got %d" % max_n)
+    check_int(max_n, "max_n", 4)
     primes = tuple(primes)
     if not primes:
         raise ValueError("scan needs at least one prime")

@@ -160,7 +160,7 @@ class TestEnumeration:
         assert got == sorted(got, key=lambda lam: lam.parts, reverse=True)
 
     def test_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             enumerate_bar_partitions(-1)
 
     @pytest.mark.parametrize("n", [5.5, True, "4"])
@@ -259,8 +259,11 @@ class TestBarProductsFromParts:
         assert count_bar_lengths_divisible(bp(5, 1), 2) == 2
 
     def test_rejects_bad_divisor(self):
-        for q in (0, -3, 1.0, True, "3"):
-            with pytest.raises(ValueError, match="q must be a positive integer, got %r" % (q,)):
+        for q in (0, -3):
+            with pytest.raises(ValueError, match="^q must be >= 1, got %d$" % q):
+                count_bar_lengths_divisible(bp(3, 1), q)
+        for q in (1.0, 1.5, True, "3"):
+            with pytest.raises(ValueError, match="^q must be an integer, got %r$" % (q,)):
                 count_bar_lengths_divisible(bp(3, 1), q)
 
 
@@ -473,7 +476,7 @@ class TestFactorialValuation:
             factorial_valuation(k, 3)
 
     def test_rejects_negative_k(self):
-        with pytest.raises(ValueError, match="k! needs k >= 0, got -1"):
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
             factorial_valuation(-1, 3)
 
 
@@ -491,7 +494,7 @@ class TestLabelsWithCoreAndWeight:
     def test_rejects_non_core(self):
         with pytest.raises(ValueError):
             labels_with_core_and_weight(bp(3), 3, 1)
-        with pytest.raises(ValueError, match="w must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="^w must be >= 0, got -1$"):
             labels_with_core_and_weight(EMPTY, 3, -1)
 
     @pytest.mark.parametrize("w", [True, 1.0, "1"])

@@ -75,7 +75,7 @@ class TestSpinBlocks:
             spin_blocks(0, 3, "A")
         with pytest.raises(ValueError):
             spin_blocks(5, 2, "A")
-        with pytest.raises(ValueError, match="n must be positive, got 0"):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             block_targets(0, 3)
 
     def test_targets_refuse_non_integer_n(self):
@@ -143,16 +143,16 @@ def test_heights_past_the_oracle_match_the_smallest_core(p, max_w, max_core):
 
 class TestRefusedBeforeLabels:
     @pytest.mark.parametrize("call, message", [
-        (lambda: spin_block(EMPTY, 3, 0, "A"), "n must be positive, got 0"),
+        (lambda: spin_block(EMPTY, 3, 0, "A"), "n must be >= 1, got 0"),
         (lambda: spin_block(bp(1), 3, 1, "B"), "group kind must be 'S' or 'A', got 'B'"),
         # a (kind, n) pair is not a kind
         (lambda: spin_block(bp(1), 3, 1, ("A", 4)), "group kind must be 'S' or 'A'"),
-        (lambda: spin_block(EMPTY, 3, -1, "A"), "w must be nonnegative, got -1"),
+        (lambda: spin_block(EMPTY, 3, -1, "A"), "w must be >= 0, got -1"),
         (lambda: spin_block(bp(1), 3, 1.5, "A"), "w must be an integer, got 1.5"),
         # the prime is checked before n = |core| + p*w is computed from it
         (lambda: spin_block(EMPTY, "3", 1, "A"), "p must be an odd prime, got '3'"),
         (lambda: spin_block(EMPTY, 3.0, 1, "A"), "p must be an odd prime, got 3.0"),
-        (lambda: spin_blocks(0, 3, "A"), "n must be positive, got 0"),
+        (lambda: spin_blocks(0, 3, "A"), "n must be >= 1, got 0"),
         (lambda: spin_blocks(4, 3, ("A", 4)), "group kind must be 'S' or 'A'"),
     ], ids=["spin_block-n0", "spin_block-wrong-group", "spin_block-group-tag",
             "spin_block-negative-w", "spin_block-non-int-w", "spin_block-str-p",

@@ -299,6 +299,15 @@ class TestCheck:
         assert rec["payload"]["equal_degree_non_abelian"] == 0
         assert rec["payload"]["witnesses_verified"] > 0
 
+    def test_certifying_nothing_is_info(self, capsys):
+        # no block up to 8 is non-abelian at p = 3 or 5: nothing certified, nothing failed
+        rc, rec = run_json(capsys, "check", "--max-n", "8", "--primes", "3,5")
+        assert rc == 0
+        assert rec["status"] == "info"
+        assert rec["payload"]["witnesses_verified"] == 0
+        assert rec["payload"]["notes"] == ["no non-abelian blocks for p=%d with n <= 8" % p
+                                           for p in (3, 5)]
+
     @pytest.mark.parametrize("fault", ["unverified", "equal-degree"])
     def test_failed_block_is_reported(self, capsys, monkeypatch, fault):
         # a verified witness already proves the degrees unequal, so check
@@ -378,8 +387,9 @@ class TestCheck:
                               if core.n + p * p <= 30]
 
     def test_rejects_tiny(self, capsys):
-        rc, _out, err = run(capsys, "check", "--max-n", "3", "--primes", "3")
-        assert rc == 2
+        rc, out, err = run(capsys, "check", "--max-n", "3", "--primes", "3")
+        assert (rc, out) == (2, "")
+        assert err == "error: max_n must be >= 4, got 3\n"
 
     def test_bad_primes(self, capsys):
         rc, _out, err = run(capsys, "check", "--max-n", "6", "--primes", "3,4")
@@ -486,7 +496,7 @@ class TestRefusals:
     def test_names_a_negative_weight(self, capsys):
         rc, out, err = run(capsys, "witness", "--core", "1", "--w", "-1", "--p", "3")
         assert (rc, out) == (2, "")
-        assert err == "error: w must be nonnegative, got -1\n"
+        assert err == "error: w must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", BAD_PRIME, ids=" ".join)
     def test_names_the_bad_prime(self, capsys, argv):

@@ -7,6 +7,7 @@ that the benchmark reads; the project depends on no linter."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -209,15 +210,26 @@ def names_bar_partition(node):
             or isinstance(node, ast.Attribute) and node.attr == "BarPartition")
 
 
-def unchecked_bar_partitions(source):
+def unchecked_bar_partitions(source, exempt=()):
     """Lines that build a BarPartition past its constructor: a call of a
     __new__ other than BarPartition's own, with BarPartition as its first
-    argument, which skips the validation of the parts."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "__new__" and node.args
-                  and names_bar_partition(node.args[0])
-                  and not names_bar_partition(node.func.value))
+    argument, which skips the validation of the parts; the functions named
+    in exempt are not read."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__" and node.args
+                and names_bar_partition(node.args[0])
+                and not names_bar_partition(node.func.value)):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
 
 
 def test_guard_finds_unchecked_bar_partitions():
@@ -226,15 +238,21 @@ def test_guard_finds_unchecked_bar_partitions():
               "c = BarPartition.__new__(BarPartition, (2, 1))\n"
               "d = tuple.__new__(Other, ((1,),))\n"
               "e = BarPartition((2, 1))\n"
-              "f = [object.__new__(BarPartition) for _ in xs]\n")
-    assert unchecked_bar_partitions(source) == [1, 2, 6]
+              "f = [object.__new__(BarPartition) for _ in xs]\n"
+              "def with_part(lam, new):\n"
+              "    return tuple.__new__(BarPartition, ((new,),))\n"
+              "def abacus_core(lam, p):\n"
+              "    return tuple.__new__(BarPartition, (parts,))\n")
+    assert unchecked_bar_partitions(source) == [1, 2, 6, 8, 10]
+    assert unchecked_bar_partitions(source, ("with_part",)) == [1, 2, 6, 10]
 
 
-@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
-                                  if path.name != "barpart.py"], ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_only_barpart_skips_the_part_checks(path):
-    # barpart.with_part checks the one part it adds; every other label goes through BarPartition
-    assert unchecked_bar_partitions(path.read_text()) == []
+    # barpart.with_part alone checks only the one part it adds; every other
+    # label, abacus_core's core included, goes through BarPartition
+    exempt = ("with_part",) if path.name == "barpart.py" else ()
+    assert unchecked_bar_partitions(path.read_text(), exempt) == []
 
 
 def class_order_reads(source):
@@ -408,6 +426,69 @@ def test_guard_finds_core_refusals():
 def test_barpart_alone_refuses_a_non_core(path):
     # barpart.core_charges is the one gate of a p-bar-core
     assert len(core_refusals(path.read_text())) == (path.name == "barpart.py")
+
+
+BOUND_WORDS = re.compile(r"must be >=|nonnegative|positive|needs \w+ >=")
+
+
+def bound_refusals(source):
+    """(function, message) of each raise of a ValueError whose message states
+    a bound: "must be >=", "nonnegative", "positive" or "needs <name> >=";
+    the function is the innermost one around the raise, None at module level."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if (isinstance(node, ast.Raise) and is_call_to(node.exc, "ValueError")
+                and node.exc.args):
+            message = "".join(sub.value for sub in ast.walk(node.exc.args[0])
+                              if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+            if BOUND_WORDS.search(message):
+                found.append((function, message))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_guard_finds_bound_refusals():
+    source = ("def scan(max_n, primes):\n"
+              "    if max_n < 4:\n"
+              "        raise ValueError('max_n must be >= 4, got %d' % max_n)\n"
+              "    if not primes:\n"
+              "        raise ValueError('scan needs at least one prime')\n"
+              "def factorial_valuation(k, p):\n"
+              "    if k < 0:\n"
+              "        raise ValueError(f'k! needs k >= 0, got {k}')\n"
+              "class Tag:\n"
+              "    def __new__(cls, n):\n"
+              "        raise ValueError('n must be positive, got %d' % n)\n"
+              "def weight(w):\n"
+              "    raise ValueError('w must be '\n"
+              "                     'nonnegative')\n"
+              "def other(w):\n"
+              "    raise RuntimeError('w must be >= 1')\n"
+              "    raise ValueError\n")
+    assert bound_refusals(source) == [
+        ("scan", "max_n must be >= 4, got %d"), ("factorial_valuation", "k! needs k >= 0, got "),
+        ("__new__", "n must be positive, got %d"), ("weight", "w must be nonnegative")]
+
+
+# the bound of an int argument is check_int's; the parts of a bar partition
+# and the alternating cover's n >= 2 are rules of the type and of the cover
+BOUND_OWNERS = {
+    ("barpart.py", "check_int", "%s must be >= %d, got %d"),
+    ("barpart.py", "__new__", "parts must be positive integers, got %r"),
+    ("barpart.py", "with_part", "parts must be positive integers, got %r"),
+    ("spinchar.py", "check_group", "the alternating double cover needs n >= 2, got %d"),
+}
+
+
+def test_check_int_owns_every_bound():
+    assert {(path.name, function, message) for path in SRC.glob("*.py")
+            for function, message in bound_refusals(path.read_text())} == BOUND_OWNERS
 
 
 def reading_functions(source, name):

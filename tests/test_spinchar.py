@@ -40,7 +40,7 @@ class TestDegree:
 
     def test_rejects_empty(self):
         # the symmetric cover's own rule refuses n < 1
-        with pytest.raises(ValueError, match="n must be positive, got 0"):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             spin_degree(EMPTY, "S")
 
     def test_alternating_degree_rejects_one_letter(self):
@@ -127,12 +127,12 @@ class TestSplitting:
 
     def test_rejects_non_positive_n(self):
         for kind in ("S", "A"):
-            with pytest.raises(ValueError, match="n must be positive, got 0"):
+            with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
                 check_group(kind, 0)
 
     @pytest.mark.parametrize("lam, kind, message", [
         (bp(3), "B", "group kind must be 'S' or 'A', got 'B'"),
-        (EMPTY, "S", "n must be positive, got 0"),
+        (EMPTY, "S", "^n must be >= 1, got 0$"),
         (bp(1), "A", "alternating double cover needs n >= 2, got 1"),
     ], ids=["kind-B", "S-empty", "A-one-letter"])
     def test_count_refuses_what_the_degree_refuses(self, lam, kind, message):

@@ -111,7 +111,7 @@ class TestBuildWitness:
     @pytest.mark.parametrize("core", [EMPTY, bp(1)])
     def test_rejects_negative_w(self, core):
         # was "has no witness pair ... only the empty core with w >= 2 is accepted below w = p"
-        with pytest.raises(ValueError, match="^w must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match="^w must be >= 0, got -1$"):
             build_witness(core, 3, -1)
 
     @pytest.mark.parametrize("w", [3.0, True])
@@ -155,7 +155,7 @@ class TestVerifyWitness:
         assert "degree check failed: 4 and 3,1" in bad.notes
 
     @pytest.mark.parametrize("w, message", [
-        (-1, "^w must be nonnegative, got -1$"),
+        (-1, "^w must be >= 0, got -1$"),
         (3.0, "^w must be an integer, got 3.0$"),
     ], ids=["negative", "non-int"])
     def test_refuses_bad_weight_up_front(self, w, message):
@@ -448,6 +448,10 @@ class TestScan:
     def test_rejects_empty_prime_list(self):
         with pytest.raises(ValueError, match="at least one prime"):
             scan(12, [])
+
+    def test_rejects_max_n_below_four(self):
+        with pytest.raises(ValueError, match="^max_n must be >= 4, got 3$"):
+            scan(3, (3,))
 
     @pytest.mark.parametrize("max_n", [30.5, "30", True])
     def test_rejects_non_int_max_n(self, max_n):
