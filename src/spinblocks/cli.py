@@ -14,10 +14,16 @@ before its bounds are judged. Each verify kind makes one public library walk
 per core (verify_ratio_chain for ratios, compare_chain for thm35 and prop36)
 and keeps only a count and the failures (and prop36's rows); the CLI reads no
 private name of the library.
-One table (COMMANDS) declares each command once. A run builds the parser of
-the command it names alone, which prints the usage, help and errors of the
-full parser's subcommand; the full parser, built from the same table, parses
-what names no command and words the errors about tokens left over.
+One table (COMMANDS) declares each command once: its options by an adder,
+which builds the full argparse parser's subcommand and, called with a
+recorder of its add_argument calls, also tells the plain parse what to
+accept. A well-formed command line (the command, then each option once as
+--name value, every required option and positional present, every value
+passing its type and choices, no value or positional starting with - but the
+empty partition's lone -) is parsed from those records alone, into the
+namespace the full parser would give. The full parser, built and imported
+only then, parses every other command line: help, --name=value,
+abbreviations, repeated options, negative numbers, errors and no command.
 Integers whose magnitude exceeds 2**63 - 1 (INT64_MAX) are serialized as
 decimal strings, exactly, however many digits they have; so is -2**63, which
 a signed 64-bit word would hold.
@@ -25,13 +31,12 @@ a signed 64-bit word would hold.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import decimal
 import functools
 import io
 import json
 import sys
+import types
 from fractions import Fraction
 
 from . import blocks, constructions, spinchar, witness
@@ -97,6 +102,8 @@ def _flatten(obj, prefix, rows):
 def render(record, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    import csv  # only --format csv reads it
+
     rows = []
     _flatten(record, "", rows)
     buf = io.StringIO()
@@ -366,21 +373,94 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser(command=None):
-    """The parser of one command, or with no command the full CLI parser.
+class _Recorder:
+    """Stands in for a parser while an adder declares its options, keeping
+    each add_argument call. It takes one name per call and the keywords the
+    plain parse honours alone; any other raises TypeError, so that an option
+    the plain parse would read otherwise than argparse cannot be declared."""
 
-    Each is built once per process, and main only reads them. A command's
-    parser has the prog, options and defaults of the full parser's
-    subparser of that name, so it prints the same usage, help and errors.
+    KEYWORDS = frozenset(("type", "default", "required", "choices", "help"))
+
+    def __init__(self):
+        self.options = {}  # option string -> (dest, type, choices)
+        self.positionals = []  # (dest, type, choices), in order
+        self.defaults = {}  # dest -> default, in the order argparse sets them
+        self.required = set()
+
+    def add_argument(self, name, **kwargs):
+        unknown = kwargs.keys() - self.KEYWORDS
+        if unknown:
+            raise TypeError("the plain parse cannot honour %s" % ", ".join(sorted(unknown)))
+        spec = kwargs.get("type"), kwargs.get("choices")
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            self.options[name] = (dest, *spec)
+            if kwargs.get("required"):
+                self.required.add(dest)
+        else:
+            dest = name
+            self.positionals.append((dest, *spec))
+            self.required.add(dest)
+        self.defaults[dest] = kwargs.get("default")
+
+
+@functools.cache
+def _declared(command):
+    """The recorded options of one command, its own and the common ones."""
+    recorder = _Recorder()
+    COMMANDS[command][2](recorder)
+    _add_common(recorder)
+    return recorder
+
+
+def _plain_parse(argv):
+    """The full parser's namespace for a well-formed command line, or None.
+
+    Well-formed is the command, then each option once as --name value and each
+    positional once, with no value starting with - but a lone -, every
+    required one present and every value passing its type and choices. None
+    sends the command line to the full parser, which prints the usage, help
+    or error that such a line needs.
     """
-    if command is not None:
-        _help_text, func, add_options = COMMANDS[command]
-        parser = argparse.ArgumentParser(prog="spinblocks " + command)
-        add_options(parser)
-        _add_common(parser)
-        parser.set_defaults(func=func, cmd=command)
-        return parser
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    declared = _declared(argv[0])
+    positionals = iter(declared.positionals)
+    tokens = iter(argv[1:])
+    values = {}
+    for token in tokens:
+        spec = declared.options.get(token)
+        if spec is None:
+            spec = next(positionals, None)
+        else:
+            token = next(tokens, None)
+        if (spec is None or token is None or spec[0] in values
+                or token.startswith("-") and token != "-"):
+            return None
+        dest, convert, choices = spec
+        if convert is not None:
+            try:
+                token = convert(token)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and token not in choices:
+            return None
+        values[dest] = token
+    if not declared.required <= values.keys():
+        return None
+    return types.SimpleNamespace(cmd=argv[0], **{**declared.defaults, **values},
+                                 func=COMMANDS[argv[0]][1])
+
+
+@functools.cache
+def build_parser():
+    """The full CLI parser, built once per process and only read by main.
+
+    It parses every command line that the plain parse declines, and prints
+    the usage, help and errors.
+    """
+    import argparse  # loaded only for a command line that the plain parse declines
+
     parser = argparse.ArgumentParser(
         prog="spinblocks",
         description="Exact bar-partition and spin-block computations for the"
@@ -395,21 +475,14 @@ def build_parser(command=None):
     return parser
 
 
-def _parse(argv):
-    """Parse with the named command's parser alone; tokens it leaves over, and
-    any argv that names no command, go to the full parser for its messages."""
-    if argv and argv[0] in COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         try:
             payload, status = args.func(args)

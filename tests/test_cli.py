@@ -1,5 +1,6 @@
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -10,12 +11,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinblocks import barpart, blocks, constructions, oracle, spinchar, witness
+from spinblocks import barpart, blocks, cli, constructions, oracle, spinchar, witness
 from spinblocks.blocks import spin_blocks
-from spinblocks.cli import INT64_MAX, _witness_targets, build_parser, jsonable, main, render
+from spinblocks.cli import (
+    COMMANDS,
+    INT64_MAX,
+    _declared,
+    _plain_parse,
+    _witness_targets,
+    build_parser,
+    jsonable,
+    main,
+    render,
+)
 from test_golden import GOLDEN
 from test_mutants import MUTANTS, apply
 
@@ -603,6 +614,49 @@ USAGE_ARGVS = [[], ["-h"], ["frobnicate"], ["frobnicate", "--p", "3"]] + [
 ]
 
 
+# command lines the plain parse declines, each with the well-formed line that
+# means the same to the full parser, or None where there is none
+FALLBACK = [
+    (["check", "--max-n=16", "--primes", "3"], ["check", "--max-n", "16", "--primes", "3"]),
+    (["check", "--max", "16", "--primes", "3"], ["check", "--max-n", "16", "--primes", "3"]),
+    (["check", "--max-n", "8", "--primes", "3", "--max-n", "16"],
+     ["check", "--max-n", "16", "--primes", "3"]),
+    (["witness", "--core", "1", "--w", "-1", "--p", "3"], None),
+    (["core", "--p", "3", "--", "8,1"], ["core", "8,1", "--p", "3"]),
+    (["bars", "8,1", "3,1"], None),
+    (["check", "--max-n", "16"], None),
+    (["check", "-h"], None),
+]
+# tokens that the plain parse declines where they stand
+REFUSED = ["-1", "x", "", "-h", "--", "--max", "--p=3", "--p"]
+MOSTLY = (True, True, True, False)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and, in any order, most of its options and positionals, each
+    with a value that mostly fits it; now and then one more refused token."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    declared = _declared(name)
+    slots = list(declared.options.items()) + [(None, spec) for spec in declared.positionals]
+    argv = [name]
+    for word, (_dest, convert, choices) in draw(st.permutations(slots)):
+        if draw(st.sampled_from(MOSTLY)):
+            fitting = list(choices or (["3", "5", "16"] if convert else ["8,1", "3,5", "-"]))
+            argv += [word] if word else []
+            argv.append(draw(st.sampled_from(fitting * 3 + [draw(st.sampled_from(REFUSED))])))
+    if not draw(st.sampled_from(MOSTLY)):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(REFUSED)))
+    return argv
+
+
+def load_benchmark_file(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestParsers:
     @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
     def test_same_usage_as_the_full_parser(self, capsys, argv):
@@ -615,13 +669,59 @@ class TestParsers:
             raise AssertionError("the full parser accepted %r" % (argv,))
         assert run(capsys, *argv) == expected
 
-    def test_check_builds_only_its_parser(self, capsys):
+    def test_plain_check_builds_no_parser(self, capsys):
         build_parser.cache_clear()
-        rc, _out, _err = run(capsys, "check", "--max-n", "16", "--primes", "3")
+        rc, plain, _err = run(capsys, "check", "--max-n", "16", "--primes", "3")
         assert rc == 0
+        assert build_parser.cache_info().currsize == 0
+        rc, full, _err = run(capsys, "check", "--max-n=16", "--primes", "3")
+        assert (rc, full) == (0, plain)
         assert build_parser.cache_info().currsize == 1
-        build_parser("check")
-        assert build_parser.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("argv, means", FALLBACK, ids=[" ".join(argv) for argv, _ in FALLBACK])
+    def test_declined_lines_go_to_the_full_parser(self, capsys, monkeypatch, argv, means):
+        assert _plain_parse(argv) is None
+        try:
+            parsed = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            expected = (exc.code, *capsys.readouterr())
+        else:
+            if means is not None:
+                assert vars(parsed) == vars(_plain_parse(means))
+            # main run on the full parser's namespace
+            monkeypatch.setattr(cli, "_plain_parse", lambda argv: parsed)
+            expected = run(capsys, *argv)
+            monkeypatch.undo()
+        assert run(capsys, *argv) == expected
+
+    def test_recorder_refuses_what_the_plain_parse_cannot_honour(self):
+        recorder = cli._Recorder()
+        with pytest.raises(TypeError, match="nargs"):
+            recorder.add_argument("--p", type=int, nargs="?")
+        with pytest.raises(TypeError, match="action"):
+            recorder.add_argument("--quiet", action="store_true")
+        with pytest.raises(TypeError):
+            recorder.add_argument("-p", "--p", type=int)
+        assert recorder.options == {} and recorder.positionals == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_plain_parse_agrees_with_the_full_parser(self, argv):
+        args = _plain_parse(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    def test_workload_lines_take_the_plain_parse(self, monkeypatch):
+        # the benchmark loads its workloads beside its reference, imported by that name
+        monkeypatch.setitem(sys.modules, "reference", load_benchmark_file("reference"))
+        workloads = load_benchmark_file("workloads")
+        lines = [argv for workload in workloads.WORKLOADS.values() for seed in range(4)
+                 for argv in workload.commands(seed)]
+        # and the empty partition's lone -, as a positional and as a value
+        for argv in lines + [["bars", "-"], ["witness", "--core", "-", "--w", "2", "--p", "5"]]:
+            args = _plain_parse(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def roundtrip(value):

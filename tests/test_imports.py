@@ -576,25 +576,39 @@ def test_constructions_reads_no_private_library_name():
 
 
 LAZY = ("dataclasses", "inspect", "spinblocks.oracle")
+# loaded only for a command line that the plain parse declines, or for --format csv
+PARSE_ONLY = ("argparse", "csv", "gettext", "locale")
 
 
-def lazy_modules_loaded(statement):
-    """The LAZY modules a fresh interpreter (no site, PYTHONPATH=src) holds
+def lazy_modules_loaded(statement, lazy=LAZY):
+    """The lazy modules a fresh interpreter (no site, PYTHONPATH=src) holds
     after running the statement."""
-    probe = "import sys\n%s\nprint(sorted(set(sys.modules) & set(%r)))" % (statement, LAZY)
+    probe = "import sys\n%s\nprint(sorted(set(sys.modules) & set(%r)))" % (statement, lazy)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    return ast.literal_eval(proc.stdout)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def test_guard_finds_lazy_modules():
     assert lazy_modules_loaded("import spinblocks.oracle") == sorted(LAZY)
+    assert lazy_modules_loaded("import argparse, csv, locale", PARSE_ONLY) == sorted(PARSE_ONLY)
 
 
 def test_cli_import_loads_no_oracle():
     # every CLI call and benchmark round pays for this import
     assert lazy_modules_loaded("import spinblocks.cli") == []
+    assert lazy_modules_loaded("import spinblocks.cli", PARSE_ONLY) == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["core", "8,1", "--p", "3"], []),
+    (["core", "8,1", "--p", "3", "--format", "csv"], ["csv"]),
+    (["core", "8,1", "--p=3"], ["argparse", "gettext", "locale"]),
+], ids=["plain", "plain-csv", "declined"])
+def test_only_a_declined_line_loads_argparse(argv, loaded):
+    statement = "from spinblocks.cli import main\nmain(%r)" % (argv,)
+    assert lazy_modules_loaded(statement, PARSE_ONLY) == loaded
 
 
 def importers(source, module):
