@@ -384,7 +384,7 @@ class _Recorder:
     def __init__(self):
         self.options = {}  # option string -> (dest, type, choices)
         self.positionals = []  # (dest, type, choices), in order
-        self.defaults = {}  # dest -> default, in the order argparse sets them
+        self.defaults = {}  # dest -> default
         self.required = set()
 
     def add_argument(self, name, **kwargs):
