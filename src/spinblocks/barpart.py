@@ -26,6 +26,7 @@ import math
 import operator
 from typing import NamedTuple
 
+
 class _BarPartitionFields(NamedTuple):
     parts: tuple[int, ...]
 

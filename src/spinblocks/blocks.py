@@ -25,6 +25,7 @@ from .barpart import (
 from .spinchar import character_count, check_group, spin_degree
 from .witness import defect_class
 
+
 class SpinBlock(NamedTuple):
     p: int
     core: BarPartition

@@ -14,13 +14,13 @@ before its bounds are judged. Each verify kind makes one public library walk
 per core (verify_ratio_chain for ratios, compare_chain for thm35 and prop36)
 and keeps only a count and the failures (and prop36's rows); the CLI reads no
 private name of the library.
-One table (COMMANDS) declares each command once: its options by an adder,
-which builds the full argparse parser's subcommand and, called with a
-recorder of its add_argument calls, also tells the plain parse what to
-accept. A well-formed command line (the command, then each option once as
+One table (COMMANDS, with COMMON for --format and --out) declares each
+command once and each of its options once, as the keywords of its
+add_argument call; the full argparse parser and the plain parse both read it.
+A well-formed command line (the command, then each option once as
 --name value, every required option and positional present, every value
 passing its type and choices, no value or positional starting with - but the
-empty partition's lone -) is parsed from those records alone, into the
+empty partition's lone -) is parsed from that table alone, into the
 namespace the full parser would give. The full parser, built and imported
 only then, parses every other command line: help, --name=value,
 abbreviations, repeated options, negative numbers, errors and no command.
@@ -318,99 +318,52 @@ def _parse_primes(text):
     return primes
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-
-def _bars_options(sub):
-    sub.add_argument("partition", help='partition text, e.g. "8,1" or "-" for empty')
-    sub.add_argument("--p", type=int, default=None, help="also report weights for this odd prime")
-
-
-def _core_options(sub):
-    sub.add_argument("partition")
-    sub.add_argument("--p", type=int, required=True)
-
-
-def _blocks_options(sub):
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--group", choices=("S", "A"), default="A")
-
-
-def _verify_options(sub):
-    sub.add_argument("kind", choices=("ratios", "thm35", "prop36"))
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--max-core", type=int, default=10)
-    sub.add_argument("--max-w", type=int, default=4)
-
-
-def _witness_options(sub):
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--core", default=None)
-    sub.add_argument("--w", type=int, default=None)
-    sub.add_argument("--p", type=int, required=True)
-
-
-def _check_options(sub):
-    sub.add_argument("--max-n", type=int, required=True)
-    sub.add_argument("--primes", required=True, help="comma-separated odd primes")
-
-
-# name -> (help, command function, adder of the command's own options)
+# name -> (help, command function, ((option name, add_argument keywords), ...));
+# COMMON's options follow each command's own. The plain parse honours only the
+# keywords type, default, required, choices and help, and one name per option.
 COMMANDS = {
-    "bars": ("bar multiset and length products of a partition", cmd_bars, _bars_options),
-    "core": ("bar core and weight of a partition", cmd_core, _core_options),
-    "blocks": ("spin blocks with degrees, heights and defect class", cmd_blocks,
-               _blocks_options),
-    "verify": ("exact-identity and inequality sweeps", cmd_verify, _verify_options),
+    "bars": ("bar multiset and length products of a partition", cmd_bars, (
+        ("partition", dict(help='partition text, e.g. "8,1" or "-" for empty')),
+        ("--p", dict(type=int, default=None, help="also report weights for this odd prime")),
+    )),
+    "core": ("bar core and weight of a partition", cmd_core, (
+        ("partition", {}),
+        ("--p", dict(type=int, required=True)),
+    )),
+    "blocks": ("spin blocks with degrees, heights and defect class", cmd_blocks, (
+        ("--n", dict(type=int, required=True)),
+        ("--p", dict(type=int, required=True)),
+        ("--group", dict(choices=("S", "A"), default="A")),
+    )),
+    "verify": ("exact-identity and inequality sweeps", cmd_verify, (
+        ("kind", dict(choices=("ratios", "thm35", "prop36"))),
+        ("--p", dict(type=int, required=True)),
+        ("--max-core", dict(type=int, default=10)),
+        ("--max-w", dict(type=int, default=4)),
+    )),
     "witness": ("height-zero witness pair for a block; with --n, every block of"
                 " weight >= p qualifies, and the empty core already qualifies at"
                 " weight >= 2 (reported with status info while the defect is abelian)",
-                cmd_witness, _witness_options),
-    "check": ("scan all blocks up to max-n for witnesses", cmd_check, _check_options),
+                cmd_witness, (
+                    ("--n", dict(type=int, default=None)),
+                    ("--core", dict(default=None)),
+                    ("--w", dict(type=int, default=None)),
+                    ("--p", dict(type=int, required=True)),
+                )),
+    "check": ("scan all blocks up to max-n for witnesses", cmd_check, (
+        ("--max-n", dict(type=int, required=True)),
+        ("--primes", dict(required=True, help="comma-separated odd primes")),
+    )),
 }
+COMMON = (
+    ("--format", dict(choices=("json", "csv"), default="json")),
+    ("--out", dict(default=None, help="write output to a file instead of stdout")),
+)
 
 
-class _Recorder:
-    """Stands in for a parser while an adder declares its options, keeping
-    each add_argument call. It takes one name per call and the keywords the
-    plain parse honours alone; any other raises TypeError, so that an option
-    the plain parse would read otherwise than argparse cannot be declared."""
-
-    KEYWORDS = frozenset(("type", "default", "required", "choices", "help"))
-
-    def __init__(self):
-        self.options = {}  # option string -> (dest, type, choices)
-        self.positionals = []  # (dest, type, choices), in order
-        self.defaults = {}  # dest -> default
-        self.required = set()
-
-    def add_argument(self, name, **kwargs):
-        unknown = kwargs.keys() - self.KEYWORDS
-        if unknown:
-            raise TypeError("the plain parse cannot honour %s" % ", ".join(sorted(unknown)))
-        spec = kwargs.get("type"), kwargs.get("choices")
-        if name.startswith("-"):
-            dest = name.lstrip("-").replace("-", "_")
-            self.options[name] = (dest, *spec)
-            if kwargs.get("required"):
-                self.required.add(dest)
-        else:
-            dest = name
-            self.positionals.append((dest, *spec))
-            self.required.add(dest)
-        self.defaults[dest] = kwargs.get("default")
-
-
-@functools.cache
-def _declared(command):
-    """The recorded options of one command, its own and the common ones."""
-    recorder = _Recorder()
-    COMMANDS[command][2](recorder)
-    _add_common(recorder)
-    return recorder
+def _dest(name):
+    """The namespace attribute of an option or positional, as argparse names it."""
+    return name.lstrip("-").replace("-", "_")
 
 
 def _plain_parse(argv):
@@ -424,31 +377,34 @@ def _plain_parse(argv):
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    declared = _declared(argv[0])
-    positionals = iter(declared.positionals)
+    declared = COMMANDS[argv[0]][2] + COMMON
+    options = {name: keywords for name, keywords in declared if name.startswith("-")}
+    positionals = iter([spec for spec in declared if spec[0] not in options])
     tokens = iter(argv[1:])
     values = {}
     for token in tokens:
-        spec = declared.options.get(token)
-        if spec is None:
-            spec = next(positionals, None)
-        else:
+        if token in options:
+            spec = token, options[token]
             token = next(tokens, None)
-        if (spec is None or token is None or spec[0] in values
+        else:
+            spec = next(positionals, None)
+        if (spec is None or token is None or _dest(spec[0]) in values
                 or token.startswith("-") and token != "-"):
             return None
-        dest, convert, choices = spec
-        if convert is not None:
+        name, keywords = spec
+        if "type" in keywords:
             try:
-                token = convert(token)
+                token = keywords["type"](token)
             except (TypeError, ValueError):
                 return None
-        if choices is not None and token not in choices:
+        if "choices" in keywords and token not in keywords["choices"]:
             return None
-        values[dest] = token
-    if not declared.required <= values.keys():
+        values[_dest(name)] = token
+    if any(_dest(name) not in values for name, keywords in declared
+           if keywords.get("required", name not in options)):
         return None
-    return types.SimpleNamespace(cmd=argv[0], **{**declared.defaults, **values},
+    defaults = {_dest(name): keywords.get("default") for name, keywords in declared}
+    return types.SimpleNamespace(cmd=argv[0], **{**defaults, **values},
                                  func=COMMANDS[argv[0]][1])
 
 
@@ -467,10 +423,10 @@ def build_parser():
                     " double covers of the symmetric and alternating groups.",
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, func, add_options) in COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        add_options(sub)
-        _add_common(sub)
+    for command, (help_text, func, declared) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for name, keywords in declared + COMMON:
+            sub.add_argument(name, **keywords)
         sub.set_defaults(func=func)
     return parser
 

@@ -286,9 +286,9 @@ def scan(max_n: int, primes) -> ScanSummary:
     height-zero degrees that differ.  No block is built: a certificate that
     fails is returned in failed and named in the notes with its own notes,
     both in walk order (core, then w), and whether that block's height-zero
-    degrees are all equal is left to the caller.  An empty prime list is refused, since it certifies
-    nothing, and so is a prime given twice, since it would count every block
-    twice.
+    degrees are all equal is left to the caller.  An empty prime list is
+    refused, since it certifies nothing, and so is a prime given twice, since
+    it would count every block twice.
     """
     check_int(max_n, "max_n", 4)
     primes = tuple(primes)

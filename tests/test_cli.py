@@ -18,8 +18,8 @@ from spinblocks import barpart, blocks, cli, constructions, oracle, spinchar, wi
 from spinblocks.blocks import spin_blocks
 from spinblocks.cli import (
     COMMANDS,
+    COMMON,
     INT64_MAX,
-    _declared,
     _plain_parse,
     _witness_targets,
     build_parser,
@@ -612,6 +612,10 @@ USAGE_ARGVS = [[], ["-h"], ["frobnicate"], ["frobnicate", "--p", "3"]] + [
     for argv in ([name, "-h"], [name], [name] + BAD_INT[name], [name] + VALID[name] + ["--bogus"],
                  [name] + VALID[name] + ["extra", "-h"])
 ]
+# a value outside its choices: an option's, a positional's and a common option's
+BAD_CHOICE = [["blocks", "--n", "9", "--p", "3", "--group", "X"], ["verify", "nope", "--p", "3"],
+              ["core", "8,1", "--p", "3", "--format", "xml"]]
+USAGE_ARGVS += BAD_CHOICE
 
 
 # command lines the plain parse declines, each with the well-formed line that
@@ -626,7 +630,7 @@ FALLBACK = [
     (["bars", "8,1", "3,1"], None),
     (["check", "--max-n", "16"], None),
     (["check", "-h"], None),
-]
+] + [(argv, None) for argv in BAD_CHOICE]
 # tokens that the plain parse declines where they stand
 REFUSED = ["-1", "x", "", "-h", "--", "--max", "--p=3", "--p"]
 MOSTLY = (True, True, True, False)
@@ -637,17 +641,35 @@ def command_lines(draw):
     """A command and, in any order, most of its options and positionals, each
     with a value that mostly fits it; now and then one more refused token."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
-    declared = _declared(name)
-    slots = list(declared.options.items()) + [(None, spec) for spec in declared.positionals]
     argv = [name]
-    for word, (_dest, convert, choices) in draw(st.permutations(slots)):
+    for word, keywords in draw(st.permutations(COMMANDS[name][2] + COMMON)):
         if draw(st.sampled_from(MOSTLY)):
-            fitting = list(choices or (["3", "5", "16"] if convert else ["8,1", "3,5", "-"]))
-            argv += [word] if word else []
+            fitting = list(keywords.get("choices")
+                           or (["3", "5", "16"] if "type" in keywords else ["8,1", "3,5", "-"]))
+            argv += [word] if word.startswith("-") else []
             argv.append(draw(st.sampled_from(fitting * 3 + [draw(st.sampled_from(REFUSED))])))
     if not draw(st.sampled_from(MOSTLY)):
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(REFUSED)))
     return argv
+
+
+# the add_argument keywords that the plain parse reads as argparse does
+PLAIN_KEYWORDS = frozenset(("type", "default", "required", "choices", "help"))
+
+
+def table_faults(declared):
+    """What, in one command's declared options, the plain parse would read
+    otherwise than argparse: a keyword it does not honour, a destination
+    declared twice, or one that the namespace keeps for cmd or func."""
+    faults = []
+    seen = set()
+    for name, keywords in declared:
+        faults += ["%s takes %s" % (name, key) for key in sorted(keywords.keys() - PLAIN_KEYWORDS)]
+        dest = cli._dest(name)
+        if dest in seen or dest in ("cmd", "func"):
+            faults.append("%s cannot be the destination of %s" % (dest, name))
+        seen.add(dest)
+    return faults
 
 
 def load_benchmark_file(name):
@@ -694,15 +716,18 @@ class TestParsers:
             monkeypatch.undo()
         assert run(capsys, *argv) == expected
 
-    def test_recorder_refuses_what_the_plain_parse_cannot_honour(self):
-        recorder = cli._Recorder()
-        with pytest.raises(TypeError, match="nargs"):
-            recorder.add_argument("--p", type=int, nargs="?")
-        with pytest.raises(TypeError, match="action"):
-            recorder.add_argument("--quiet", action="store_true")
-        with pytest.raises(TypeError):
-            recorder.add_argument("-p", "--p", type=int)
-        assert recorder.options == {} and recorder.positionals == []
+    def test_table_declares_only_what_the_plain_parse_honours(self):
+        for name, (_help, _func, declared) in COMMANDS.items():
+            assert table_faults(declared + COMMON) == [], name
+
+    @pytest.mark.parametrize("entry, fault", [
+        (("--k", dict(type=int, nargs="?")), "--k takes nargs"),
+        (("--quiet", dict(action="store_true")), "--quiet takes action"),
+        (("--max-core", dict(type=int)), "max_core cannot be the destination of --max-core"),
+        (("--cmd", {}), "cmd cannot be the destination of --cmd"),
+    ], ids=["nargs", "action", "repeated", "reserved"])
+    def test_table_check_refuses(self, entry, fault):
+        assert table_faults(COMMANDS["verify"][2] + (entry,) + COMMON) == [fault]
 
     @settings(max_examples=400, deadline=None)
     @given(command_lines())
